@@ -7,12 +7,15 @@ canonical factor lists coincide.
 
 The workhorse is an exact Smith normal form over Z with unimodular
 transforms, using a smallest-magnitude pivot rule so the transforms are
-reproducible across platforms.
+reproducible across platforms.  Linear algebra over Q (ranks,
+determinants, solutions, kernel vectors) goes through one fraction-free
+Gauss-Jordan eliminator on integer matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 IntMatrix = list[list[int]]
@@ -124,26 +127,78 @@ def matmul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> IntMatrix:
     ]
 
 
-def det(A: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix (fraction-free elimination)."""
-    n = len(A)
+def fraction_free_rref(A: Sequence[Sequence[int]]) -> tuple[IntMatrix, list[int], int]:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of an integer matrix.
+
+    Returns (R, pivots, sign).  R is row equivalent to A; every pivot entry
+    of R equals the last pivot p and the pivot columns are zero elsewhere,
+    so R / p is the reduced row echelon form of A over Q.  ``pivots`` lists
+    the pivot columns in order and ``sign`` is (-1)^(number of row swaps).
+    Each division by the previous pivot is exact (Bareiss, "Sylvester's
+    identity and multistep integer-preserving Gaussian elimination",
+    Math. Comp. 22, 1968), so the entries stay integers bounded by minors
+    of A.
+    """
     a = [list(row) for row in A]
+    n = len(a)
+    m = len(a[0]) if n else 0
+    pivots: list[int] = []
     sign = 1
     prev = 1
-    for t in range(n - 1):
-        if a[t][t] == 0:
-            for i in range(t + 1, n):
-                if a[i][t]:
-                    a[t], a[i] = a[i], a[t]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(t + 1, n):
-            for j in range(t + 1, n):
-                a[i][j] = (a[i][j] * a[t][t] - a[i][t] * a[t][j]) // prev
-        prev = a[t][t]
-    return sign * a[-1][-1] if n else 1
+    for col in range(m):
+        r = len(pivots)
+        if r == n:
+            break
+        p = next((i for i in range(r, n) if a[i][col]), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        top = a[r]
+        piv = top[col]
+        for i in range(n):
+            f = a[i][col]
+            if i == r or (f == 0 and piv == prev):
+                continue
+            a[i] = [(piv * x - f * y) // prev for x, y in zip(a[i], top)]
+        prev = piv
+        pivots.append(col)
+    return a, pivots, sign
+
+
+def det(A: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix: the last pivot times the sign."""
+    n = len(A)
+    if not n:
+        return 1
+    r, pivots, sign = fraction_free_rref(A)
+    return sign * r[-1][-1] if len(pivots) == n else 0
+
+
+def solve_rational(
+    A: Sequence[Sequence[int]], b: Sequence[int]
+) -> tuple[list[Fraction] | None, list[Fraction] | None]:
+    """Solve A x = b over Q for an integer matrix A and integer vector b.
+
+    Returns (None, v) when A has a nonzero kernel, with v the kernel
+    vector that is 1 at the first free column and 0 at the other free
+    columns.  Otherwise returns (x, None) with the unique solution, or
+    (None, None) when the system is inconsistent.
+    """
+    m = len(A[0])
+    r, pivots, _ = fraction_free_rref([list(row) + [c] for row, c in zip(A, b)])
+    rows = [(i, col) for i, col in enumerate(pivots) if col < m]
+    free = next((c for c in range(m) if c not in pivots), None)
+    if free is not None:
+        null = [Fraction(0)] * m
+        null[free] = Fraction(1)
+        for i, col in rows:
+            null[col] = Fraction(-r[i][free], r[i][col])
+        return None, null
+    if len(rows) < len(pivots):
+        return None, None
+    return [Fraction(r[i][m], r[i][col]) for i, col in rows], None
 
 
 def kernel_basis(A: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -305,43 +360,3 @@ def subgroup_from_elements(
     if len(diag) < m or any(x == 0 for x in diag):
         raise AssertionError("subgroup of a finite group must be finite")
     return FinAb.from_orders(diag)
-
-
-@dataclass(frozen=True)
-class Homomorphism:
-    """An integer-matrix homomorphism between presented abelian groups.
-
-    ``matrix[i][j]`` is the i-th target coordinate of the image of the j-th
-    source generator.  Validity demands each generator's image be
-    annihilated by the generator's order.
-    """
-
-    source: FinAb
-    target: FinAb
-    matrix: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        rows = len(self.target.factors)
-        cols = len(self.source.factors)
-        if len(self.matrix) != rows or any(len(r) != cols for r in self.matrix):
-            raise ValueError("matrix shape does not match source/target")
-        for j, order in enumerate(self.source.factors):
-            if order == 0:
-                continue
-            for i, t in enumerate(self.target.factors):
-                img = order * self.matrix[i][j]
-                if (t and img % t) or (t == 0 and img):
-                    raise ValueError(
-                        f"generator {j} of order {order} maps to an element "
-                        f"not annihilated by it"
-                    )
-
-    def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        cols = len(self.source.factors)
-        if len(vec) != cols:
-            raise ValueError("vector length does not match source")
-        out = []
-        for i, t in enumerate(self.target.factors):
-            s = sum(self.matrix[i][j] * vec[j] for j in range(cols))
-            out.append(s % t if t else s)
-        return tuple(out)

@@ -14,8 +14,19 @@ harness:
     verify        re-derive every statement over a sweep (JSONL report)
 
 JSON outputs carry a top-level "schema": "rho-lattice/1".  ``verify``
-streams one check per line so long sweeps can be tailed, and its exit
-code is 0 exactly when every check passes.
+prints one line per check, in canonical order, once the whole sweep has
+finished, then a summary line.
+
+Exit codes:
+
+    0  success (for ``verify``: every check passed)
+    1  ``verify`` ran and at least one check failed
+    2  bad input (parse error, invalid parameters, unreadable JSON)
+    3  not invertible
+    4  work cap exceeded (WorkCapExceeded)
+    5  internal verification failure (VerificationFailure)
+
+Codes 4 and 5 print ``error: <TypeName>: <message>`` on stderr.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ import time
 
 from . import SCHEMA, ring
 from .elements import Catalog
-from .exceptions import NotInvertible
+from .exceptions import NotInvertible, VerificationFailure, WorkCapExceeded
 from .surgery import (
     LensParams,
     element_from_json,
@@ -62,11 +73,10 @@ class ParseError(ValueError):
 class _Parser:
     """Recursive-descent parser over a fixed (N, k) ring context."""
 
-    def __init__(self, text: str, modulus: ring.Modulus, k: int):
+    def __init__(self, text: str, modulus: ring.Modulus):
         self.text = text
         self.pos = 0
         self.m = modulus
-        self.k = k
 
     # -- lexing helpers
 
@@ -186,8 +196,8 @@ class _Parser:
         raise ParseError(f"unknown name {name!r}", start)
 
 
-def parse_expression(text: str, modulus: ring.Modulus, k: int = 1) -> ring.Element:
-    return _Parser(text, modulus, k).parse()
+def parse_expression(text: str, modulus: ring.Modulus) -> ring.Element:
+    return _Parser(text, modulus).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +243,7 @@ def _element_arg(args, params: LensParams):
 def cmd_ring(args) -> int:
     kind = ring.truncated(args.N) if args.ideal == "truncated" else ring.group_ring(args.N)
     try:
-        value = parse_expression(args.expr, kind, k=args.k)
+        value = parse_expression(args.expr, kind)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -378,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ring", help="evaluate an expression in the quotient ring")
     p.add_argument("expr", help="expression in x (and f, g, f_k(k), fp_k(k))")
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--k", type=int, default=1)
     p.add_argument("--ideal", choices=("truncated", "group"), default="truncated")
     p.add_argument("--format", choices=("json", "tsv"), default="json")
     p.set_defaults(func=cmd_ring)
@@ -449,6 +458,9 @@ def main(argv=None) -> int:
     except NotInvertible as exc:
         print(f"not invertible: {exc}", file=sys.stderr)
         return 3
+    except (WorkCapExceeded, VerificationFailure) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4 if isinstance(exc, WorkCapExceeded) else 5
     except (ValueError, ArithmeticError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

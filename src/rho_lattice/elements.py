@@ -30,7 +30,7 @@ from math import gcd
 
 from . import ring
 from .abelian import solve_integer
-from .exceptions import PreconditionFailed
+from .exceptions import PreconditionFailed, VerificationFailure
 from .ring import Element, Modulus, split_two_power
 
 
@@ -225,7 +225,8 @@ def divide_by_f(u: Element) -> Element:
     for c, k in zip(sol, ks):
         if c:
             a = a + _quotient_for_pair(m, k).scale(c)
-    f = f_element(N)
-    assert f * a == u, "constructive division by f failed to verify"
-    assert ring.in_lattice_4r(a, -1), "quotient left the 4-integral (-1)-lattice"
+    if f_element(N) * a != u:
+        raise VerificationFailure("constructive division by f failed to verify")
+    if not ring.in_lattice_4r(a, -1):
+        raise VerificationFailure("quotient left the 4-integral (-1)-lattice")
     return a

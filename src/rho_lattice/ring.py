@@ -32,11 +32,13 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, Mapping, Sequence, Union
 
+from .abelian import solve_rational
 from .exceptions import (
     ModulusMismatch,
     NotInvertible,
     OddOrderEvaluation,
     UnsupportedModulus,
+    VerificationFailure,
 )
 
 Rational = Union[int, Fraction]
@@ -458,64 +460,14 @@ def in_lattice_4r(a: Element, sign: int) -> bool:
     return all((c / 4).denominator == 1 for c in a.coeffs)
 
 
-# ---------------------------------------------------------------------------
-# linear algebra over Q (small dense systems)
-
-
-def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """Solve rows * v = rhs over Q.
-
-    Returns the solution vector, or a nonzero null-space vector wrapped in
-    ``(None, null_vector)`` when the matrix is singular.  Otherwise
-    ``(solution, None)``.
-    """
-    n = len(rows)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
-    perm = list(range(n))
-    col_of_row: list[int] = []
-    rank_rows = []
-    pivot_cols = []
-    r = 0
-    for col in range(n):
-        pivot = None
-        for i in range(r, n):
-            if aug[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][col]
-        aug[r] = [v / pv for v in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-        pivot_cols.append(col)
-        r += 1
-        if r == n:
-            break
-    if r < n:
-        # singular: build a null vector from the first free column
-        free = next(c for c in range(n) if c not in pivot_cols)
-        null = [Fraction(0)] * n
-        null[free] = Fraction(1)
-        for row_i, col in enumerate(pivot_cols):
-            null[col] = -aug[row_i][free]
-        return None, null
-    sol = [Fraction(0)] * n
-    for row_i, col in enumerate(pivot_cols):
-        sol[col] = aug[row_i][n]
-    return sol, None
-
-
-def _mul_matrix(a: Element) -> list[list[Fraction]]:
-    """Matrix of multiplication by ``a`` in the canonical basis (columns a*x^j)."""
+def _mul_matrix(a: Element) -> tuple[list[list[int]], int]:
+    """(A, den): A / den is the matrix of multiplication by ``a`` in the
+    canonical basis (columns a*x^j), with A an integer matrix."""
     m = a.modulus
-    cols = []
-    for j in range(m.dim):
-        cols.append((a * x_power(m, j)).coeffs)
-    return [[cols[j][i] for j in range(m.dim)] for i in range(m.dim)]
+    den = _common_den(a.coeffs)
+    v = [int(c * den) for c in a.coeffs]
+    cols = [_fold_int({i + j: c for i, c in enumerate(v) if c}, m) for j in range(m.dim)]
+    return [[cols[j][i] for j in range(m.dim)] for i in range(m.dim)], den
 
 
 def _match_one_minus_xk(a: Element) -> int | None:
@@ -549,8 +501,9 @@ def inverse(a: Element) -> Element:
                                      r the least positive integer with r*k = 1 mod N
 
     (both requiring gcd(k, N) = 1); everything else falls back to solving
-    the dim-by-dim linear system over Q.  Raises :class:`NotInvertible`
-    with a zero-divisor witness when the element is not a unit.
+    the dim-by-dim linear system over Q by fraction-free elimination.
+    Raises :class:`NotInvertible` with a zero-divisor witness when the
+    element is not a unit.
     """
     m = a.modulus
     if a.is_zero():
@@ -568,9 +521,8 @@ def inverse(a: Element) -> Element:
             inv = geometric_sum(m, r, step=k)
             if a * inv == one(m):
                 return inv
-    rows = _mul_matrix(a)
-    rhs = [Fraction(1 if i == 0 else 0) for i in range(m.dim)]
-    sol, null = solve_linear(rows, rhs)
+    rows, den = _mul_matrix(a)
+    sol, null = solve_rational(rows, [den] + [0] * (m.dim - 1))
     if sol is None:
         witness = Element(m, tuple(null))
         raise NotInvertible(
@@ -616,17 +568,18 @@ def crt_split(a: Element) -> list[Element]:
 
 
 @lru_cache(maxsize=None)
-def _crt_basis_matrix(N: int) -> list[list[Fraction]]:
+def _crt_basis_matrix(N: int) -> list[list[int]]:
     """Rows: stacked factor images of each canonical monomial x^j (as columns)."""
     factors = crt_factors(N)
     dim = N - 1
     cols = []
     for j in range(dim):
-        col: list[Fraction] = []
+        col: list[int] = []
         for f in factors:
-            col.extend(reduce_poly({j: 1}, f).coeffs)
+            col.extend(_fold_int({j: 1}, f))
         cols.append(col)
-    assert all(len(c) == dim for c in cols), "factor dimensions must add to N-1"
+    if any(len(c) != dim for c in cols):
+        raise VerificationFailure("CRT factor dimensions do not add up to N-1")
     return [[cols[j][i] for j in range(dim)] for i in range(dim)]
 
 
@@ -641,10 +594,9 @@ def crt_combine(parts: Sequence[Element], N: int) -> Element:
         p.modulus != f for p, f in zip(parts, factors)
     ):
         raise ValueError("parts do not match the CRT factors of N")
-    stacked: list[Fraction] = []
-    for p in parts:
-        stacked.extend(p.coeffs)
-    rows = _crt_basis_matrix(N)
-    sol, null = solve_linear(rows, stacked)
-    assert sol is not None, "CRT basis matrix is invertible by construction"
-    return Element(truncated(N), tuple(sol))
+    stacked = [c for p in parts for c in p.coeffs]
+    den = _common_den(stacked)
+    sol, _ = solve_rational(_crt_basis_matrix(N), [int(c * den) for c in stacked])
+    if sol is None:
+        raise VerificationFailure(f"the CRT basis matrix of N = {N} is singular")
+    return Element(truncated(N), tuple(x / den for x in sol))

@@ -31,9 +31,14 @@ from itertools import product
 from math import gcd
 
 from . import ring
-from .abelian import FinAb, TRIVIAL, subgroup_from_elements
+from .abelian import FinAb, TRIVIAL, fraction_free_rref, subgroup_from_elements
 from .elements import Catalog
-from .exceptions import ModulusMismatch, PreconditionFailed, WorkCapExceeded
+from .exceptions import (
+    ModulusMismatch,
+    PreconditionFailed,
+    VerificationFailure,
+    WorkCapExceeded,
+)
 from .ring import Element, eigen_test, in_lattice_4r, restrict, split_two_power
 
 DEFAULT_CANDIDATE_CAP = 2**22
@@ -153,52 +158,29 @@ def l_group_reduced_rank(N: int, parity: int) -> int:
     """Rank of the sign-eigenspace lattice of the truncated ring.
 
     Computed as the dimension of the eigenspace of the involution on the
-    rational ring, then cross-checked against the closed clauses
+    rational ring (the number of non-pivot columns of the integer matrix of
+    involution - parity), then cross-checked against the closed clauses
     (N even: N/2 for +, N/2 - 1 for -; N odd: (N-1)/2 for both).
     """
     if parity not in (1, -1):
         raise ValueError("parity must be +1 or -1")
     m = ring.truncated(N)
-    rows = []
-    for j in range(m.dim):
-        col = ring.involution(ring.x_power(m, j)).coeffs
-        rows.append(col)
-    # involution matrix I (columns stacked as rows here); rank of (I - parity*id)
     dim = m.dim
+    cols = [ring.involution(ring.x_power(m, j)).coeffs for j in range(dim)]
+    # rank of (I - parity*id), I the integer involution matrix
     mat = [
-        [rows[j][i] - (parity if i == j else 0) for j in range(dim)]
+        [int(cols[j][i]) - (parity if i == j else 0) for j in range(dim)]
         for i in range(dim)
     ]
-    rank = _rank_rational(mat)
-    computed = dim - rank
+    _, pivots, _ = fraction_free_rref(mat)
+    computed = dim - len(pivots)
     if N % 2 == 1:
         expected = (N - 1) // 2
     else:
         expected = N // 2 if parity == 1 else N // 2 - 1
-    assert computed == expected, f"eigenlattice rank {computed} != clause {expected}"
+    if computed != expected:
+        raise VerificationFailure(f"eigenlattice rank {computed} != clause {expected}")
     return computed
-
-
-def _rank_rational(mat: list[list[Fraction]]) -> int:
-    a = [list(row) for row in mat]
-    n = len(a)
-    m = len(a[0]) if n else 0
-    rank = 0
-    for col in range(m):
-        pivot = next((i for i in range(rank, n) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        pv = a[rank][col]
-        a[rank] = [v / pv for v in a[rank]]
-        for i in range(n):
-            if i != rank and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [v - f * w for v, w in zip(a[i], a[rank])]
-        rank += 1
-        if rank == n:
-            break
-    return rank
 
 
 def reduced_normal_group(params: LensParams) -> tuple[FinAb, int]:
@@ -240,9 +222,10 @@ def _formula_basis(N: int, d: int, k: int) -> tuple[Element, ...]:
         basis.append(fpk * f ** (d - 2 * i - 2) * f2m1 * 8)
     if d % 2 == 1:
         basis.append(fpk * f * 8)
-    assert len(basis) == params.c
-    for el in basis:
-        assert eigen_test(el, params.sign), "formula term in wrong eigenspace"
+    if len(basis) != params.c:
+        raise VerificationFailure(f"{len(basis)} formula terms for c = {params.c}")
+    if not all(eigen_test(el, params.sign) for el in basis):
+        raise VerificationFailure("formula term in wrong eigenspace")
     return tuple(basis)
 
 
@@ -347,37 +330,24 @@ def kernel_rho_bar(params: LensParams, cap: int | None = None) -> KernelResult:
                 value = [v + tbar * b for v, b in zip(value, base.coeffs)]
         if all((v / 4).denominator == 1 for v in value):
             members.append(t4)
-    gens = _generating_subset([2**K] * c, members)
-    torsion = subgroup_from_elements([2**K] * c, gens) if c else TRIVIAL
+    torsion = TRIVIAL
+    if c:
+        # greedy generating subset: a member joins when it enlarges the span
+        mods, gens = [2**K] * c, []
+        for t4 in members:
+            span = subgroup_from_elements(mods, gens + [t4])
+            if span.order() > torsion.order():
+                gens.append(t4)
+                torsion = span
+                if torsion.order() == len(members):
+                    break
+        if torsion.order() != len(members):
+            raise VerificationFailure(
+                f"{len(members)} kernel members span a subgroup of order "
+                f"{torsion.order()} at {params}"
+            )
     free_part = FinAb.from_orders([2] * c)
     return KernelResult(torsion.direct_sum(free_part), tuple(members), "brute")
-
-
-def _generating_subset(
-    mods: list[int], members: list[tuple[int, ...]]
-) -> list[tuple[int, ...]]:
-    """Greedy generating subset of a finite coordinate subgroup.
-
-    ``members`` is assumed closed under addition; scanning in the given
-    order keeps the result deterministic.
-    """
-    span = {tuple([0] * len(mods))}
-    gens: list[tuple[int, ...]] = []
-    for m in members:
-        if m in span:
-            continue
-        gens.append(m)
-        frontier = [m]
-        while frontier:
-            fresh = []
-            for g in frontier:
-                for s in list(span):
-                    t = tuple((a + b) % mod for a, b, mod in zip(g, s, mods))
-                    if t not in span:
-                        span.add(t)
-                        fresh.append(t)
-            frontier = fresh
-    return gens
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from itertools import product
 from math import gcd
 
 from . import ring
+from .abelian import subgroup_from_elements
 from .elements import Catalog
 from .exceptions import PreconditionFailed, VerificationFailure
 from .surgery import (
@@ -385,27 +386,6 @@ def _element_order(x: StructureElement) -> int:
     return order
 
 
-def _span_size(params: LensParams, vectors: list[NormalCoords]) -> int:
-    """Size of the subgroup of the coordinate group generated by ``vectors``."""
-    zero_key = ((0,) * params.c, (0,) * params.c)
-    span = {zero_key}
-    for v in vectors:
-        if _coords_key(v) in span:
-            continue
-        frontier = [v]
-        while frontier:
-            fresh = []
-            for g in frontier:
-                for t4, t4m2 in list(span):
-                    s = g.add(NormalCoords(t4, t4m2), params)
-                    key = _coords_key(s)
-                    if key not in span:
-                        span.add(key)
-                        fresh.append(s)
-            frontier = fresh
-    return len(span)
-
-
 def _mu4_choice(
     params: LensParams,
     members: tuple[tuple[int, ...], ...],
@@ -419,14 +399,16 @@ def _mu4_choice(
     choices differ by an automorphism of the block.
     """
     target_order = 2 ** min(params.K, 2)
-    base_vectors = [x.coords for x in higher]
-    base_size = _span_size(params, base_vectors)
+    mods = [params.t4_modulus] * params.c + [params.t4m2_modulus] * params.c
+    base = [x.coords.t4 + x.coords.t4m2 for x in higher]
+    base_size = subgroup_from_elements(mods, base).order()
     for t4 in members:
         coords = NormalCoords(t4, (0,) * params.c)
         x = StructureElement(params, ring.zero(params.modulus()), coords)
         if _element_order(x) != target_order:
             continue
-        if _span_size(params, base_vectors + [coords]) == base_size * target_order:
+        span = subgroup_from_elements(mods, base + [t4 + coords.t4m2])
+        if span.order() == base_size * target_order:
             return x
     raise VerificationFailure(
         f"no independent generator of order {target_order} for the lowest "

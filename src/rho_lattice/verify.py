@@ -254,9 +254,7 @@ def _check_lattice_soundness(N: int, seed: int) -> str | None:
         if not in_lattice_4r(two_x * 4, sign):
             return f"4*integral eigen element rejected at trial {trial}"
     # negative cases: a coefficient equal to 2 mod 4 must be rejected
-    if not in_lattice_4r(ring.const(m, 2), 1):
-        pass
-    else:
+    if in_lattice_4r(ring.const(m, 2), 1):
         return "2 accepted in the 4-lattice"
     if N >= 3:
         plus = reduce_poly({1: 2, N - 1: 2}, m)

@@ -1,20 +1,23 @@
-"""Smith normal form, invariant factors and subgroup presentations."""
+"""Fraction-free elimination, Smith normal form, invariant factors and
+subgroup presentations."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rho_lattice.abelian import (
     FinAb,
-    Homomorphism,
     TRIVIAL,
     det,
+    fraction_free_rref,
     iso_eq,
     kernel_basis,
     matmul,
     smith_normal_form,
     solve_integer,
+    solve_rational,
     subgroup_from_elements,
 )
 
@@ -27,6 +30,87 @@ small_matrix = st.integers(1, 6).flatmap(
         )
     )
 )
+
+
+def int_matrix(n, m, bound=20):
+    row = st.lists(st.integers(-bound, bound), min_size=m, max_size=m)
+    return st.lists(row, min_size=n, max_size=n)
+
+
+def with_low_rank(n, m):
+    """n x m integer matrices; half are products through a thinner inner
+    dimension, so singular and rank-deficient inputs are common."""
+    thin = st.integers(1, max(1, min(n, m) - 1)).flatmap(
+        lambda r: st.tuples(int_matrix(n, r, 4), int_matrix(r, m, 4))
+    )
+    return st.one_of(int_matrix(n, m), thin.map(lambda ab: matmul(*ab)))
+
+
+any_matrix = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+    lambda nm: with_low_rank(*nm)
+)
+square_matrix = st.integers(1, 5).flatmap(lambda n: with_low_rank(n, n))
+square_pair = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(with_low_rank(n, n), with_low_rank(n, n))
+)
+
+
+def rank(a):
+    return len(fraction_free_rref(a)[1])
+
+
+class TestFractionFreeElimination:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(any_matrix)
+    def test_rank_of_transpose(self, a):
+        assert rank(a) == rank([list(col) for col in zip(*a)])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(any_matrix, st.data())
+    def test_solution_and_null_vector(self, a, data):
+        m = len(a[0])
+        b = data.draw(
+            st.one_of(
+                st.lists(st.integers(-20, 20), min_size=len(a), max_size=len(a)),
+                st.lists(st.integers(-5, 5), min_size=m, max_size=m).map(
+                    lambda x: [sum(r * v for r, v in zip(row, x)) for row in a]
+                ),
+            )
+        )
+        sol, null = solve_rational(a, b)
+        if sol is not None:
+            assert null is None and rank(a) == m
+            assert all(sum(r * x for r, x in zip(row, sol)) == c for row, c in zip(a, b))
+        elif null is not None:
+            assert any(null) and rank(a) < m
+            assert all(sum(r * v for r, v in zip(row, null)) == 0 for row in a)
+        else:
+            assert rank(a) == m < rank([row + [c] for row, c in zip(a, b)])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(square_matrix)
+    def test_det_vanishes_exactly_below_full_rank(self, a):
+        assert (det(a) == 0) == (rank(a) < len(a))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(square_pair)
+    def test_det_multiplicative(self, ab):
+        a, b = ab
+        assert det(matmul(a, b)) == det(a) * det(b)
+
+    def test_examples(self):
+        assert det([[2, 1], [7, 4]]) == 1
+        assert det([[0, 1], [1, 0]]) == -1
+        assert det([[1, 2], [2, 4]]) == 0
+        assert solve_rational([[2, 0], [0, 3]], [1, 1]) == (
+            [Fraction(1, 2), Fraction(1, 3)],
+            None,
+        )
+        assert solve_rational([[1, 2], [2, 4]], [1, 0]) == (
+            None,
+            [Fraction(-2), Fraction(1)],
+        )
+        assert solve_rational([[1], [1]], [0, 1]) == (None, None)
 
 
 class TestSmithNormalForm:
@@ -146,18 +230,3 @@ class TestSubgroup:
     def test_infinite_ambient_rejected(self):
         with pytest.raises(ValueError):
             subgroup_from_elements([0, 2], [[1, 1]])
-
-
-class TestHomomorphism:
-    def test_apply(self):
-        h = Homomorphism(FinAb.from_orders([4]), FinAb.from_orders([8]), ((2,),))
-        assert h.apply([3]) == (6,)
-        assert h.apply([4]) == (0,)
-
-    def test_order_violation_rejected(self):
-        with pytest.raises(ValueError):
-            Homomorphism(FinAb.from_orders([4]), FinAb.from_orders([8]), ((1,),))
-
-    def test_free_source_unconstrained(self):
-        h = Homomorphism(FinAb.from_orders([0]), FinAb.from_orders([8]), ((3,),))
-        assert h.apply([5]) == (7,)

@@ -6,9 +6,10 @@ import sys
 
 import pytest
 
-from rho_lattice import ring
+from rho_lattice import cli, ring
 from rho_lattice.cli import ParseError, main, parse_expression
 from rho_lattice.elements import f_element, g_element
+from rho_lattice.exceptions import VerificationFailure
 from rho_lattice.ring import element_from_json, one, reduce_poly, truncated
 
 
@@ -138,6 +139,22 @@ class TestSubcommands:
         obj = json.loads(out.stdout)
         el = element_from_json(obj["element"]["rho"])
         assert el.modulus.N == 2
+
+    def test_work_cap_exit_code(self):
+        out = run_cli("kernel", "--N", "1024", "--d", "8")
+        assert out.returncode == 4
+        assert out.stderr.startswith("error: WorkCapExceeded: ")
+        assert "Traceback" not in out.stderr
+
+    def test_verification_failure_exit_code(self, monkeypatch, capsys):
+        def broken(params):
+            raise VerificationFailure("basis spans 3 of 4 torsion elements")
+
+        monkeypatch.setattr(cli, "torsion_basis", broken)
+        rc = main(["torsion-basis", "--N", "4", "--d", "5"])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert err == "error: VerificationFailure: basis spans 3 of 4 torsion elements\n"
 
     def test_torsion_basis_schema(self):
         out = run_cli("torsion-basis", "--N", "4", "--d", "5")

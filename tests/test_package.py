@@ -1,0 +1,19 @@
+"""Package-wide source properties."""
+
+import ast
+from pathlib import Path
+
+import rho_lattice
+
+PACKAGE = Path(rho_lattice.__file__).parent
+
+
+def test_library_has_no_assert_statements():
+    # ``assert`` vanishes under ``python -O``; library checks must raise.
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert offenders == []
