@@ -212,9 +212,17 @@ def kernel_basis(A: Sequence[Sequence[int]]) -> list[list[int]]:
 
 def solve_integer(A: Sequence[Sequence[int]], b: Sequence[int]) -> list[int] | None:
     """One integer solution x of A x = b, or None when none exists."""
-    n = len(A)
-    m = len(A[0]) if n else 0
-    d, u, v = smith_normal_form(A)
+    return solve_with_snf(smith_normal_form(A), b)
+
+
+def solve_with_snf(
+    snf: tuple[IntMatrix, IntMatrix, IntMatrix], b: Sequence[int]
+) -> list[int] | None:
+    """:func:`solve_integer` for a matrix A whose Smith normal form
+    (D, U, V) = smith_normal_form(A) is already known."""
+    d, u, v = snf
+    n = len(d)
+    m = len(v)
     c = [sum(u[i][j] * b[j] for j in range(n)) for i in range(n)]
     y = [0] * m
     for i in range(n):

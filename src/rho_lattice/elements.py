@@ -29,7 +29,7 @@ from functools import lru_cache
 from math import gcd
 
 from . import ring
-from .abelian import solve_integer
+from .abelian import smith_normal_form, solve_with_snf
 from .exceptions import PreconditionFailed, VerificationFailure
 from .ring import Element, Modulus, split_two_power
 
@@ -195,6 +195,17 @@ def _quotient_for_pair(m: Modulus, k: int) -> Element:
     return ring.reduce_poly({0: 1, 1: -1}, m) * v
 
 
+@lru_cache(maxsize=None)
+def _pair_division_data(N: int) -> tuple[tuple[list[list[int]], ...], tuple[Element, ...]]:
+    """Per even N: the Smith normal form of the integer matrix whose columns
+    are the pair vectors B_k, and their quotients a_k, for k = 1..N/2."""
+    m = ring.truncated(N)
+    ks = range(1, N // 2 + 1)
+    basis = [_pair_basis_vector(m, k) for k in ks]
+    rows = [[b.num[i] for b in basis] for i in range(m.dim)]
+    return smith_normal_form(rows), tuple(_quotient_for_pair(m, k) for k in ks)
+
+
 def divide_by_f(u: Element) -> Element:
     """Solve u = f * a with a in the 4-integral (-1)-eigenlattice.
 
@@ -214,18 +225,15 @@ def divide_by_f(u: Element) -> Element:
         raise PreconditionFailed("u must vanish at x = -1")
     if u.is_zero():
         return ring.zero(m)
-    ks = list(range(1, N // 2 + 1))
-    basis = [_pair_basis_vector(m, k) for k in ks]
-    rows = [[int(b.coeffs[i]) for b in basis] for i in range(m.dim)]
-    rhs = [int(c) for c in u.coeffs]
-    sol = solve_integer(rows, rhs)
+    snf, quotients = _pair_division_data(N)
+    sol = solve_with_snf(snf, u.num)
     if sol is None:
         raise PreconditionFailed("u is not an integer combination of the pair vectors")
     a = ring.zero(m)
-    for c, k in zip(sol, ks):
+    for c, q in zip(sol, quotients):
         if c:
-            a = a + _quotient_for_pair(m, k).scale(c)
-    if f_element(N) * a != u:
+            a = a + q.scale(c)
+    if Catalog.get(N, 1).f * a != u:
         raise VerificationFailure("constructive division by f failed to verify")
     if not ring.in_lattice_4r(a, -1):
         raise VerificationFailure("quotient left the 4-integral (-1)-lattice")

@@ -10,11 +10,14 @@ where N >= 2 is the order of the underlying cyclic group:
 
 An element is a coefficient vector of exact rationals in the canonical
 monomial basis x^0, ..., x^(dim-1), where dim is N, N-1, 2^l and
-2^K*(M-1) respectively.  Each ideal generator is monic, so the canonical
-monomials form a Z-basis of the image of Z[x]: an element lies in the
-integral lattice exactly when all its canonical coefficients are integers.
-That convention is what makes the 4*R lattice tests below pure
-coefficient checks.
+2^K*(M-1) respectively.  It is stored as integer numerators over one
+positive denominator in lowest terms, and all arithmetic runs on those
+integers; ``Element.coeffs`` is a Fraction view built only on request (for
+display, JSON and callers that want rationals).  Each ideal generator is
+monic, so the canonical monomials form a Z-basis of the image of Z[x]: an
+element lies in the integral lattice exactly when its denominator is 1.
+That convention is what makes the 4*R lattice tests below pure integer
+checks.
 
 Negative exponents are interpreted through x^N = 1 (which holds in every
 kind: x^N - 1 is a multiple of each ideal generator), so x^(-k) means
@@ -28,11 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd
+from functools import cached_property, lru_cache
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
-from .abelian import solve_rational
+from .abelian import fraction_free_rref, solve_rational
 from .exceptions import (
     ModulusMismatch,
     NotInvertible,
@@ -126,35 +129,41 @@ def odd_truncated(N: int) -> Modulus:
     return Modulus(N, ODD_TRUNCATED)
 
 
-def _to_fraction(q: Rational) -> Fraction:
-    if isinstance(q, Fraction):
+def _check_exact(q: Rational) -> Rational:
+    if isinstance(q, (int, Fraction)):
         return q
-    if isinstance(q, int):
-        return Fraction(q)
     raise TypeError(f"exact rational expected, got {type(q).__name__}")
+
+
+def _over_common_den(values: Sequence[Rational]) -> tuple[list[int], int]:
+    """(nums, den) with values == [n / den for n in nums], den the least
+    common denominator."""
+    for q in values:
+        _check_exact(q)
+    den = lcm(*(q.denominator for q in values))
+    return [q.numerator * (den // q.denominator) for q in values], den
 
 
 # ---------------------------------------------------------------------------
 # reduction to canonical form
 #
-# Internally reduction works on integer vectors plus a common denominator,
-# so the hot paths (convolution, folding) stay in machine/big-int land and
-# Fractions are only built once at the end.
+# Reduction and every ring operation work on integer numerator vectors; the
+# denominator rides along and is cancelled once, when the result is built.
 
 
-def _fold_int(raw: Mapping[int, int], m: Modulus) -> list[int]:
-    """Reduce an integer exponent->coefficient map into canonical form."""
+def _fold_int(terms: Iterable[tuple[int, int]], m: Modulus) -> list[int]:
+    """Reduce integer (exponent, coefficient) terms into canonical form."""
     n = m.N
     if m.kind == GROUP:
         out = [0] * n
-        for e, c in raw.items():
+        for e, c in terms:
             out[e % n] += c
         return out
 
     if m.kind == TRUNCATED:
         # x^N = 1, then x^(N-1) = -(1 + x + ... + x^(N-2))
         out = [0] * n
-        for e, c in raw.items():
+        for e, c in terms:
             out[e % n] += c
         top = out.pop()
         if top:
@@ -165,7 +174,7 @@ def _fold_int(raw: Mapping[int, int], m: Modulus) -> list[int]:
         # x^(2^l) = -1, period 2^(l+1) with sign flip
         w = 2**m.param
         out = [0] * w
-        for e, c in raw.items():
+        for e, c in terms:
             e %= 2 * w
             if e >= w:
                 out[e - w] -= c
@@ -179,7 +188,7 @@ def _fold_int(raw: Mapping[int, int], m: Modulus) -> list[int]:
     step = 2**k
     d = step * (mm - 1)
     out = [0] * n
-    for e, c in raw.items():
+    for e, c in terms:
         out[e % n] += c
     for e in range(n - 1, d - 1, -1):
         c = out[e]
@@ -190,38 +199,73 @@ def _fold_int(raw: Mapping[int, int], m: Modulus) -> list[int]:
     return out[:d]
 
 
-def _common_den(coeffs: Iterable[Fraction]) -> int:
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    return den
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The coefficients of the product of the integer polynomials a and b.
+
+    Kronecker substitution: both are evaluated at 2^bits, with bits wide
+    enough to hold any product coefficient in two's complement, so one
+    big-integer multiplication does the whole convolution; the signed
+    digits are then peeled off the low end.
+    """
+    n = len(a) + len(b) - 1
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    bits = bound.bit_length() + 1
+    pa = pb = 0
+    for c in reversed(a):
+        pa = (pa << bits) + c
+    for c in reversed(b):
+        pb = (pb << bits) + c
+    prod = pa * pb
+    mask, half, full = (1 << bits) - 1, 1 << (bits - 1), 1 << bits
+    out = []
+    for _ in range(n):
+        low = prod & mask
+        prod >>= bits
+        if low >= half:
+            low -= full
+            prod += 1
+        out.append(low)
+    return out
+
+
+def _make(m: Modulus, num: Sequence[int], den: int = 1) -> Element:
+    """The element num / den in canonical form: den > 0, gcd(den, *num) == 1
+    (so zero has den == 1).  Every element is built here."""
+    g = gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return Element(m, tuple(num), den)
+    return Element(m, tuple(c // g for c in num), den // g)
 
 
 @dataclass(frozen=True)
 class Element:
-    """A ring element in canonical reduced form.
+    """A ring element: canonical integer numerators over one denominator.
 
+    The canonical coefficients are ``num[i] / den`` with ``den > 0`` and
+    ``gcd(den, *num) == 1``, so dataclass equality and hashing are exact.
     Do not construct directly; use :func:`reduce_poly`, :func:`from_coeffs`
     or the helpers below so the canonical-form invariant holds.
     """
 
     modulus: Modulus
-    coeffs: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int
+
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The canonical coefficients as Fractions (built on first use)."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     # -- queries ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_integral(self) -> bool:
         """True when every canonical coefficient is an integer."""
-        return all(c.denominator == 1 for c in self.coeffs)
-
-    def constant_value(self) -> Fraction:
-        """The rational q with self == q * 1, if self is constant."""
-        if any(self.coeffs[1:]):
-            raise ValueError("element is not constant")
-        return self.coeffs[0]
+        return self.den == 1
 
     # -- arithmetic --------------------------------------------------------
 
@@ -231,43 +275,38 @@ class Element:
                 f"cannot combine elements over {self.modulus} and {other.modulus}"
             )
 
-    def __add__(self, other: Element) -> Element:
+    def _aligned(self, other: Element) -> tuple[Sequence[int], Sequence[int], int]:
+        """Both numerator vectors over the common denominator."""
         self._check(other)
-        return Element(
-            self.modulus, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        da, db = self.den, other.den
+        if da == db:
+            return self.num, other.num, da
+        den = lcm(da, db)
+        fa, fb = den // da, den // db
+        return [fa * c for c in self.num], [fb * c for c in other.num], den
+
+    def __add__(self, other: Element) -> Element:
+        va, vb, den = self._aligned(other)
+        return _make(self.modulus, [a + b for a, b in zip(va, vb)], den)
 
     def __sub__(self, other: Element) -> Element:
-        self._check(other)
-        return Element(
-            self.modulus, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        va, vb, den = self._aligned(other)
+        return _make(self.modulus, [a - b for a, b in zip(va, vb)], den)
 
     def __neg__(self) -> Element:
-        return Element(self.modulus, tuple(-a for a in self.coeffs))
+        return _make(self.modulus, [-c for c in self.num], self.den)
 
     def scale(self, q: Rational) -> Element:
-        q = _to_fraction(q)
-        return Element(self.modulus, tuple(q * a for a in self.coeffs))
+        q = _check_exact(q)
+        p = q.numerator
+        return _make(self.modulus, [p * c for c in self.num], self.den * q.denominator)
 
     def __mul__(self, other) -> Element:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        da = _common_den(self.coeffs)
-        db = _common_den(other.coeffs)
-        va = [int(c * da) for c in self.coeffs]
-        vb = [int(c * db) for c in other.coeffs]
-        prod = [0] * (len(va) + len(vb) - 1)
-        for i, a in enumerate(va):
-            if a:
-                for j, b in enumerate(vb):
-                    if b:
-                        prod[i + j] += a * b
-        conv = {e: c for e, c in enumerate(prod) if c}
-        folded = _fold_int(conv, self.modulus)
-        den = da * db
-        return Element(self.modulus, tuple(Fraction(c, den) for c in folded))
+        folded = _fold_int(enumerate(_convolve(self.num, other.num)), self.modulus)
+        return _make(self.modulus, folded, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -306,10 +345,7 @@ class Element:
 
 def element_from_json(obj: Mapping) -> Element:
     m = Modulus(int(obj["N"]), str(obj["kind"]), int(obj.get("l", 0)))
-    coeffs = tuple(Fraction(int(num), int(den)) for num, den in obj["coeffs"])
-    if len(coeffs) != m.dim:
-        raise ValueError(f"expected {m.dim} coefficients, got {len(coeffs)}")
-    return Element(m, coeffs)
+    return from_coeffs(m, [Fraction(int(num), int(den)) for num, den in obj["coeffs"]])
 
 
 RawPoly = Union[Mapping[int, Rational], Sequence[Rational], Rational]
@@ -325,23 +361,22 @@ def reduce_poly(raw: RawPoly, m: Modulus) -> Element:
     if isinstance(raw, (int, Fraction)):
         raw = {0: raw}
     elif not isinstance(raw, Mapping):
-        raw = {e: c for e, c in enumerate(raw)}
-    fracs = {e: _to_fraction(c) for e, c in raw.items() if c}
-    den = _common_den(fracs.values())
-    ints = {e: int(c * den) for e, c in fracs.items()}
-    folded = _fold_int(ints, m)
-    return Element(m, tuple(Fraction(c, den) for c in folded))
+        raw = dict(enumerate(raw))
+    exps = [e for e, c in raw.items() if c]
+    nums, den = _over_common_den([raw[e] for e in exps])
+    return _make(m, _fold_int(zip(exps, nums), m), den)
 
 
 def from_coeffs(m: Modulus, coeffs: Sequence[Rational]) -> Element:
     """Build an element from a full canonical coefficient vector."""
     if len(coeffs) != m.dim:
         raise ValueError(f"expected {m.dim} coefficients, got {len(coeffs)}")
-    return Element(m, tuple(_to_fraction(c) for c in coeffs))
+    nums, den = _over_common_den(coeffs)
+    return _make(m, nums, den)
 
 
 def zero(m: Modulus) -> Element:
-    return Element(m, (Fraction(0),) * m.dim)
+    return _make(m, [0] * m.dim)
 
 
 def one(m: Modulus) -> Element:
@@ -385,8 +420,7 @@ def involution(a: Element) -> Element:
     if m.kind not in (GROUP, TRUNCATED):
         raise UnsupportedModulus(f"involution not defined on {m.describe()}")
     n = m.N
-    raw = {(n - e) % n: c for e, c in enumerate(a.coeffs) if c}
-    return reduce_poly(raw, m)
+    return _make(m, _fold_int(((n - e, c) for e, c in enumerate(a.num)), m), a.den)
 
 
 def eigen_project(a: Element, sign: int) -> Element:
@@ -422,9 +456,7 @@ def eval_minus_one(a: Element) -> Fraction:
         raise UnsupportedModulus(f"evaluation at -1 not defined on {m.describe()}")
     if m.N % 2 != 0:
         raise OddOrderEvaluation(f"x -> -1 is not well defined for odd N = {m.N}")
-    return sum(
-        (c if e % 2 == 0 else -c for e, c in enumerate(a.coeffs)), Fraction(0)
-    )
+    return Fraction(sum(a.num[::2]) - sum(a.num[1::2]), a.den)
 
 
 def restrict(a: Element, n_prime: int) -> Element:
@@ -440,12 +472,12 @@ def restrict(a: Element, n_prime: int) -> Element:
     if n_prime < 2 or m.N % n_prime != 0:
         raise ValueError(f"{n_prime} does not divide N = {m.N}")
     target = Modulus(n_prime, m.kind)
-    raw: dict[int, Fraction] = {}
-    for e, c in enumerate(a.coeffs):
-        if c:
-            key = e % n_prime
-            raw[key] = raw.get(key, Fraction(0)) + c
-    return reduce_poly(raw, target)
+    return _make(target, _fold_int(enumerate(a.num), target), a.den)
+
+
+def is_4_integral(a: Element) -> bool:
+    """True when a/4 has all-integer canonical coefficients."""
+    return a.den == 1 and all(c % 4 == 0 for c in a.num)
 
 
 def in_lattice_4r(a: Element, sign: int) -> bool:
@@ -455,39 +487,27 @@ def in_lattice_4r(a: Element, sign: int) -> bool:
     coefficients.  Because the canonical monomials are a Z-basis of the
     integral lattice, this is an exact coefficient test.
     """
-    if not eigen_test(a, sign):
-        return False
-    return all((c / 4).denominator == 1 for c in a.coeffs)
+    return eigen_test(a, sign) and is_4_integral(a)
 
 
-def _mul_matrix(a: Element) -> tuple[list[list[int]], int]:
-    """(A, den): A / den is the matrix of multiplication by ``a`` in the
-    canonical basis (columns a*x^j), with A an integer matrix."""
+def _mul_matrix(a: Element) -> list[list[int]]:
+    """The integer matrix A with A / a.den the matrix of multiplication by
+    ``a`` in the canonical basis (columns a*x^j)."""
     m = a.modulus
-    den = _common_den(a.coeffs)
-    v = [int(c * den) for c in a.coeffs]
-    cols = [_fold_int({i + j: c for i, c in enumerate(v) if c}, m) for j in range(m.dim)]
-    return [[cols[j][i] for j in range(m.dim)] for i in range(m.dim)], den
+    cols = [_fold_int(enumerate(a.num, j), m) for j in range(m.dim)]
+    return [[cols[j][i] for j in range(m.dim)] for i in range(m.dim)]
 
 
-def _match_one_minus_xk(a: Element) -> int | None:
-    """Return k when a == 1 - x^k in its ring, else None."""
-    m = a.modulus
+@lru_cache(maxsize=None)
+def _closed_form_index(m: Modulus) -> tuple[dict[tuple[int, ...], int], ...]:
+    """Canonical numerators of 1 - x^k and of 1 + x + ... + x^(k-1) in a
+    group or truncated ring, each mapped to its least k in 1..N-1."""
+    one_minus: dict[tuple[int, ...], int] = {}
+    geometric: dict[tuple[int, ...], int] = {}
     for k in range(1, m.N):
-        if a == reduce_poly({0: 1, k: -1}, m):
-            return k
-    return None
-
-
-def _match_geometric(a: Element) -> int | None:
-    """Return k when a == 1 + x + ... + x^(k-1), else None."""
-    m = a.modulus
-    acc: dict[int, int] = {0: 1}
-    for k in range(1, m.N):
-        if a == reduce_poly(acc, m):
-            return k
-        acc[k] = 1
-    return None
+        one_minus.setdefault(reduce_poly({0: 1, k: -1}, m).num, k)
+        geometric.setdefault(geometric_sum(m, k).num, k)
+    return one_minus, geometric
 
 
 def inverse(a: Element) -> Element:
@@ -508,27 +528,29 @@ def inverse(a: Element) -> Element:
     m = a.modulus
     if a.is_zero():
         raise NotInvertible("zero is not invertible", witness=one(m))
-    if m.kind in (GROUP, TRUNCATED):
+    if m.kind in (GROUP, TRUNCATED) and a.den == 1:
         n = m.N
-        k = _match_one_minus_xk(a)
+        one_minus, geometric = _closed_form_index(m)
+        k = one_minus.get(a.num)
         if k is not None and gcd(k, n) == 1:
-            inv = reduce_poly({(j * k) % n: -Fraction(j + 1, n) for j in range(n)}, m)
+            inv = reduce_poly({(j * k) % n: -(j + 1) for j in range(n)}, m).scale(
+                Fraction(1, n)
+            )
             if a * inv == one(m):
                 return inv
-        k = _match_geometric(a)
+        k = geometric.get(a.num)
         if k is not None and gcd(k, n) == 1:
             r = pow(k, -1, n)
             inv = geometric_sum(m, r, step=k)
             if a * inv == one(m):
                 return inv
-    rows, den = _mul_matrix(a)
-    sol, null = solve_rational(rows, [den] + [0] * (m.dim - 1))
+    sol, null = solve_rational(_mul_matrix(a), [a.den] + [0] * (m.dim - 1))
     if sol is None:
-        witness = Element(m, tuple(null))
+        witness = from_coeffs(m, null)
         raise NotInvertible(
             f"{a!r} is a zero divisor: witness {witness!r}", witness=witness
         )
-    return Element(m, tuple(sol))
+    return from_coeffs(m, sol)
 
 
 # ---------------------------------------------------------------------------
@@ -563,11 +585,11 @@ def crt_split(a: Element) -> list[Element]:
         raise UnsupportedModulus("crt_split expects a truncated-ring element")
     if a.modulus.N % 2 == 1:
         return [a]
-    raw = {e: c for e, c in enumerate(a.coeffs)}
-    return [reduce_poly(raw, f) for f in crt_factors(a.modulus.N)]
+    return [
+        _make(f, _fold_int(enumerate(a.num), f), a.den) for f in crt_factors(a.modulus.N)
+    ]
 
 
-@lru_cache(maxsize=None)
 def _crt_basis_matrix(N: int) -> list[list[int]]:
     """Rows: stacked factor images of each canonical monomial x^j (as columns)."""
     factors = crt_factors(N)
@@ -576,11 +598,25 @@ def _crt_basis_matrix(N: int) -> list[list[int]]:
     for j in range(dim):
         col: list[int] = []
         for f in factors:
-            col.extend(_fold_int({j: 1}, f))
+            col.extend(_fold_int([(j, 1)], f))
         cols.append(col)
     if any(len(c) != dim for c in cols):
         raise VerificationFailure("CRT factor dimensions do not add up to N-1")
     return [[cols[j][i] for j in range(dim)] for i in range(dim)]
+
+
+@lru_cache(maxsize=None)
+def _crt_inverse(N: int) -> tuple[list[list[int]], int]:
+    """(B, p) with B / p the inverse of the CRT basis matrix A, read off one
+    fraction-free elimination of [A | I]."""
+    a = _crt_basis_matrix(N)
+    dim = len(a)
+    r, pivots, _ = fraction_free_rref(
+        [row + [int(i == j) for j in range(dim)] for i, row in enumerate(a)]
+    )
+    if pivots != list(range(dim)):
+        raise VerificationFailure(f"the CRT basis matrix of N = {N} is singular")
+    return [row[dim:] for row in r], r[0][0]
 
 
 def crt_combine(parts: Sequence[Element], N: int) -> Element:
@@ -594,9 +630,9 @@ def crt_combine(parts: Sequence[Element], N: int) -> Element:
         p.modulus != f for p, f in zip(parts, factors)
     ):
         raise ValueError("parts do not match the CRT factors of N")
-    stacked = [c for p in parts for c in p.coeffs]
-    den = _common_den(stacked)
-    sol, _ = solve_rational(_crt_basis_matrix(N), [int(c * den) for c in stacked])
-    if sol is None:
-        raise VerificationFailure(f"the CRT basis matrix of N = {N} is singular")
-    return Element(truncated(N), tuple(x / den for x in sol))
+    den = lcm(*(p.den for p in parts))
+    stacked = [c * (den // p.den) for p in parts for c in p.num]
+    b, piv = _crt_inverse(N)
+    return _make(
+        truncated(N), [sum(x * y for x, y in zip(row, stacked)) for row in b], piv * den
+    )

@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 from . import ring
 from .abelian import FinAb, TRIVIAL, fraction_free_rref, subgroup_from_elements
@@ -166,10 +165,10 @@ def l_group_reduced_rank(N: int, parity: int) -> int:
         raise ValueError("parity must be +1 or -1")
     m = ring.truncated(N)
     dim = m.dim
-    cols = [ring.involution(ring.x_power(m, j)).coeffs for j in range(dim)]
+    cols = [ring.involution(ring.x_power(m, j)).num for j in range(dim)]
     # rank of (I - parity*id), I the integer involution matrix
     mat = [
-        [int(cols[j][i]) - (parity if i == j else 0) for j in range(dim)]
+        [cols[j][i] - (parity if i == j else 0) for j in range(dim)]
         for i in range(dim)
     ]
     _, pivots, _ = fraction_free_rref(mat)
@@ -260,7 +259,7 @@ def rho_class_is_zero(params: LensParams, x: Element) -> bool:
     """Whether x lies in the 4-integral (-1)^d-eigenlattice (class zero)."""
     if not eigen_test(x, params.sign):
         raise ValueError("element is not in the (-1)^d eigenspace")
-    return all((c / 4).denominator == 1 for c in x.coeffs)
+    return ring.is_4_integral(x)
 
 
 def rho_cp_formula(s4: tuple[int, ...], d: int, N: int) -> Element:
@@ -319,16 +318,23 @@ def kernel_rho_bar(params: LensParams, cap: int | None = None) -> KernelResult:
             f"{total} candidates exceed the cap {cap}; "
             f"use the closed form or raise {CAP_ENV_VAR}"
         )
+    # the formula values F_i = rows[i] / D over one common denominator D;
+    # a class is zero iff its numerator vector is divisible by 4*D, so
+    # the rows and their multiples only matter modulo 4*D
     basis = _formula_basis(params.N, params.d, params.k)
+    D = lcm(*(b.den for b in basis))
+    mod = 4 * D
+    rows = [[x * (D // b.den) % mod for x in b.num] for b in basis]
     dim = params.modulus().dim
+    lifts = [lift_tbar((t,), params)[0] for t in range(2**K)]
+    multiples = [[[t * x % mod for x in row] for t in lifts] for row in rows]
     members = []
     for t4 in product(range(2**K), repeat=c):
-        tbars = lift_tbar(t4, params)
-        value = [Fraction(0)] * dim
-        for tbar, base in zip(tbars, basis):
-            if tbar:
-                value = [v + tbar * b for v, b in zip(value, base.coeffs)]
-        if all((v / 4).denominator == 1 for v in value):
+        value = [0] * dim
+        for t, table in zip(t4, multiples):
+            if t:
+                value = [v + b for v, b in zip(value, table[t])]
+        if all(v % mod == 0 for v in value):
             members.append(t4)
     torsion = TRIVIAL
     if c:

@@ -355,11 +355,16 @@ def _check_g_quasi_inverse(N: int) -> str | None:
     return None
 
 
+def _multiple_is_4_integral(a: Element, q: int) -> bool:
+    """Whether q * a has all its canonical coefficients in 4Z."""
+    return all(q * c % (4 * a.den) == 0 for c in a.num)
+
+
 def _check_lem_2_3(N: int) -> str | None:
     for k in _coprime_ks(N, limit=N):
         fk = f_k_element(N, k)
         for t in range(1, 4 * N + 1):
-            member = all((c * 8 * t / 4).denominator == 1 for c in fk.coeffs)
+            member = _multiple_is_4_integral(fk, 8 * t)
             if member and (4 * t) % N != 0:
                 return f"8*{t}*f_{k} lands in the 4-lattice but {N} does not divide {4 * t}"
     return None
@@ -371,7 +376,7 @@ def _check_lem_2_3_converse(N: int) -> str | None:
         fk = f_k_element(N, k)
         for t in range(1, 4 * N + 1):
             if (4 * t) % N == 0:
-                if not all((c * 8 * t / 4).denominator == 1 for c in fk.coeffs):
+                if not _multiple_is_4_integral(fk, 8 * t):
                     return f"converse fails: {N} | {4 * t} but 8*{t}*f_{k} not in lattice"
     return None
 
@@ -435,9 +440,6 @@ def _check_m_factor_lem(N: int, k: int, seed: int) -> str | None:
     one = ring.one(m_odd)
     f2 = f * f
 
-    def ok(el: Element) -> bool:
-        return all((c / 4).denominator == 1 for c in el.coeffs)
-
     for trial in range(100):
         deg = rng.randint(0, 3)
         q = [rng.randint(-6, 6) for _ in range(deg + 1)]
@@ -450,9 +452,9 @@ def _check_m_factor_lem(N: int, k: int, seed: int) -> str | None:
                 qf2 = qf2 + f2**j * coef
         first = fpk * (f2 - one) * qf2 * (8 * M ** (2 + 2 * deg))
         second = fpk * f * qf2 * (8 * M ** (1 + 2 * deg))
-        if not ok(first):
+        if not ring.is_4_integral(first):
             return f"even display not 4-integral for q={q}"
-        if not ok(second):
+        if not ring.is_4_integral(second):
             return f"odd display not 4-integral for q={q}"
     return None
 

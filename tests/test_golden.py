@@ -1,0 +1,72 @@
+"""Pinned answers: CLI outputs byte for byte against recorded files.
+
+The files under ``tests/data/`` were recorded from the command lines below;
+``perfbench/verify_seed0.jsonl`` is the recorded report of the full seed-0
+``verify`` sweep.  A change that alters any of them changes an answer.
+"""
+
+import hashlib
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA = Path(__file__).resolve().parent / "data"
+VERIFY_SEED0 = ROOT / "perfbench" / "verify_seed0.jsonl"
+VERIFY_SEED0_SHA256 = "1b11b1ca90763a78d7546a1b013cb032caa3210cad26d843b1b90b5c52932e71"
+
+# (recorded file, stream, exit code, command line)
+GOLDEN = [
+    ("special_N24_k5.stdout", "stdout", 0, ["special", "--N", "24", "--k", "5"]),
+    ("kernel_N16_d8.stdout", "stdout", 0, ["kernel", "--N", "16", "--d", "8"]),
+    (
+        "structure_set_N16_d8_members.stdout",
+        "stdout",
+        0,
+        ["structure-set", "--N", "16", "--d", "8", "--members"],
+    ),
+    (
+        "torsion_basis_N8_d7_k3.stdout",
+        "stdout",
+        0,
+        ["torsion-basis", "--N", "8", "--d", "7", "--k", "3"],
+    ),
+    ("ring_inv_1mx5_N24.stdout", "stdout", 0, ["ring", "(1-x^5)^(-1)", "--N", "24"]),
+    (
+        "suspend_N16_d4_tau.stdout",
+        "stdout",
+        0,
+        ["suspend", "--N", "16", "--d", "4", "--element", "tau"],
+    ),
+    (
+        "ring_zero_divisor_N24.stderr",
+        "stderr",
+        3,
+        ["ring", "(1+x^2)/((1+x)*(2+x))", "--N", "24"],
+    ),
+]
+
+
+def run_cli(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "rho_lattice.cli", *argv], capture_output=True
+    )
+
+
+@pytest.mark.parametrize(
+    "name, stream, code, argv", GOLDEN, ids=[g[0] for g in GOLDEN]
+)
+def test_cli_output_matches_recording(name, stream, code, argv):
+    out = run_cli(*argv)
+    assert out.returncode == code
+    assert getattr(out, stream) == (DATA / name).read_bytes()
+
+
+def test_verify_seed0_report_matches_recording():
+    recorded = VERIFY_SEED0.read_bytes()
+    assert hashlib.sha256(recorded).hexdigest() == VERIFY_SEED0_SHA256
+    out = run_cli("verify", "--suite", "all", "--seed", "0", "--workers", "1")
+    assert out.returncode == 0
+    assert out.stdout == recorded

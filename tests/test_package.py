@@ -17,3 +17,19 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert offenders == []
+
+
+def test_elements_are_built_only_inside_ring():
+    # Element's canonical form is kept by ring's one normalizing helper.
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "ring.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id == "Element")
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == "Element")
+        )
+    ]
+    assert offenders == []

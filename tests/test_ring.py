@@ -1,11 +1,14 @@
 """Quotient-ring arithmetic: canonical forms, units, involution, CRT."""
 
+import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rho_lattice import ring
+from rho_lattice.abelian import solve_rational
 from rho_lattice.exceptions import (
     ModulusMismatch,
     NotInvertible,
@@ -313,3 +316,101 @@ class TestSerialization:
         obj = a.to_json()
         assert obj["N"] == 5 and obj["kind"] == "truncated"
         assert obj["coeffs"][1] == ["-3", "7"]
+
+
+def _canonical(a) -> bool:
+    return (
+        len(a.num) == a.modulus.dim
+        and all(type(c) is int for c in a.num)
+        and type(a.den) is int
+        and a.den > 0
+        and gcd(a.den, *a.num) == 1
+        and (any(a.num) or a.den == 1)
+    )
+
+
+class TestRepresentation:
+    """Elements are integer numerators over one denominator in lowest terms."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_canonical_after_every_operation(self, data):
+        m = data.draw(MODULI)
+        a, b = data.draw(elements(m)), data.draw(elements(m))
+        q = data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=4))
+        results = [a, b, a + b, a - b, -a, a * b, a * a, a.scale(q), a * 3, a - a]
+        if m.kind in (ring.GROUP, ring.TRUNCATED):
+            results += [involution(a), eigen_project(a, 1), eigen_project(a, -1)]
+            results += [restrict(a, d) for d in range(2, m.N + 1) if m.N % d == 0]
+            if m.kind == ring.TRUNCATED:
+                results += crt_split(a) + [crt_combine(crt_split(a), m.N)]
+        for r in results:
+            assert _canonical(r), r
+            assert r.coeffs == tuple(Fraction(c, r.den) for c in r.num)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_equality_and_hash_follow_coefficients(self, data):
+        m = data.draw(MODULI)
+        a = data.draw(elements(m))
+        b = data.draw(st.one_of(st.just(a), elements(m)))
+        c = from_coeffs(m, a.coeffs)
+        assert c == a and hash(c) == hash(a)
+        assert (a == b) == (a.coeffs == b.coeffs)
+        if a == b:
+            assert hash(a) == hash(b)
+        assert len({a, b, c}) == (1 if a == b else 2)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_fraction_edges_roundtrip(self, data):
+        m = data.draw(MODULI)
+        a = data.draw(elements(m))
+        assert from_coeffs(m, a.coeffs) == a
+        back = element_from_json(a.to_json())
+        assert back == a and _canonical(back)
+        assert a.is_integral() == all(c.denominator == 1 for c in a.coeffs)
+        assert a.is_zero() == (a == zero(m))
+
+    @pytest.mark.parametrize("n", [8, 24, 48])
+    def test_crt_combine_matches_rational_solve(self, n):
+        m = truncated(n)
+        # the CRT basis matrix, built from crt_split: column j holds the
+        # stacked factor images of x^j
+        cols = [[c for p in crt_split(x_power(m, j)) for c in p.num] for j in range(m.dim)]
+        basis = [[col[i] for col in cols] for i in range(m.dim)]
+        rng = random.Random(n)
+        for _ in range(5):
+            a = from_coeffs(
+                m, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(m.dim)]
+            )
+            parts = crt_split(a)
+            back = crt_combine(parts, n)
+            assert back == a
+            den = lcm(*(p.den for p in parts))
+            stacked = [c * (den // p.den) for p in parts for c in p.num]
+            sol, null = solve_rational(basis, stacked)
+            assert null is None
+            assert back == from_coeffs(m, [x / den for x in sol])
+
+
+def _schoolbook(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+class TestConvolution:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.integers(-(2**70), 2**70) | st.integers(-3, 3), min_size=1, max_size=50),
+        st.lists(st.integers(-(2**70), 2**70) | st.integers(-3, 3), min_size=1, max_size=50),
+    )
+    def test_matches_schoolbook(self, a, b):
+        assert ring._convolve(a, b) == _schoolbook(a, b)
+
+    def test_zero_and_extreme_signs(self):
+        for a, b in [([0], [5]), ([0, 0, 0], [1, -1]), ([-1] * 9, [-1] * 9), ([1, -1] * 6, [-1, 1] * 6)]:
+            assert ring._convolve(a, b) == _schoolbook(a, b)
