@@ -24,7 +24,8 @@ Exit codes:
     2  bad input (parse error, invalid parameters, unreadable JSON)
     3  not invertible
     4  work cap exceeded (WorkCapExceeded)
-    5  internal verification failure (VerificationFailure)
+    5  internal verification failure (VerificationFailure), including a
+       ``verify`` worker pool that failed; rerun with ``--workers 1``
 
 Codes 4 and 5 print ``error: <TypeName>: <message>`` on stderr.
 """

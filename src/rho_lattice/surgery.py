@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, lcm
 
@@ -71,11 +71,12 @@ class LensParams:
             raise ValueError(f"k = {self.k} must be coprime to N = {self.N}")
         object.__setattr__(self, "k", self.k % self.N)
 
-    @property
+    # cached in the instance __dict__, which equality, hash and to_json ignore
+    @cached_property
     def K(self) -> int:
         return split_two_power(self.N)[0]
 
-    @property
+    @cached_property
     def M(self) -> int:
         return split_two_power(self.N)[1]
 

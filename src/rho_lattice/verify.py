@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -21,15 +23,8 @@ from typing import Callable, Iterable
 
 from . import ring
 from .abelian import FinAb, iso_eq
-from .elements import (
-    Catalog,
-    divide_by_f,
-    f_element,
-    f_k_element,
-    f_prime_k_element,
-    g_element,
-)
-from .exceptions import NotInvertible
+from .elements import divide_by_f, f_element, f_k_element, f_prime_k_element, g_element
+from .exceptions import NotInvertible, VerificationFailure
 from .ring import (
     Element,
     eval_minus_one,
@@ -50,7 +45,6 @@ from .surgery import (
     kernel_closed_form,
     kernel_rho_bar,
     l_group_reduced_rank,
-    lift_tbar,
     reduced_normal_group,
     rho_bar_formula,
     structure_set,
@@ -64,7 +58,6 @@ from .suspension import (
     elem_omega,
     elem_sigma,
     elem_tau,
-    even_exponent_sum,
     image_test_even_target,
     image_test_odd_target,
     minimal_exponent,
@@ -80,13 +73,24 @@ DEFAULT_SWEEP_D = (3, 4, 5, 6, 7, 8)
 SUITES = ("ring", "lemmas", "kernel", "suspension", "torsion")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Check:
+    """One instance of a statement: ``fn(*args)`` over the named ``params``.
+
+    Checks hold module-level functions and plain arguments, so they pickle
+    and can be sent to worker processes as they are.
+    """
+
     statement: str
     params: dict
-    run: Callable[[], str | None]  # witness string on failure, None on pass
-    suite: str = ""
+    fn: Callable[..., str | None]
+    args: tuple
+    suite: str
     seed: int = 0
+
+    def run(self) -> str | None:
+        """The witness string of a failure, or None when the check passes."""
+        return self.fn(*self.args)
 
 
 def _rng(seed: int, statement: str, params: dict) -> random.Random:
@@ -269,57 +273,6 @@ def _check_lattice_soundness(N: int, seed: int) -> str | None:
     return None
 
 
-def suite_ring(sweep_n: Iterable[int], seed: int) -> list[Check]:
-    checks: list[Check] = []
-    for N in sweep_n:
-        kinds = [truncated(N), ring.group_ring(N)]
-        K, M = ring.split_two_power(N)
-        if K >= 1:
-            kinds.extend(ring.crt_factors(N))
-        for m in kinds:
-            label = m.kind if m.kind != ring.BINOMIAL_PLUS else f"{m.kind}({m.param})"
-            checks.append(
-                Check(
-                    "ring-axioms",
-                    {"N": N, "kind": label},
-                    (lambda N=N, m=m, label=label: _check_ring_axioms(N, label, m, seed)),
-                )
-            )
-        checks.append(
-            Check(
-                "reduce-hom",
-                {"N": N, "kind": "truncated"},
-                (lambda N=N: _check_reduce_hom(N, truncated(N), seed)),
-            )
-        )
-        checks.append(
-            Check(
-                "inverse-roundtrip",
-                {"N": N, "kind": "truncated"},
-                (lambda N=N: _check_inverse_roundtrip(N, truncated(N), seed)),
-            )
-        )
-        checks.append(
-            Check("involution", {"N": N}, (lambda N=N: _check_involution(N, seed)))
-        )
-        if K >= 1:
-            checks.append(Check("crt-roundtrip", {"N": N}, (lambda N=N: _check_crt(N, seed))))
-            checks.append(
-                Check(
-                    "eval-minus-one", {"N": N}, (lambda N=N: _check_eval_minus_one(N, seed))
-                )
-            )
-        checks.append(Check("restrict", {"N": N}, (lambda N=N: _check_restrict(N, seed))))
-        checks.append(
-            Check(
-                "lattice-soundness",
-                {"N": N},
-                (lambda N=N: _check_lattice_soundness(N, seed)),
-            )
-        )
-    return checks
-
-
 # ---------------------------------------------------------------------------
 # lemma suite
 
@@ -371,7 +324,9 @@ def _check_lem_2_3(N: int) -> str | None:
 
 
 def _check_lem_2_3_converse(N: int) -> str | None:
-    # reported, not asserted by the statement: N | 4t should imply membership
+    # The lemma states only that membership forces N | 4t.  This converse
+    # gates the exit code like every other check: it holds for every N <= 24,
+    # so a failure would be a real finding, not an expected gap.
     for k in _coprime_ks(N, limit=N):
         fk = f_k_element(N, k)
         for t in range(1, 4 * N + 1):
@@ -490,49 +445,6 @@ def _check_fk_restriction(N: int) -> str | None:
     return None
 
 
-def suite_lemmas(sweep_n: Iterable[int], seed: int) -> list[Check]:
-    checks: list[Check] = []
-    for N in range(2, 49):
-        checks.append(Check("lemma-f_k", {"N": N}, (lambda N=N: _check_fk_triple(N))))
-        checks.append(
-            Check("lemma-f-inverse", {"N": N}, (lambda N=N: _check_g_quasi_inverse(N)))
-        )
-    for N in range(2, 25):
-        checks.append(Check("lemma-8tfk", {"N": N}, (lambda N=N: _check_lem_2_3(N))))
-        checks.append(
-            Check(
-                "lemma-8tfk-converse",
-                {"N": N},
-                (lambda N=N: _check_lem_2_3_converse(N)),
-            )
-        )
-    for N in (6, 12, 24):
-        checks.append(
-            Check(
-                "lemma-decomposition",
-                {"N": N},
-                (lambda N=N: _check_decomposition_lem(N, seed)),
-            )
-        )
-        for k in _coprime_ks(N):
-            checks.append(
-                Check(
-                    "lemma-m-factor",
-                    {"N": N, "k": k},
-                    (lambda N=N, k=k: _check_m_factor_lem(N, k, seed)),
-                )
-            )
-    for N in range(2, 25, 2):
-        checks.append(
-            Check("divide-by-f", {"N": N}, (lambda N=N: _check_divide_by_f(N, seed)))
-        )
-    for N in (4, 6, 8, 12):
-        checks.append(
-            Check("f_k-restriction", {"N": N}, (lambda N=N: _check_fk_restriction(N)))
-        )
-    return checks
-
-
 # ---------------------------------------------------------------------------
 # kernel suite
 
@@ -548,7 +460,7 @@ def _check_kernel_vs_closed(N: int, d: int, k: int) -> str | None:
 
 def _check_rank_clause(N: int, d: int) -> str | None:
     p = LensParams(N, d)
-    # l_group_reduced_rank asserts lattice-vs-clause agreement internally
+    # l_group_reduced_rank raises VerificationFailure when lattice and clause disagree
     rank = l_group_reduced_rank(N, p.sign)
     ss = structure_set(p, method="closed")
     if ss.free_rank != rank:
@@ -627,79 +539,6 @@ def _check_normal_group(N: int, d: int) -> str | None:
     if odd_order != p.M**p.c:
         return f"odd order {odd_order} != M^c"
     return None
-
-
-def suite_kernel(sweep_n, sweep_d, seed: int) -> list[Check]:
-    checks: list[Check] = []
-    for N in sweep_n:
-        for d in sweep_d:
-            for k in _coprime_ks(N):
-                checks.append(
-                    Check(
-                        "thm-main-kernel",
-                        {"N": N, "d": d, "k": k},
-                        (lambda N=N, d=d, k=k: _check_kernel_vs_closed(N, d, k)),
-                    )
-                )
-            checks.append(
-                Check(
-                    "thm-main-rank",
-                    {"N": N, "d": d},
-                    (lambda N=N, d=d: _check_rank_clause(N, d)),
-                )
-            )
-            checks.append(
-                Check(
-                    "eq-normal-group",
-                    {"N": N, "d": d},
-                    (lambda N=N, d=d: _check_normal_group(N, d)),
-                )
-            )
-        for d in (4, 5):
-            for k in _coprime_ks(N):
-                checks.append(
-                    Check(
-                        "formula-additive",
-                        {"N": N, "d": d, "k": k},
-                        (lambda N=N, d=d, k=k: _check_formula_additivity(N, d, k, seed)),
-                    )
-                )
-                checks.append(
-                    Check(
-                        "formula-twist",
-                        {"N": N, "d": d, "k": k},
-                        (lambda N=N, d=d, k=k: _check_formula_twist(N, d, k, seed)),
-                    )
-                )
-                checks.append(
-                    Check(
-                        "formula-lift-free",
-                        {"N": N, "d": d, "k": k},
-                        (lambda N=N, d=d, k=k: _check_lift_independence(N, d, k)),
-                    )
-                )
-    for N, n_prime in ((8, 4), (8, 2), (16, 8), (24, 12), (12, 6), (4, 2)):
-        if N in sweep_n:
-            for d in (4, 5, 6):
-                checks.append(
-                    Check(
-                        "formula-naturality",
-                        {"N": N, "N'": n_prime, "d": d},
-                        (lambda N=N, n_prime=n_prime, d=d: _check_formula_naturality(N, n_prime, d)),
-                    )
-                )
-    # the eigenlattice-vs-clause agreement is asserted for every N up to 48,
-    # unless the sweep was trimmed, in which case it is trimmed the same way
-    rank_cap = 48 if tuple(sweep_n) == DEFAULT_SWEEP_N else max(sweep_n, default=2)
-    for N in range(2, rank_cap + 1):
-        checks.append(
-            Check(
-                "rank-lattice-clause",
-                {"N": N},
-                (lambda N=N: _check_rank_lattice(N)),
-            )
-        )
-    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -869,52 +708,6 @@ def _check_carrier_match(N: int, e: int) -> str | None:
     return None
 
 
-def suite_suspension(seed: int) -> list[Check]:
-    checks: list[Check] = []
-    for N in (2, 4, 6, 8):
-        for e in (1, 2):
-            checks.append(
-                Check("thm-susp-odd", {"N": N, "e": e}, (lambda N=N, e=e: _check_thm1(N, e)))
-            )
-            checks.append(
-                Check(
-                    "carrier-match",
-                    {"N": N, "e": e},
-                    (lambda N=N, e=e: _check_carrier_match(N, e)),
-                )
-            )
-            if e >= 2:
-                checks.append(
-                    Check(
-                        "lemma-tau",
-                        {"N": N, "e": e},
-                        (lambda N=N, e=e: _check_tau_properties(N, e)),
-                    )
-                )
-                checks.append(
-                    Check(
-                        "thm-susp-even-kernel",
-                        {"N": N, "e": e},
-                        (lambda N=N, e=e: _check_thm2_omega(N, e)),
-                    )
-                )
-                checks.append(
-                    Check(
-                        "thm-susp-even-image",
-                        {"N": N, "e": e},
-                        (lambda N=N, e=e: _check_thm2_image(N, e)),
-                    )
-                )
-    checks.append(
-        Check(
-            "lemma-tau",
-            {"N": 24, "e": 2},
-            (lambda: _check_tau_properties(24, 2)),
-        )
-    )
-    return checks
-
-
 # ---------------------------------------------------------------------------
 # torsion suite
 
@@ -982,48 +775,96 @@ def _check_browder_livesay(N: int) -> str | None:
     return None
 
 
-def suite_torsion(seed: int) -> list[Check]:
-    checks: list[Check] = []
-    for N in (2, 4, 8, 16):
-        for e in (2, 3):
-            checks.append(
-                Check(
-                    "prop-minimal-exponent",
-                    {"N": N, "e": e},
-                    (lambda N=N, e=e: _check_minimal_exponent(N, e)),
-                )
-            )
-    for N in (2, 4, 6, 8):
-        for d in range(3, 8):
-            checks.append(
-                Check(
-                    "cor-basis-roundtrip",
-                    {"N": N, "d": d},
-                    (lambda N=N, d=d: _check_basis_roundtrip(N, d)),
-                )
-            )
-    for N in (2, 4, 6, 8):
-        for e in (2, 3):
-            checks.append(
-                Check(
-                    "prop-torsion-split",
-                    {"N": N, "e": e},
-                    (lambda N=N, e=e: _check_torsion_split(N, e)),
-                )
-            )
-    for N in (2, 4, 8, 16):
-        checks.append(
-            Check(
-                "rem-browder-livesay",
-                {"N": N},
-                (lambda N=N: _check_browder_livesay(N)),
-            )
-        )
-    return checks
-
-
 # ---------------------------------------------------------------------------
 # harness
+
+
+@dataclass(frozen=True)
+class Statement:
+    """A statement's suite, check and default ``(params, args)`` rows.
+
+    A row's check runs ``fn(*args)``, with the seed appended when ``seeded``.
+    """
+
+    name: str
+    suite: str
+    fn: Callable[..., str | None]
+    rows: tuple[tuple[dict, tuple], ...]
+    seeded: bool = False
+
+
+def _rows(params: Iterable[dict]) -> tuple[tuple[dict, tuple], ...]:
+    """Rows whose check arguments are the parameter values, in order."""
+    return tuple((p, tuple(p.values())) for p in params)
+
+
+@cache
+def _registry() -> tuple[Statement, ...]:
+    """Every statement with its default rows; built on first use, not on import."""
+    sweep = DEFAULT_SWEEP_N
+    ring_kinds = []
+    for N in sweep:
+        factors = ring.crt_factors(N) if N % 2 == 0 else []
+        for m in [truncated(N), ring.group_ring(N)] + factors:
+            label = m.kind if m.kind != ring.BINOMIAL_PLUS else f"{m.kind}({m.param})"
+            ring_kinds.append(({"N": N, "kind": label}, (N, label, m)))
+    truncated_n = tuple(({"N": N, "kind": "truncated"}, (N, truncated(N))) for N in sweep)
+    per_n = _rows({"N": N} for N in sweep)
+    per_even_n = _rows({"N": N} for N in sweep if N % 2 == 0)
+    to_48 = _rows({"N": N} for N in range(2, 49))
+    to_24 = _rows({"N": N} for N in range(2, 25))
+    decomp = _rows({"N": N} for N in (6, 12, 24))
+    m_factor = _rows({"N": N, "k": k} for N in (6, 12, 24) for k in _coprime_ks(N))
+    even_to_24 = _rows({"N": N} for N in range(2, 25, 2))
+    fk_restriction = _rows({"N": N} for N in (4, 6, 8, 12))
+    nd = [{"N": N, "d": d} for N in sweep for d in DEFAULT_SWEEP_D]
+    ndk = _rows({**p, "k": k} for p in nd for k in _coprime_ks(p["N"]))
+    formula = _rows({**p, "k": k} for p in nd if p["d"] in (4, 5) for k in _coprime_ks(p["N"]))
+    pairs = ((8, 4), (8, 2), (16, 8), (24, 12), (12, 6), (4, 2))
+    naturality = _rows({"N": N, "N'": n, "d": d} for N, n in pairs for d in (4, 5, 6))
+    susp = [{"N": N, "e": e} for N in (2, 4, 6, 8) for e in (1, 2)]
+    susp_even = [p for p in susp if p["e"] == 2]
+    tau = _rows(susp_even + [{"N": 24, "e": 2}])
+    min_exponent = _rows({"N": N, "e": e} for N in (2, 4, 8, 16) for e in (2, 3))
+    basis = _rows({"N": N, "d": d} for N in (2, 4, 6, 8) for d in range(3, 8))
+    torsion_split = _rows({"N": N, "e": e} for N in (2, 4, 6, 8) for e in (2, 3))
+    two_powers = _rows({"N": N} for N in (2, 4, 8, 16))
+    return (
+        Statement("ring-axioms", "ring", _check_ring_axioms, tuple(ring_kinds), True),
+        Statement("reduce-hom", "ring", _check_reduce_hom, truncated_n, True),
+        Statement("inverse-roundtrip", "ring", _check_inverse_roundtrip, truncated_n, True),
+        Statement("involution", "ring", _check_involution, per_n, True),
+        Statement("crt-roundtrip", "ring", _check_crt, per_even_n, True),
+        Statement("eval-minus-one", "ring", _check_eval_minus_one, per_even_n, True),
+        Statement("restrict", "ring", _check_restrict, per_n, True),
+        Statement("lattice-soundness", "ring", _check_lattice_soundness, per_n, True),
+        Statement("lemma-f_k", "lemmas", _check_fk_triple, to_48),
+        Statement("lemma-f-inverse", "lemmas", _check_g_quasi_inverse, to_48),
+        Statement("lemma-8tfk", "lemmas", _check_lem_2_3, to_24),
+        Statement("lemma-8tfk-converse", "lemmas", _check_lem_2_3_converse, to_24),
+        Statement("lemma-decomposition", "lemmas", _check_decomposition_lem, decomp, True),
+        Statement("lemma-m-factor", "lemmas", _check_m_factor_lem, m_factor, True),
+        Statement("divide-by-f", "lemmas", _check_divide_by_f, even_to_24, True),
+        Statement("f_k-restriction", "lemmas", _check_fk_restriction, fk_restriction),
+        Statement("thm-main-kernel", "kernel", _check_kernel_vs_closed, ndk),
+        Statement("thm-main-rank", "kernel", _check_rank_clause, _rows(nd)),
+        Statement("eq-normal-group", "kernel", _check_normal_group, _rows(nd)),
+        Statement("formula-additive", "kernel", _check_formula_additivity, formula, True),
+        Statement("formula-twist", "kernel", _check_formula_twist, formula, True),
+        Statement("formula-lift-free", "kernel", _check_lift_independence, formula),
+        Statement("formula-naturality", "kernel", _check_formula_naturality, naturality),
+        # the eigenlattice rank agrees with the clause for every N up to 48
+        Statement("rank-lattice-clause", "kernel", _check_rank_lattice, to_48),
+        Statement("thm-susp-odd", "suspension", _check_thm1, _rows(susp)),
+        Statement("carrier-match", "suspension", _check_carrier_match, _rows(susp)),
+        Statement("lemma-tau", "suspension", _check_tau_properties, tau),
+        Statement("thm-susp-even-kernel", "suspension", _check_thm2_omega, _rows(susp_even)),
+        Statement("thm-susp-even-image", "suspension", _check_thm2_image, _rows(susp_even)),
+        Statement("prop-minimal-exponent", "torsion", _check_minimal_exponent, min_exponent),
+        Statement("cor-basis-roundtrip", "torsion", _check_basis_roundtrip, basis),
+        Statement("prop-torsion-split", "torsion", _check_torsion_split, torsion_split),
+        Statement("rem-browder-livesay", "torsion", _check_browder_livesay, two_powers),
+    )
 
 
 def build_checks(
@@ -1032,27 +873,19 @@ def build_checks(
     max_d: int | None = None,
     seed: int = 0,
 ) -> list[Check]:
-    sweep_n = tuple(n for n in DEFAULT_SWEEP_N if max_n is None or n <= max_n)
-    sweep_d = tuple(d for d in DEFAULT_SWEEP_D if max_d is None or d <= max_d)
-    out: list[Check] = []
-    for name in suites:
-        if name == "ring":
-            batch = suite_ring(sweep_n, seed)
-        elif name == "lemmas":
-            batch = suite_lemmas(sweep_n, seed)
-        elif name == "kernel":
-            batch = suite_kernel(sweep_n, sweep_d, seed)
-        elif name == "suspension":
-            batch = suite_suspension(seed)
-        elif name == "torsion":
-            batch = suite_torsion(seed)
-        else:
-            raise ValueError(f"unknown suite {name!r}")
-        for check in batch:
-            check.suite = name
-            check.seed = seed
-        out.extend(batch)
-    return out
+    """The checks of ``suites`` whose own N and d are at most ``max_n``/``max_d``."""
+    suites = tuple(suites)
+    if unknown := set(suites) - set(SUITES):
+        raise ValueError(f"unknown suite {sorted(unknown)[0]!r}")
+    return [
+        Check(s.name, dict(params), s.fn, args + (seed,) if s.seeded else args, suite, seed)
+        for suite in suites
+        for s in _registry()
+        if s.suite == suite
+        for params, args in s.rows
+        if (max_n is None or params.get("N", 0) <= max_n)
+        and (max_d is None or params.get("d", 0) <= max_d)
+    ]
 
 
 def _run_one(check: Check) -> dict:
@@ -1068,12 +901,15 @@ def _run_one(check: Check) -> dict:
     if witness is not None:
         entry["witness"] = witness
         cmd = f"rho-lattice verify --suite {check.suite} --seed {check.seed}"
-        if "N" in check.params:
-            cmd += f" --max-N {check.params['N']}"
-        if "d" in check.params:
-            cmd += f" --max-d {check.params['d']}"
+        for key in ("N", "d"):
+            if key in check.params:
+                cmd += f" --max-{key} {check.params[key]}"
         entry["reproduce"] = cmd
     return entry
+
+
+def _canonical_order(entry: dict) -> tuple[str, str]:
+    return entry["statement"], json.dumps(entry["params"], sort_keys=True)
 
 
 def run_suites(
@@ -1087,14 +923,12 @@ def run_suites(
     suites = tuple(suites)
     checks = build_checks(suites, max_n, max_d, seed)
     if workers > 1 and len(checks) > 1:
-        results = _run_parallel(suites, max_n, max_d, seed, len(checks), workers)
+        results = _run_parallel(checks, workers)
     else:
         results = [_run_one(c) for c in checks]
-    results.sort(key=lambda r: (r["statement"], json.dumps(r["params"], sort_keys=True)))
+    results.sort(key=_canonical_order)
     failed = sum(1 for r in results if r["status"] == "fail")
-    by_statement: dict[str, int] = {}
-    for r in results:
-        by_statement[r["statement"]] = by_statement.get(r["statement"], 0) + 1
+    by_statement = Counter(r["statement"] for r in results)
     return {
         "schema": "rho-lattice/1",
         "suite": "+".join(suites),
@@ -1109,34 +943,18 @@ def run_suites(
     }
 
 
-def _run_chunk(args: tuple) -> list[dict]:
-    """Rebuild the check list in the worker and run an index range of it."""
-    suites, max_n, max_d, seed, lo, hi = args
-    checks = build_checks(suites, max_n, max_d, seed)
-    return [_run_one(c) for c in checks[lo:hi]]
+def _run_parallel(checks: list[Check], workers: int) -> list[dict]:
+    """Run the checks in a process pool, in about four tasks per worker.
 
-
-def _run_parallel(
-    suites: tuple[str, ...],
-    max_n: int | None,
-    max_d: int | None,
-    seed: int,
-    n_checks: int,
-    workers: int,
-) -> list[dict]:
+    A pool that fails raises VerificationFailure; it never falls back to serial.
+    """
     import concurrent.futures as cf
 
-    chunk = max(1, -(-n_checks // (workers * 4)))
-    tasks = [
-        (suites, max_n, max_d, seed, lo, min(lo + chunk, n_checks))
-        for lo in range(0, n_checks, chunk)
-    ]
+    chunksize = max(1, -(-len(checks) // (workers * 4)))
     try:
         with cf.ProcessPoolExecutor(max_workers=workers) as pool:
-            out: list[dict] = []
-            for part in pool.map(_run_chunk, tasks):
-                out.extend(part)
-            return out
-    except Exception:
-        checks = build_checks(suites, max_n, max_d, seed)
-        return [_run_one(c) for c in checks]
+            return list(pool.map(_run_one, checks, chunksize=chunksize))
+    except (OSError, cf.BrokenExecutor) as exc:
+        raise VerificationFailure(
+            f"worker pool failed ({type(exc).__name__}: {exc}); rerun with --workers 1"
+        ) from exc

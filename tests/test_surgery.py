@@ -40,6 +40,13 @@ class TestParams:
         assert p.sign == -1
         assert LensParams(4, 4).sign == 1
 
+    def test_cached_derivations_leave_identity_alone(self):
+        warm, cold = LensParams(24, 7, 5), LensParams(24, 7, 5)
+        assert (warm.K, warm.M) == (3, 3)
+        assert warm == cold and hash(warm) == hash(cold)
+        assert warm.to_json() == cold.to_json() == {"N": 24, "d": 7, "k": 5}
+        assert repr(warm) == repr(cold)
+
     def test_normalization_and_validation(self):
         assert LensParams(4, 5, 7).k == 3
         with pytest.raises(ValueError):
