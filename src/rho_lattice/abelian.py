@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .exceptions import VerificationFailure
+
 IntMatrix = list[list[int]]
 
 
@@ -366,5 +368,5 @@ def subgroup_from_elements(
     d, _, _ = smith_normal_form(relations)
     diag = [d[i][i] for i in range(min(len(d), m))]
     if len(diag) < m or any(x == 0 for x in diag):
-        raise AssertionError("subgroup of a finite group must be finite")
+        raise VerificationFailure("subgroup of a finite group must be finite")
     return FinAb.from_orders(diag)

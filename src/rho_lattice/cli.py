@@ -214,6 +214,16 @@ def _emit(obj: dict, fmt: str) -> None:
             print(f"{key}\t{json.dumps(value, sort_keys=True)}")
 
 
+ELEMENTS = {
+    "zero": zero_element,
+    "sigma": elem_sigma,
+    "omega": elem_omega,
+    "tau": elem_tau,
+    "mu": elem_mu4m2,
+    "nu": elem_nu,
+}
+
+
 def _element_arg(args, params: LensParams):
     """Build the input element from --element or --element-json."""
     if args.element_json:
@@ -223,18 +233,7 @@ def _element_arg(args, params: LensParams):
             with open(args.element_json) as fh:
                 data = json.load(fh)
         return element_from_json(data)
-    name = args.element
-    builders = {
-        "zero": zero_element,
-        "sigma": elem_sigma,
-        "omega": elem_omega,
-        "tau": elem_tau,
-        "mu": elem_mu4m2,
-        "nu": elem_nu,
-    }
-    if name not in builders:
-        raise SystemExit(f"unknown element name {name!r}")
-    return builders[name](params)
+    return ELEMENTS[args.element](params)
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
         common(p)
         p.add_argument(
             "--element",
+            choices=tuple(ELEMENTS),
             default="zero",
-            help="named element: zero|sigma|omega|tau|mu|nu",
+            help="named element",
         )
         p.add_argument(
             "--element-json",

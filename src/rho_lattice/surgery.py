@@ -289,7 +289,7 @@ def rho_cp_formula(s4: tuple[int, ...], d: int, N: int) -> Element:
 class KernelResult:
     torsion: FinAb
     members: tuple[tuple[int, ...], ...]  # t4-vectors in the kernel
-    method: str  # "brute" or "closed"
+    method: str  # always "brute": kernel_rho_bar only enumerates
 
 
 def kernel_closed_form(params: LensParams) -> FinAb:

@@ -31,10 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
 from . import ring
-from .abelian import subgroup_from_elements
+from .abelian import smith_normal_form, solve_with_snf, subgroup_from_elements
 from .elements import Catalog
 from .exceptions import PreconditionFailed, VerificationFailure
 from .surgery import (
@@ -45,7 +45,6 @@ from .surgery import (
     element_validate,
     kernel_rho_bar,
     transfer,
-    zero_element,
 )
 from .ring import Element, eval_minus_one, in_lattice_4r
 
@@ -347,9 +346,11 @@ def image_test_even_target(y: StructureElement) -> bool:
 class TorsionBasis:
     """Basis mu_{4i}, mu_{4i-2} (i = 1..c) of the torsion subgroup.
 
-    ``table`` maps every torsion coordinate pair to its unique expansion
-    (r_{4i} mod 2^min(K,2i); r_{4i-2} mod 2); ``orders`` are the cyclic
-    orders of the mu_{4i}.
+    ``orders`` are the cyclic orders 2^min(K,2i) of the mu_{4i}; every
+    mu_{4i-2} has order 2.  ``snf`` is the Smith normal form (D, U, V) of
+    the integer matrix [generator columns | diag(moduli)] over the
+    flattened coordinates (t4 mod 2^K, then t4m2 mod 2), from which
+    :func:`torsion_coordinates` reads each expansion by one integer solve.
     """
 
     params: LensParams
@@ -357,7 +358,7 @@ class TorsionBasis:
     mu4m2: tuple[StructureElement, ...]
     orders: tuple[int, ...]
     choice_log: tuple[ChoiceRecord, ...]
-    table: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
+    snf: tuple = field(repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -367,10 +368,6 @@ class TorsionBasis:
             "orders": list(self.orders),
             "choice_log": [c.to_json() for c in self.choice_log],
         }
-
-
-def _coords_key(coords: NormalCoords) -> tuple:
-    return (coords.t4, coords.t4m2)
 
 
 def _element_order(x: StructureElement) -> int:
@@ -423,8 +420,10 @@ def torsion_basis(params: LensParams) -> TorsionBasis:
     suspending nu_i from dimension index 2i up to d, resolving every
     ambiguous new coordinate canonically (smallest candidate, logged);
     mu_4 is the ad-hoc first-block generator.  Verifies the order profile
-    2^min(K,2i) / 2 and that the basis generates the whole torsion group;
-    any mismatch raises :class:`VerificationFailure`.
+    2^min(K,2i) / 2 and that the basis spans a group of the product of
+    those orders, equal to the order of the whole torsion group, so every
+    torsion element has exactly one expansion; any mismatch raises
+    :class:`VerificationFailure`.
     """
     if params.K < 1:
         raise PreconditionFailed("the torsion basis requires K >= 1")
@@ -460,47 +459,38 @@ def torsion_basis(params: LensParams) -> TorsionBasis:
     if any(_element_order(x) != 2 for x in mu4m2):
         raise VerificationFailure("every mu_{4i-2} must have order 2")
 
-    # expansion table; doubles as the generation check
-    table: dict[tuple, tuple[int, ...]] = {}
-    ranges = [range(o) for o in expected_orders] + [range(2)] * c
-    for coeffs in product(*ranges):
-        acc = zero_element(params)
-        for r, b in zip(coeffs[:c], mu4):
-            if r:
-                acc = _add_torsion(acc, b, r)
-        for r, b in zip(coeffs[c:], mu4m2):
-            if r:
-                acc = _add_torsion(acc, b, r)
-        key = _coords_key(acc.coords)
-        if key in table:
-            raise VerificationFailure(
-                f"basis expansion is not unique at {params}: {key} hit twice"
-            )
-        table[key] = coeffs
+    # one span order stands in for enumerating the group: the map from
+    # (+) Z_orders (+) Z_2^c onto the span is a bijection exactly when the
+    # span has the product order, and that must be the whole torsion
+    mods = [params.t4_modulus] * c + [params.t4m2_modulus] * c
+    gens = [x.coords.t4 + x.coords.t4m2 for x in mu4 + mu4m2]
+    span_size = subgroup_from_elements(mods, gens).order()
+    basis_size = prod(expected_orders) * 2**c
     torsion_size = kernel.torsion.order()
-    if len(table) != torsion_size:
+    if span_size != basis_size or basis_size != torsion_size:
         raise VerificationFailure(
-            f"basis spans {len(table)} of {torsion_size} torsion elements at {params}"
+            f"basis spans {span_size} elements, expected {basis_size} "
+            f"of {torsion_size} torsion elements at {params}"
         )
+    # torsion_coordinates solves [generators | diag(mods)] z = coords
+    matrix = [
+        [g[i] for g in gens] + [mods[i] if j == i else 0 for j in range(2 * c)]
+        for i in range(2 * c)
+    ]
+    snf = smith_normal_form(matrix)
     return TorsionBasis(
-        params, tuple(mu4), tuple(mu4m2), expected_orders, tuple(log), table
+        params, tuple(mu4), tuple(mu4m2), expected_orders, tuple(log), snf
     )
-
-
-def _add_torsion(
-    acc: StructureElement, b: StructureElement, times: int
-) -> StructureElement:
-    p = acc.params
-    coords = acc.coords.add(b.coords.scale(times, p), p)
-    return StructureElement(p, acc.rho, coords)
 
 
 def torsion_coordinates(x: StructureElement, basis: TorsionBasis) -> tuple[int, ...]:
     """Expansion coefficients of a torsion element over the basis.
 
-    Returns (r_{4,1}, ..., r_{4,c}, r_{2,1}, ..., r_{2,c}); round trips with
-    the basis by construction.  A miss means the verified basis does not
-    span, which is reported as an internal inconsistency.
+    Returns (r_{4,1}, ..., r_{4,c}, r_{2,1}, ..., r_{2,c}) with
+    0 <= r_{4,i} < 2^min(K,2i) and 0 <= r_{2,i} < 2, unique because the
+    verified basis maps its coefficient group bijectively onto the torsion.
+    An element without a solution means the verified basis does not span,
+    which is reported as an internal inconsistency.
     """
     if x.params != basis.params:
         raise ValueError("element and basis parameters differ")
@@ -508,12 +498,13 @@ def torsion_coordinates(x: StructureElement, basis: TorsionBasis) -> tuple[int, 
         raise PreconditionFailed("torsion coordinates are defined for rho = 0")
     if not element_validate(x):
         raise PreconditionFailed("element fails validation")
-    key = _coords_key(x.coords)
-    if key not in basis.table:
+    z = solve_with_snf(basis.snf, x.coords.t4 + x.coords.t4m2)
+    if z is None:
         raise VerificationFailure(
             "torsion element outside the span of a verified basis"
         )
-    return basis.table[key]
+    orders = basis.orders + (2,) * x.params.c
+    return tuple(r % o for r, o in zip(z, orders))
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,16 @@ class TestSubcommands:
         obj = json.loads(out.stdout)
         assert obj["coordinates"] == [0, 0, 0, 1]
 
+    @pytest.mark.parametrize("command", ("suspend", "invariants", "transfer"))
+    def test_unknown_element_name_is_bad_input(self, command):
+        extra = ["--to-n", "2"] if command == "transfer" else []
+        out = run_cli(command, "--N", "8", "--d", "5", "--element", "bogus", *extra)
+        assert out.returncode == 2
+        assert out.stderr.startswith("usage: ")
+        assert "invalid choice: 'bogus'" in out.stderr
+        assert "Traceback" not in out.stderr
+        assert out.stdout == ""
+
     def test_transfer(self):
         out = run_cli("transfer", "--N", "8", "--d", "4", "--element", "tau", "--to-n", "2")
         obj = json.loads(out.stdout)

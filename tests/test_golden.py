@@ -41,6 +41,24 @@ GOLDEN = [
         ["suspend", "--N", "16", "--d", "4", "--element", "tau"],
     ),
     (
+        "invariants_N8_d7_k3.stdout",
+        "stdout",
+        0,
+        [
+            "invariants", "--N", "8", "--d", "7", "--k", "3",
+            "--element-json", str(DATA / "torsion_element_N8_d7_k3.json"),
+        ],
+    ),
+    (
+        "invariants_N16_d7.stdout",
+        "stdout",
+        0,
+        [
+            "invariants", "--N", "16", "--d", "7",
+            "--element-json", str(DATA / "torsion_element_N16_d7.json"),
+        ],
+    ),
+    (
         "ring_zero_divisor_N24.stderr",
         "stderr",
         3,

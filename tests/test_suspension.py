@@ -1,11 +1,13 @@
 """Suspension, distinguished elements, torsion basis and invariants."""
 
+import random
 from itertools import product
+from math import gcd
 
 import pytest
 
-from rho_lattice import ring
-from rho_lattice.exceptions import PreconditionFailed
+from rho_lattice import ring, suspension
+from rho_lattice.exceptions import PreconditionFailed, VerificationFailure
 from rho_lattice.ring import eval_minus_one
 from rho_lattice.surgery import (
     LensParams,
@@ -188,6 +190,32 @@ class TestMinimalExponent:
             minimal_exponent(LensParams(3, 4))
 
 
+def expansion_table(tb):
+    """Every coefficient vector of the basis, keyed by the coordinates it
+    expands to: the enumeration of the whole torsion group that once
+    verified the basis, kept here as the reference for the integer solve."""
+    p = tb.params
+    table = {}
+    ranges = [range(o) for o in tb.orders] + [range(2)] * p.c
+    for coeffs in product(*ranges):
+        acc = NormalCoords.zero(p)
+        for r, b in zip(coeffs, tb.mu4 + tb.mu4m2):
+            acc = acc.add(b.coords.scale(r, p), p)
+        key = (acc.t4, acc.t4m2)
+        assert key not in table, f"{key} hit twice"
+        table[key] = coeffs
+    return table
+
+
+ORACLE_PARAMS = [
+    (N, d, k)
+    for N in (2, 4, 6, 8, 16)
+    for d in range(3, 8)
+    for k in (1, 3)
+    if gcd(k, N) == 1
+]
+
+
 class TestTorsionBasis:
     def test_order_profiles(self):
         assert torsion_basis(LensParams(8, 7)).orders == (4, 8, 8)
@@ -225,6 +253,42 @@ class TestTorsionBasis:
             for r, b in zip(coeffs[p.c :], tb.mu4m2):
                 acc = element_add(acc, element_scale(b, r))
             assert acc.coords == x.coords
+
+    @pytest.mark.parametrize("N, d, k", ORACLE_PARAMS)
+    def test_coordinates_match_expansion_table(self, N, d, k):
+        p = LensParams(N, d, k)
+        tb = torsion_basis(p)
+        table = expansion_table(tb)
+        orders = tb.orders + (2,) * p.c
+        seen = 0
+        for x in torsion_elements(p):
+            coeffs = torsion_coordinates(x, tb)
+            assert coeffs == table[(x.coords.t4, x.coords.t4m2)]
+            assert all(0 <= r < o for r, o in zip(coeffs, orders))
+            seen += 1
+        assert seen == len(table)
+
+    def test_dependent_generator_rejected(self, monkeypatch):
+        # twice mu_8 has the order 4 of the lowest block but lies in the
+        # span of the higher blocks, so the span falls short
+        def dependent(params, members, higher):
+            return element_scale(higher[0], 2)
+
+        monkeypatch.setattr(suspension, "_mu4_choice", dependent)
+        with pytest.raises(VerificationFailure):
+            torsion_basis(LensParams(8, 7))
+
+    def test_large_group(self):
+        p = LensParams(16, 9)
+        tb = torsion_basis(p)
+        assert tb.orders == (4, 16, 16, 16)
+        rng = random.Random(0)
+        for _ in range(8):
+            coeffs = tuple(rng.randrange(o) for o in tb.orders + (2,) * p.c)
+            x = zero_element(p)
+            for r, b in zip(coeffs, tb.mu4 + tb.mu4m2):
+                x = element_add(x, element_scale(b, r))
+            assert torsion_coordinates(x, tb) == coeffs
 
     def test_torsion_required(self):
         p = LensParams(4, 4)
