@@ -13,3 +13,5 @@ Subpackages:
 __version__ = "0.1.0"
 
 SCHEMA = "rho-lattice/1"
+# the ``verify`` suites, here so the CLI can list them without importing verify
+SUITES = ("ring", "lemmas", "kernel", "suspension", "torsion")

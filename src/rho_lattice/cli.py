@@ -13,6 +13,10 @@ harness:
     transfer      restriction of an element to a subgroup
     verify        re-derive every statement over a sweep (JSONL report)
 
+Each subcommand imports only the layers it uses, so a ``ring`` query
+loads neither ``surgery``, ``suspension`` nor ``verify``, and
+``special --N 1024`` answers in under a second.
+
 JSON outputs carry a top-level "schema": "rho-lattice/1".  ``verify``
 prints one line per check, in canonical order, once the whole sweep has
 finished, then a summary line.
@@ -37,28 +41,8 @@ import json
 import sys
 import time
 
-from . import SCHEMA, ring
-from .elements import Catalog
+from . import SCHEMA, SUITES, ring
 from .exceptions import NotInvertible, VerificationFailure, WorkCapExceeded
-from .surgery import (
-    LensParams,
-    element_from_json,
-    kernel_rho_bar,
-    structure_set,
-    transfer,
-    zero_element,
-)
-from .suspension import (
-    elem_mu4m2,
-    elem_nu,
-    elem_omega,
-    elem_sigma,
-    elem_tau,
-    suspend,
-    torsion_basis,
-    torsion_coordinates,
-)
-from .verify import SUITES, run_suites
 
 
 # ---------------------------------------------------------------------------
@@ -179,22 +163,20 @@ class _Parser:
             raise ParseError("expected a value", self.pos)
         if name in ("x", "chi"):
             return ring.x_power(self.m, 1)
+        if name not in ("f", "g", "f_k", "fk", "fp_k", "f_prime_k", "fpk"):
+            raise ParseError(f"unknown name {name!r}", start)
+        from .elements import Catalog
+
         N = self.m.N
         if name == "f":
             return Catalog.get(N, 1).f
         if name == "g":
             return Catalog.get(N, 1).g
-        if name in ("f_k", "fk"):
-            self._expect("(")
-            kk = self._integer()
-            self._expect(")")
-            return Catalog.get(N, kk).f_k
-        if name in ("fp_k", "f_prime_k", "fpk"):
-            self._expect("(")
-            kk = self._integer()
-            self._expect(")")
-            return Catalog.get(N, kk).f_prime_k
-        raise ParseError(f"unknown name {name!r}", start)
+        self._expect("(")
+        kk = self._integer()
+        self._expect(")")
+        cat = Catalog.get(N, kk)
+        return cat.f_k if name in ("f_k", "fk") else cat.f_prime_k
 
 
 def parse_expression(text: str, modulus: ring.Modulus) -> ring.Element:
@@ -214,18 +196,14 @@ def _emit(obj: dict, fmt: str) -> None:
             print(f"{key}\t{json.dumps(value, sort_keys=True)}")
 
 
-ELEMENTS = {
-    "zero": zero_element,
-    "sigma": elem_sigma,
-    "omega": elem_omega,
-    "tau": elem_tau,
-    "mu": elem_mu4m2,
-    "nu": elem_nu,
-}
+ELEMENTS = ("zero", "sigma", "omega", "tau", "mu", "nu")
 
 
-def _element_arg(args, params: LensParams):
+def _element_arg(args, params):
     """Build the input element from --element or --element-json."""
+    from .surgery import element_from_json, zero_element
+    from .suspension import elem_mu4m2, elem_nu, elem_omega, elem_sigma, elem_tau
+
     if args.element_json:
         if args.element_json == "-":
             data = json.load(sys.stdin)
@@ -233,7 +211,15 @@ def _element_arg(args, params: LensParams):
             with open(args.element_json) as fh:
                 data = json.load(fh)
         return element_from_json(data)
-    return ELEMENTS[args.element](params)
+    named = {
+        "zero": zero_element,
+        "sigma": elem_sigma,
+        "omega": elem_omega,
+        "tau": elem_tau,
+        "mu": elem_mu4m2,
+        "nu": elem_nu,
+    }
+    return named[args.element](params)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +245,8 @@ def cmd_ring(args) -> int:
 
 
 def cmd_special(args) -> int:
+    from .elements import Catalog
+
     cat = Catalog.get(args.N, args.k)
     _emit(
         {
@@ -275,6 +263,8 @@ def cmd_special(args) -> int:
 
 
 def cmd_structure_set(args) -> int:
+    from .surgery import LensParams, structure_set
+
     params = LensParams(args.N, args.d, args.k)
     desc = structure_set(params, method=args.method)
     _emit(desc.to_json(include_members=args.members), args.format)
@@ -282,6 +272,8 @@ def cmd_structure_set(args) -> int:
 
 
 def cmd_kernel(args) -> int:
+    from .surgery import LensParams, kernel_rho_bar
+
     params = LensParams(args.N, args.d, args.k)
     kr = kernel_rho_bar(params)
     _emit(
@@ -297,6 +289,9 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_suspend(args) -> int:
+    from .surgery import LensParams
+    from .suspension import suspend
+
     params = LensParams(args.N, args.d, args.k)
     x = _element_arg(args, params)
     result = suspend(x)
@@ -305,6 +300,9 @@ def cmd_suspend(args) -> int:
 
 
 def cmd_torsion_basis(args) -> int:
+    from .surgery import LensParams
+    from .suspension import torsion_basis
+
     params = LensParams(args.N, args.d, args.k)
     basis = torsion_basis(params)
     _emit(basis.to_json(), args.format)
@@ -312,6 +310,9 @@ def cmd_torsion_basis(args) -> int:
 
 
 def cmd_invariants(args) -> int:
+    from .surgery import LensParams
+    from .suspension import torsion_basis, torsion_coordinates
+
     params = LensParams(args.N, args.d, args.k)
     x = _element_arg(args, params)
     basis = torsion_basis(params)
@@ -328,6 +329,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_transfer(args) -> int:
+    from .surgery import LensParams, transfer
+
     params = LensParams(args.N, args.d, args.k)
     x = _element_arg(args, params)
     _emit({"element": transfer(x, args.to_n).to_json()}, args.format)
@@ -335,6 +338,8 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suites
+
     suites = SUITES if args.suite == "all" else (args.suite,)
     started = time.time()
     report = run_suites(
@@ -415,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         common(p)
         p.add_argument(
             "--element",
-            choices=tuple(ELEMENTS),
+            choices=ELEMENTS,
             default="zero",
             help="named element",
         )

@@ -35,13 +35,12 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
-from .abelian import fraction_free_rref, solve_rational
+from .abelian import solve_rational
 from .exceptions import (
     ModulusMismatch,
     NotInvertible,
     OddOrderEvaluation,
     UnsupportedModulus,
-    VerificationFailure,
 )
 
 Rational = Union[int, Fraction]
@@ -369,10 +368,14 @@ def reduce_poly(raw: RawPoly, m: Modulus) -> Element:
 
 def from_coeffs(m: Modulus, coeffs: Sequence[Rational]) -> Element:
     """Build an element from a full canonical coefficient vector."""
-    if len(coeffs) != m.dim:
-        raise ValueError(f"expected {m.dim} coefficients, got {len(coeffs)}")
-    nums, den = _over_common_den(coeffs)
-    return _make(m, nums, den)
+    return from_numerators(m, *_over_common_den(coeffs))
+
+
+def from_numerators(m: Modulus, num: Sequence[int], den: int = 1) -> Element:
+    """Build the element with canonical coefficients num[i] / den (den > 0)."""
+    if len(num) != m.dim:
+        raise ValueError(f"expected {m.dim} coefficients, got {len(num)}")
+    return _make(m, num, den)
 
 
 def zero(m: Modulus) -> Element:
@@ -590,37 +593,20 @@ def crt_split(a: Element) -> list[Element]:
     ]
 
 
-def _crt_basis_matrix(N: int) -> list[list[int]]:
-    """Rows: stacked factor images of each canonical monomial x^j (as columns)."""
-    factors = crt_factors(N)
-    dim = N - 1
-    cols = []
-    for j in range(dim):
-        col: list[int] = []
-        for f in factors:
-            col.extend(_fold_int([(j, 1)], f))
-        cols.append(col)
-    if any(len(c) != dim for c in cols):
-        raise VerificationFailure("CRT factor dimensions do not add up to N-1")
-    return [[cols[j][i] for j in range(dim)] for i in range(dim)]
-
-
-@lru_cache(maxsize=None)
-def _crt_inverse(N: int) -> tuple[list[list[int]], int]:
-    """(B, p) with B / p the inverse of the CRT basis matrix A, read off one
-    fraction-free elimination of [A | I]."""
-    a = _crt_basis_matrix(N)
-    dim = len(a)
-    r, pivots, _ = fraction_free_rref(
-        [row + [int(i == j) for j in range(dim)] for i, row in enumerate(a)]
-    )
-    if pivots != list(range(dim)):
-        raise VerificationFailure(f"the CRT basis matrix of N = {N} is singular")
-    return [row[dim:] for row in r], r[0][0]
-
-
 def crt_combine(parts: Sequence[Element], N: int) -> Element:
-    """Inverse of :func:`crt_split`: reassemble a truncated-ring element."""
+    """Inverse of :func:`crt_split`: reassemble a truncated-ring element.
+
+    Garner recombination up the tower x^(2n) - 1 = (x^n - 1)(x^n + 1), with
+    G_n = 1 + x + ... + x^(n-1): residues u modulo G_n and v modulo the next
+    factor F lift to u + G_n * ((v - u) * G_n^(-1) mod F) modulo G_n * F.
+    The inverses have closed forms: G_n^(-1) = (1 - x)/2 modulo 1 + x^n,
+    and, for n = 2^K, y = x^n and S = 1 + 2y + ... + M y^(M-1),
+    G_n^(-1) = (x - 1) * S / M modulo 1 + y + ... + y^(M-1).  Times G_n
+    they give the idempotents e = (1 - x^n)/2 and e = 1 - (1 + y + ... +
+    y^(M-1))/M, so each step is u + (v - u) * e reduced modulo G_n * F (von
+    zur Gathen and Gerhard, Modern Computer Algebra, section 5.6).  The
+    numerators stay integers over one denominator.
+    """
     if N % 2 == 1:
         if len(parts) != 1 or parts[0].modulus != truncated(N):
             raise ValueError("odd N has the single identity factor")
@@ -631,8 +617,17 @@ def crt_combine(parts: Sequence[Element], N: int) -> Element:
     ):
         raise ValueError("parts do not match the CRT factors of N")
     den = lcm(*(p.den for p in parts))
-    stacked = [c * (den // p.den) for p in parts for c in p.num]
-    b, piv = _crt_inverse(N)
-    return _make(
-        truncated(N), [sum(x * y for x, y in zip(row, stacked)) for row in b], piv * den
-    )
+    u: list[int] = []
+    for p in parts:
+        n = len(u) + 1  # u / den is the residue modulo G_n of the parts so far
+        d = [c * (den // p.den) - a for c, a in zip(p.num, u + [0] * len(p.num))]
+        if p.modulus.kind == BINOMIAL_PLUS:  # e = (1 - x^n) / 2
+            scale, prod = 2, d + [-c for c in d]
+        else:  # e = 1 - (1 + y + ... + y^(M-1)) / M
+            scale = N // n
+            prod = _convolve(d, [scale - 1] + ([0] * (n - 1) + [-1]) * (scale - 1))
+        for i, a in enumerate(u):
+            prod[i] += scale * a
+        u = _fold_int(enumerate(prod), truncated(n * scale))
+        den *= scale
+    return _make(truncated(N), u, den)

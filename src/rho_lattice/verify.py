@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Iterable
 
-from . import ring
+from . import SUITES, ring
 from .abelian import FinAb, iso_eq
 from .elements import divide_by_f, f_element, f_k_element, f_prime_k_element, g_element
 from .exceptions import NotInvertible, VerificationFailure
@@ -70,7 +70,6 @@ from .suspension import (
 
 DEFAULT_SWEEP_N = (2, 3, 4, 5, 6, 8, 9, 12, 16, 24)
 DEFAULT_SWEEP_D = (3, 4, 5, 6, 7, 8)
-SUITES = ("ring", "lemmas", "kernel", "suspension", "torsion")
 
 
 @dataclass(frozen=True)
@@ -109,13 +108,12 @@ def _coprime_ks(N: int, limit: int = 2) -> list[int]:
 
 
 def _random_element(rng: random.Random, m: ring.Modulus, integral: bool = False) -> Element:
+    """Coefficients p/q with p in [-9, 9] and, unless integral, q in [1, 6]."""
     if integral:
-        coeffs = [rng.randint(-9, 9) for _ in range(m.dim)]
-    else:
-        coeffs = [
-            Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(m.dim)
-        ]
-    return ring.from_coeffs(m, coeffs)
+        return ring.from_numerators(m, [rng.randint(-9, 9) for _ in range(m.dim)])
+    pairs = [(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(m.dim)]
+    den = lcm(*(q for _, q in pairs))
+    return ring.from_numerators(m, [p * (den // q) for p, q in pairs], den)
 
 
 # ---------------------------------------------------------------------------

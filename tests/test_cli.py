@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from rho_lattice import cli, ring
+from rho_lattice import cli, ring, suspension, verify
 from rho_lattice.cli import ParseError, main, parse_expression
 from rho_lattice.elements import f_element, g_element
 from rho_lattice.exceptions import VerificationFailure
@@ -160,7 +160,7 @@ class TestSubcommands:
         def broken(params):
             raise VerificationFailure("basis spans 3 of 4 torsion elements")
 
-        monkeypatch.setattr(cli, "torsion_basis", broken)
+        monkeypatch.setattr(suspension, "torsion_basis", broken)
         rc = main(["torsion-basis", "--N", "4", "--d", "5"])
         assert rc == 5
         err = capsys.readouterr().err
@@ -171,6 +171,37 @@ class TestSubcommands:
         obj = json.loads(out.stdout)
         assert obj["orders"] == [4, 4]
         assert "choice_log" in obj
+
+
+def _layers_loaded_by(*argv):
+    """The rho_lattice modules a fresh process holds after running one query."""
+    code = (
+        "import sys\n"
+        "from rho_lattice import cli\n"
+        f"rc = cli.main({list(argv)!r})\n"
+        "print(' '.join(sorted(sys.modules)), file=sys.stderr)\n"
+        "sys.exit(rc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stderr.splitlines()[-1].split()
+    return {name.split(".")[1] for name in loaded if name.startswith("rho_lattice.")}
+
+
+class TestLazyImports:
+    def test_ring_query_loads_no_other_layer(self):
+        loaded = _layers_loaded_by("ring", "1+x", "--N", "4")
+        assert not loaded & {"elements", "surgery", "suspension", "verify"}
+
+    def test_special_loads_elements_only(self):
+        loaded = _layers_loaded_by("special", "--N", "8")
+        assert "elements" in loaded
+        assert not loaded & {"surgery", "suspension", "verify"}
+
+    def test_suite_choices_follow_verify(self):
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+        assert tuple(suite.choices) == ("all",) + verify.SUITES
 
 
 class TestVerify:

@@ -372,7 +372,8 @@ class TestRepresentation:
         assert a.is_integral() == all(c.denominator == 1 for c in a.coeffs)
         assert a.is_zero() == (a == zero(m))
 
-    @pytest.mark.parametrize("n", [8, 24, 48])
+    # K = 1 (2, 6, 10), M = 1 (8), and K >= 2 with M > 1 (24, 36, 40, 48, 96)
+    @pytest.mark.parametrize("n", [2, 6, 8, 10, 24, 36, 40, 48, 96])
     def test_crt_combine_matches_rational_solve(self, n):
         m = truncated(n)
         # the CRT basis matrix, built from crt_split: column j holds the

@@ -81,3 +81,8 @@ def test_pool_failure_exits_5_without_serial_fallback(monkeypatch, capsys, execu
     assert captured.out == ""
     assert captured.err.startswith("error: VerificationFailure: worker pool failed (")
     assert captured.err.endswith("); rerun with --workers 1\n")
+
+
+@pytest.mark.parametrize("N", [64, 96, 256])
+def test_g_quasi_inverse_beyond_the_sweep(N):
+    assert verify._check_g_quasi_inverse(N) is None
