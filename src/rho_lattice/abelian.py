@@ -7,9 +7,9 @@ canonical factor lists coincide.
 
 The workhorse is an exact Smith normal form over Z with unimodular
 transforms, using a smallest-magnitude pivot rule so the transforms are
-reproducible across platforms.  Linear algebra over Q (ranks,
-determinants, solutions, kernel vectors) goes through one fraction-free
-Gauss-Jordan eliminator on integer matrices.
+reproducible across platforms.  Linear algebra over Q (ranks, solutions,
+kernel vectors) goes through one fraction-free Gauss-Jordan eliminator on
+integer matrices.
 """
 
 from __future__ import annotations
@@ -122,13 +122,6 @@ def smith_normal_form(A: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix,
     return a, u, v
 
 
-def matmul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> IntMatrix:
-    return [
-        [sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0]))]
-        for i in range(len(A))
-    ]
-
-
 def fraction_free_rref(A: Sequence[Sequence[int]]) -> tuple[IntMatrix, list[int], int]:
     """Fraction-free (Bareiss) Gauss-Jordan elimination of an integer matrix.
 
@@ -169,15 +162,6 @@ def fraction_free_rref(A: Sequence[Sequence[int]]) -> tuple[IntMatrix, list[int]
     return a, pivots, sign
 
 
-def det(A: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix: the last pivot times the sign."""
-    n = len(A)
-    if not n:
-        return 1
-    r, pivots, sign = fraction_free_rref(A)
-    return sign * r[-1][-1] if len(pivots) == n else 0
-
-
 def solve_rational(
     A: Sequence[Sequence[int]], b: Sequence[int]
 ) -> tuple[list[Fraction] | None, list[Fraction] | None]:
@@ -212,16 +196,11 @@ def kernel_basis(A: Sequence[Sequence[int]]) -> list[list[int]]:
     return [[v[row][j] for row in range(m)] for j in range(rank, m)]
 
 
-def solve_integer(A: Sequence[Sequence[int]], b: Sequence[int]) -> list[int] | None:
-    """One integer solution x of A x = b, or None when none exists."""
-    return solve_with_snf(smith_normal_form(A), b)
-
-
 def solve_with_snf(
     snf: tuple[IntMatrix, IntMatrix, IntMatrix], b: Sequence[int]
 ) -> list[int] | None:
-    """:func:`solve_integer` for a matrix A whose Smith normal form
-    (D, U, V) = smith_normal_form(A) is already known."""
+    """One integer solution x of A x = b, or None when none exists, given
+    the Smith normal form (D, U, V) = smith_normal_form(A)."""
     d, u, v = snf
     n = len(d)
     m = len(v)
@@ -304,17 +283,6 @@ class FinAb:
         for d in self.factors:
             n *= d
         return n
-
-    def is_trivial(self) -> bool:
-        return not self.factors
-
-    def primary_decomposition(self) -> tuple[int, ...]:
-        """Sorted multiset of prime-power orders (rank reported via 0s)."""
-        parts: list[int] = [0] * self.rank
-        for d in self.factors:
-            if d > 1:
-                parts.extend(p**e for p, e in _primary_parts(d).items())
-        return tuple(sorted(parts))
 
     def direct_sum(self, other: FinAb) -> FinAb:
         return FinAb.from_orders(list(self.factors) + list(other.factors))

@@ -25,7 +25,8 @@ Exit codes:
 
     0  success (for ``verify``: every check passed)
     1  ``verify`` ran and at least one check failed
-    2  bad input (parse error, invalid parameters, unreadable JSON)
+    2  bad input (parse error, invalid parameters, unreadable JSON, an
+       --element-json whose N, d, k differ from the command line)
     3  not invertible
     4  work cap exceeded (WorkCapExceeded)
     5  internal verification failure (VerificationFailure), including a
@@ -200,7 +201,8 @@ ELEMENTS = ("zero", "sigma", "omega", "tau", "mu", "nu")
 
 
 def _element_arg(args, params):
-    """Build the input element from --element or --element-json."""
+    """Build the input element from --element or --element-json; a JSON
+    element must carry the parameters given by --N, --d and --k."""
     from .surgery import element_from_json, zero_element
     from .suspension import elem_mu4m2, elem_nu, elem_omega, elem_sigma, elem_tau
 
@@ -210,7 +212,13 @@ def _element_arg(args, params):
         else:
             with open(args.element_json) as fh:
                 data = json.load(fh)
-        return element_from_json(data)
+        x = element_from_json(data)
+        if x.params != params:
+            raise ValueError(
+                f"--element-json has parameters {x.params.to_json()}, "
+                f"but the command line gives {params.to_json()}"
+            )
+        return x
     named = {
         "zero": zero_element,
         "sigma": elem_sigma,
@@ -341,7 +349,7 @@ def cmd_verify(args) -> int:
     from .verify import run_suites
 
     suites = SUITES if args.suite == "all" else (args.suite,)
-    started = time.time()
+    started = time.perf_counter()
     report = run_suites(
         suites,
         max_n=args.max_n,
@@ -363,7 +371,7 @@ def cmd_verify(args) -> int:
         print(f"summary\t{json.dumps(report['summary'], sort_keys=True)}")
     else:
         print(json.dumps(summary, sort_keys=True))
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
     failed = report["summary"]["failed"]
     print(
         f"{report['summary']['passed']}/{report['summary']['total']} checks passed "
@@ -374,6 +382,13 @@ def cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+
+
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -427,7 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--element-json",
             default=None,
-            help="path to an element JSON ('-' for stdin); overrides --element",
+            help="path to an element JSON ('-' for stdin) over the same N, d and k; "
+            "overrides --element",
         )
         if extra == "to_n":
             p.add_argument("--to-n", type=int, required=True, dest="to_n")
@@ -444,9 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--workers",
-        type=int,
+        type=_at_least_one,
         default=None,
-        help="worker processes (default: all cores)",
+        help="worker processes, at least 1 (default: all cores)",
     )
     p.add_argument("--format", choices=("json", "tsv"), default="json")
     p.set_defaults(func=cmd_verify)

@@ -76,14 +76,12 @@ def f_prime_k_element(N: int, k: int) -> Element:
     return num * ring.inverse(den)
 
 
-def alternating_unit(N: int, l: int, m: Modulus | None = None) -> Element:
+def alternating_unit(m: Modulus, l: int) -> Element:
     """A_l = 1 - x + x^2 - ... - x^(2^l - 1), reduced into ``m``.
 
-    Defaults to the truncated ring of order N.  Satisfies
-    (1 + x) * A_l = 1 - x^(2^l).
+    Satisfies (1 + x) * A_l = 1 - x^(2^l).
     """
-    target = m if m is not None else ring.truncated(N)
-    return ring.alternating_sum(target, 2**l)
+    return ring.alternating_sum(m, 2**l)
 
 
 def h_l_element(N: int, l: int) -> Element:
@@ -91,7 +89,7 @@ def h_l_element(N: int, l: int) -> Element:
     if l < 1:
         raise ValueError("h_l is defined for l >= 1 (1+x vanishes in the l = 0 factor)")
     m = ring.binomial_plus(N, l)
-    return alternating_unit(N, l, m).scale(Fraction(1, 2))
+    return alternating_unit(m, l).scale(Fraction(1, 2))
 
 
 def h_element(N: int) -> Element:
@@ -103,7 +101,7 @@ def h_element(N: int) -> Element:
     """
     K, M = split_two_power(N)
     m = ring.odd_truncated(N)
-    a_k = alternating_unit(N, K, m)
+    a_k = alternating_unit(m, K)
     step = 2**K
     series = ring.reduce_poly({j * step: j + 1 for j in range(M)}, m)
     return (a_k * series).scale(Fraction(-1, M))
@@ -135,12 +133,8 @@ def g_element(N: int) -> Element:
 
 @dataclass(frozen=True)
 class Catalog:
-    """All named elements for a fixed (N, k), built once and cached.
-
-    ``h_ls`` are the (1+x)-inverses in the binomial CRT factors l = 1..K-1,
-    ``h`` the one in the odd factor (None when M = 1 or K = 0), and
-    ``a_ls`` the alternating units A_1..A_K in the truncated ring.
-    """
+    """The named elements f, f_k, f'_k and g for a fixed (N, k), built
+    once per (N, k) and cached; ``special`` prints exactly these."""
 
     N: int
     k: int
@@ -148,9 +142,6 @@ class Catalog:
     f_k: Element
     f_prime_k: Element
     g: Element
-    h_ls: tuple[Element, ...]
-    h: Element | None
-    a_ls: tuple[Element, ...]
 
     @staticmethod
     def get(N: int, k: int) -> Catalog:
@@ -159,7 +150,6 @@ class Catalog:
 
 @lru_cache(maxsize=None)
 def _catalog(N: int, k: int) -> Catalog:
-    K, M = split_two_power(N)
     return Catalog(
         N=N,
         k=k,
@@ -167,9 +157,6 @@ def _catalog(N: int, k: int) -> Catalog:
         f_k=f_k_element(N, k),
         f_prime_k=f_prime_k_element(N, k),
         g=g_element(N),
-        h_ls=tuple(h_l_element(N, l) for l in range(1, K)),
-        h=h_element(N) if (K >= 1 and M > 1) else None,
-        a_ls=tuple(alternating_unit(N, l) for l in range(1, K + 1)),
     )
 
 

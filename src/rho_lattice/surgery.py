@@ -146,10 +146,6 @@ class NormalCoords:
         return {"t4": list(self.t4), "t4m2": list(self.t4m2)}
 
 
-def coords_from_json(obj) -> NormalCoords:
-    return NormalCoords(tuple(obj["t4"]), tuple(obj["t4m2"]))
-
-
 # ---------------------------------------------------------------------------
 # group-level bookkeeping
 
@@ -256,31 +252,6 @@ def _formula_or_zero(params: LensParams, coords: NormalCoords) -> Element:
     return rho_bar_formula(params, coords)
 
 
-def rho_class_is_zero(params: LensParams, x: Element) -> bool:
-    """Whether x lies in the 4-integral (-1)^d-eigenlattice (class zero)."""
-    if not eigen_test(x, params.sign):
-        raise ValueError("element is not in the (-1)^d eigenspace")
-    return ring.is_4_integral(x)
-
-
-def rho_cp_formula(s4: tuple[int, ...], d: int, N: int) -> Element:
-    """The complex-projective-space signature formula, pushed into order N:
-
-        sum_i 8 * s_{4i} * (f^(d-2i) - f^(d-2i-2)),  i = 1..floor(d/2)-1.
-    """
-    count = d // 2 - 1
-    if len(s4) != count:
-        raise ValueError(f"expected {count} coordinates s_4..s_{4 * count}")
-    m = ring.truncated(N)
-    f = Catalog.get(N, 1).f
-    value = ring.zero(m)
-    for idx, s in enumerate(s4):
-        i = idx + 1
-        if s:
-            value = value + (f ** (d - 2 * i) - f ** (d - 2 * i - 2)) * (8 * s)
-    return value
-
-
 # ---------------------------------------------------------------------------
 # kernel of the coordinate-class map
 
@@ -299,7 +270,7 @@ def kernel_closed_form(params: LensParams) -> FinAb:
     return FinAb.from_orders(orders)
 
 
-def kernel_rho_bar(params: LensParams, cap: int | None = None) -> KernelResult:
+def kernel_rho_bar(params: LensParams) -> KernelResult:
     """Brute-force kernel of the coordinate-class map.
 
     Enumerates all 2^(K*c) t4-tuples, keeps those whose formula value is
@@ -308,8 +279,7 @@ def kernel_rho_bar(params: LensParams, cap: int | None = None) -> KernelResult:
     sector contributes nothing.  Raises :class:`WorkCapExceeded` when the
     candidate count passes the cap (default 2^22, env ``RHO_LATTICE_CAP``).
     """
-    if cap is None:
-        cap = candidate_cap()
+    cap = candidate_cap()
     K, c = params.K, params.c
     if K == 0:
         return KernelResult(TRIVIAL, ((0,) * c,), "brute")
@@ -379,9 +349,7 @@ class StructureSetDescriptor:
         return obj
 
 
-def structure_set(
-    params: LensParams, method: str = "auto", cap: int | None = None
-) -> StructureSetDescriptor:
+def structure_set(params: LensParams, method: str = "auto") -> StructureSetDescriptor:
     """Assemble the structure-set descriptor for the given parameters.
 
     The free rank comes from the eigenlattice computation (cross-checked
@@ -396,7 +364,7 @@ def structure_set(
     if method == "closed":
         return StructureSetDescriptor(params, rank, kernel_closed_form(params), "closed")
     try:
-        kr = kernel_rho_bar(params, cap)
+        kr = kernel_rho_bar(params)
         return StructureSetDescriptor(params, rank, kr.torsion, "brute", kr.members)
     except WorkCapExceeded:
         if method == "brute":
@@ -470,15 +438,27 @@ def element_scale(x: StructureElement, n: int) -> StructureElement:
     )
 
 
-def element_neg(x: StructureElement) -> StructureElement:
-    return element_scale(x, -1)
-
-
 def element_from_json(obj) -> StructureElement:
-    params = LensParams(**obj["params"])
-    rho = ring.element_from_json(obj["rho"])
-    coords = coords_from_json(obj["coords"])
-    return StructureElement(params, rho, coords)
+    """Read :meth:`StructureElement.to_json` output back.
+
+    Malformed input raises ValueError naming the offending field.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"an element must be a JSON object, not {type(obj).__name__}")
+    parsers = {
+        "params": lambda v: LensParams(**v),
+        "rho": ring.element_from_json,
+        "coords": lambda v: NormalCoords(tuple(v["t4"]), tuple(v["t4m2"])),
+    }
+    fields = {}
+    for name, parse in parsers.items():
+        if name not in obj:
+            raise ValueError(f"element field {name!r} is missing")
+        try:
+            fields[name] = parse(obj[name])
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"element field {name!r} is malformed: {exc!r}") from None
+    return StructureElement(**fields)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ from .surgery import (
     _formula_or_zero,
     element_validate,
     kernel_rho_bar,
-    transfer,
 )
 from .ring import Element, eval_minus_one, in_lattice_4r
 
@@ -526,20 +525,3 @@ def browder_livesay_composite(y: StructureElement, i: int) -> Fraction:
     divisor = p.M * 2 ** (3 + max(0, p.K - 2 * i))
     return eval_minus_one(y.rho) / divisor
 
-
-def browder_livesay_cascade(
-    y: StructureElement, basis: TorsionBasis, i: int
-) -> int:
-    """Read the block-i torsion invariant after checking the obstruction
-    cascade: every higher block (index 2j > 4i in the 2j-grading) must
-    vanish first."""
-    coeffs = torsion_coordinates(y, basis)
-    c = y.params.c
-    r4, r4m2 = coeffs[:c], coeffs[c:]
-    for j in range(i, c):  # r_{4(j+1)} with j+1 > i
-        if r4[j]:
-            raise PreconditionFailed(f"block 4*{j + 1} does not vanish")
-    for j in range(i, c):  # r_{4(j+1)-2} with 4(j+1)-2 > 4i
-        if r4m2[j]:
-            raise PreconditionFailed(f"block 4*{j + 1}-2 does not vanish")
-    return r4[i - 1]

@@ -116,6 +116,20 @@ def _random_element(rng: random.Random, m: ring.Modulus, integral: bool = False)
     return ring.from_numerators(m, [p * (den // q) for p, q in pairs], den)
 
 
+def _mul_raw(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
+    """Product of two integer polynomials given as exponent -> coefficient."""
+    out: dict[int, int] = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return out
+
+
+def _random_t4(rng: random.Random, p: LensParams) -> tuple[int, ...]:
+    """A uniform t4-coordinate tuple for ``p``."""
+    return tuple(rng.randrange(p.t4_modulus) for _ in range(p.c))
+
+
 # ---------------------------------------------------------------------------
 # ring suite
 
@@ -148,11 +162,7 @@ def _check_reduce_hom(N: int, m: ring.Modulus, seed: int) -> str | None:
         s = {e: p.get(e, 0) + q.get(e, 0) for e in set(p) | set(q)}
         if reduce_poly(s, m) != rp + rq:
             return f"additivity fails at trial {trial}"
-        prod: dict[int, int] = {}
-        for e1, c1 in p.items():
-            for e2, c2 in q.items():
-                prod[e1 + e2] = prod.get(e1 + e2, 0) + c1 * c2
-        if reduce_poly(prod, m) != rp * rq:
+        if reduce_poly(_mul_raw(p, q), m) != rp * rq:
             return f"multiplicativity fails at trial {trial}"
         if reduce_poly({e: c for e, c in enumerate(rp.coeffs)}, m) != rp:
             return f"idempotence fails at trial {trial}"
@@ -344,13 +354,6 @@ def _check_decomposition_lem(N: int, seed: int) -> str | None:
     def rand_poly(scale: int) -> dict[int, int]:
         return {e: scale * rng.randint(-5, 5) for e in range(rng.randint(1, N))}
 
-    def mul_raw(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for e1, c1 in p.items():
-            for e2, c2 in q.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return out
-
     def add_raw(*ps) -> dict[int, int]:
         out: dict[int, int] = {}
         for p in ps:
@@ -365,13 +368,13 @@ def _check_decomposition_lem(N: int, seed: int) -> str | None:
         b = rand_poly(4)
         s = rand_poly(4)
         r = rand_poly(4)
-        a = add_raw(b, mul_raw(s, g_two))
-        cpoly = add_raw(a, neg_raw(mul_raw(r, g_odd)))
+        a = add_raw(b, _mul_raw(s, g_two))
+        cpoly = add_raw(a, neg_raw(_mul_raw(r, g_odd)))
         if any(v % 4 for v in cpoly.values()):
             return f"instance generator broke at trial {trial}"
         witness = add_raw(
             {e: M * c for e, c in cpoly.items()},
-            mul_raw(add_raw(b, neg_raw(cpoly)), g_odd),
+            _mul_raw(add_raw(b, neg_raw(cpoly)), g_odd),
         )
         if any(v % 4 for v in witness.values()):
             return f"witness not 4-integral at trial {trial}"
@@ -479,8 +482,7 @@ def _check_formula_additivity(N: int, d: int, k: int, seed: int) -> str | None:
         return None
     rng = _rng(seed, "formula-additive", p.to_json())
     for trial in range(20):
-        t = tuple(rng.randrange(p.t4_modulus) for _ in range(p.c))
-        s = tuple(rng.randrange(p.t4_modulus) for _ in range(p.c))
+        t, s = _random_t4(rng, p), _random_t4(rng, p)
         ts = tuple((a + b) % p.t4_modulus for a, b in zip(t, s))
         gap = rho_bar_formula(p, ts) - rho_bar_formula(p, t) - rho_bar_formula(p, s)
         if not in_lattice_4r(gap, p.sign):
@@ -496,7 +498,7 @@ def _check_formula_twist(N: int, d: int, k: int, seed: int) -> str | None:
     fpk = f_prime_k_element(N, p.k)
     rng = _rng(seed, "formula-twist", p.to_json())
     for trial in range(20):
-        t = tuple(rng.randrange(p.t4_modulus) for _ in range(p.c))
+        t = _random_t4(rng, p)
         if rho_bar_formula(p, t) != fpk * rho_bar_formula(p1, t):
             return f"twist fails at t={t}"
     return None

@@ -11,6 +11,7 @@ from rho_lattice.cli import ParseError, main, parse_expression
 from rho_lattice.elements import f_element, g_element
 from rho_lattice.exceptions import VerificationFailure
 from rho_lattice.ring import element_from_json, one, reduce_poly, truncated
+from rho_lattice.surgery import LensParams, zero_element
 
 
 def run_cli(*argv, stdin=None):
@@ -129,6 +130,36 @@ class TestSubcommands:
         )
         assert out.returncode == 0
 
+    @pytest.mark.parametrize(
+        "payload, field",
+        (
+            ({}, "'params'"),
+            ([], "list"),
+            ({"params": {"N": 8, "d": 5, "k": 1, "bogus": 1}}, "'params'"),
+        ),
+        ids=("empty-object", "list", "unknown-param"),
+    )
+    def test_malformed_element_json_is_bad_input(self, payload, field):
+        out = run_cli(
+            "suspend", "--N", "8", "--d", "5", "--element-json", "-",
+            stdin=json.dumps(payload),
+        )
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: ") and field in out.stderr
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("command", ("suspend", "transfer"))
+    def test_element_json_must_match_command_line(self, command):
+        extra = ["--to-n", "2"] if command == "transfer" else []
+        element = zero_element(LensParams(8, 4)).to_json()
+        out = run_cli(
+            command, "--N", "16", "--d", "9", "--element-json", "-", *extra,
+            stdin=json.dumps(element),
+        )
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: --element-json has parameters")
+        assert "Traceback" not in out.stderr and out.stdout == ""
+
     def test_invariants_unit_vector(self):
         out = run_cli("invariants", "--N", "8", "--d", "5", "--element", "mu")
         obj = json.loads(out.stdout)
@@ -227,6 +258,17 @@ class TestVerify:
         )
         assert out.returncode == 0
         assert all("\t" in line for line in out.stdout.splitlines())
+
+    @pytest.mark.parametrize("workers", ("0", "-2"))
+    def test_workers_below_one_rejected(self, workers, monkeypatch, capsys):
+        def no_run(*args, **kwargs):
+            raise AssertionError("verify ran")
+
+        monkeypatch.setattr(verify, "run_suites", no_run)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "torsion", "--max-N", "4", "--workers", workers])
+        assert exc.value.code == 2
+        assert "--workers: must be at least 1" in capsys.readouterr().err
 
     def test_main_entrypoint_inprocess(self, capsys):
         rc = main(["verify", "--suite", "torsion", "--max-N", "4", "--workers", "1"])

@@ -102,7 +102,7 @@ class TestG:
     def test_alternating_unit_identity(self):
         for N, l in ((8, 1), (8, 2), (16, 3)):
             m = truncated(N)
-            lhs = reduce_poly({0: 1, 1: 1}, m) * alternating_unit(N, l, m)
+            lhs = reduce_poly({0: 1, 1: 1}, m) * alternating_unit(m, l)
             assert lhs == reduce_poly({0: 1, 2**l: -1}, m)
 
     def test_catalog_caches(self):

@@ -40,3 +40,57 @@ def test_elements_are_built_only_inside_ring():
         )
     ]
     assert offenders == []
+
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _definitions(module: str, tree: ast.Module):
+    """(label, name, node) for every top-level function and class and every
+    non-dunder method."""
+    for node in tree.body:
+        if isinstance(node, _DEFINITIONS):
+            yield f"{module}.{node.name}", node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, _DEFINITIONS) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{module}.{node.name}.{item.name}", item.name, item
+
+
+def _name_uses(tree: ast.Module, uses: dict) -> None:
+    """Record, for every ast.Name and ast.Attribute, the ids of the
+    definitions that enclose it."""
+
+    def visit(node, enclosing):
+        if isinstance(node, _DEFINITIONS):
+            enclosing = enclosing | {id(node)}
+        if isinstance(node, ast.Name):
+            uses.setdefault(node.id, []).append(enclosing)
+        elif isinstance(node, ast.Attribute):
+            uses.setdefault(node.attr, []).append(enclosing)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+
+
+def test_every_definition_is_used_in_the_package():
+    # Code that only tests reach serves no command and no verify statement.
+    # A use inside the definition itself (recursion) or in a docstring
+    # does not count.
+    trees = {
+        path.stem: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    uses: dict = {}
+    for tree in trees.values():
+        _name_uses(tree, uses)
+    unused = [
+        label
+        for module, tree in trees.items()
+        for label, name, node in _definitions(module, tree)
+        if not any(id(node) not in enclosing for enclosing in uses.get(name, ()))
+    ]
+    assert unused == []

@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 
 from rho_lattice import ring
-from rho_lattice.abelian import iso_eq
+from rho_lattice.abelian import TRIVIAL, iso_eq
 from rho_lattice.elements import f_element, f_prime_k_element
 from rho_lattice.exceptions import PreconditionFailed, WorkCapExceeded
 from rho_lattice.surgery import (
@@ -15,7 +15,6 @@ from rho_lattice.surgery import (
     StructureElement,
     element_add,
     element_from_json,
-    element_neg,
     element_scale,
     element_validate,
     kernel_closed_form,
@@ -24,8 +23,6 @@ from rho_lattice.surgery import (
     lift_tbar,
     reduced_normal_group,
     rho_bar_formula,
-    rho_class_is_zero,
-    rho_cp_formula,
     structure_set,
     transfer,
     zero_element,
@@ -83,7 +80,7 @@ class TestNormalGroup:
 
     def test_odd_order_group(self):
         g, odd = reduced_normal_group(LensParams(9, 6))
-        assert g.is_trivial() and odd == 81
+        assert g == TRIVIAL and odd == 81
 
 
 class TestLift:
@@ -143,17 +140,18 @@ class TestFormula:
 
 
 class TestClassZero:
+    # a rho class is zero when rho lies in the 4-integral (-1)^d-eigenlattice
     def test_examples(self):
         p = LensParams(4, 4)
-        assert rho_class_is_zero(p, reduce_poly({2: 4, 0: -12}, truncated(4)))
-        assert rho_class_is_zero(p, ring.zero(truncated(4)))
+        assert in_lattice_4r(reduce_poly({2: 4, 0: -12}, truncated(4)), p.sign)
+        assert in_lattice_4r(ring.zero(truncated(4)), p.sign)
         p5 = LensParams(4, 5)
-        assert rho_class_is_zero(p5, f_element(4) * 8)
-        assert not rho_class_is_zero(p5, f_element(4) * 2)
+        assert in_lattice_4r(f_element(4) * 8, p5.sign)
+        assert not in_lattice_4r(f_element(4) * 2, p5.sign)
 
     def test_eigenspace_violation(self):
-        with pytest.raises(ValueError):
-            rho_class_is_zero(LensParams(4, 4), f_element(4) * 8)
+        # 8f is 4-integral but lies in the (-1)-eigenspace, not the d = 4 one
+        assert not in_lattice_4r(f_element(4) * 8, LensParams(4, 4).sign)
 
 
 class TestKernel:
@@ -166,12 +164,13 @@ class TestKernel:
 
     def test_closed_form_examples(self):
         assert kernel_closed_form(LensParams(4, 5)).factors == (2, 2, 4, 4)
-        assert kernel_closed_form(LensParams(3, 5)).is_trivial()
+        assert kernel_closed_form(LensParams(3, 5)) == TRIVIAL
         assert kernel_closed_form(LensParams(16, 7)).factors == (2, 2, 2, 4, 16, 16)
 
-    def test_cap(self):
-        with pytest.raises(WorkCapExceeded):
-            kernel_rho_bar(LensParams(16, 8), cap=10)
+    def test_cap(self, monkeypatch):
+        monkeypatch.setenv("RHO_LATTICE_CAP", "10")
+        with pytest.raises(WorkCapExceeded, match="RHO_LATTICE_CAP"):
+            kernel_rho_bar(LensParams(16, 8))
 
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("RHO_LATTICE_CAP", "10")
@@ -196,18 +195,19 @@ class TestKernel:
 class TestStructureSet:
     def test_examples(self):
         ss = structure_set(LensParams(3, 3))
-        assert ss.free_rank == 1 and ss.torsion.is_trivial()
+        assert ss.free_rank == 1 and ss.torsion == TRIVIAL
         ss = structure_set(LensParams(6, 3))
         assert ss.free_rank == 2 and ss.torsion.factors == (2, 2)
         ss = structure_set(LensParams(2, 3))
         assert ss.free_rank == 0 and ss.torsion.factors == (2, 2)
 
-    def test_method_fallback(self):
+    def test_method_fallback(self, monkeypatch):
+        monkeypatch.setenv("RHO_LATTICE_CAP", "10")
         big = LensParams(16, 8)
-        ss = structure_set(big, method="auto", cap=10)
+        ss = structure_set(big, method="auto")
         assert ss.method == "closed"
         with pytest.raises(WorkCapExceeded):
-            structure_set(big, method="brute", cap=10)
+            structure_set(big, method="brute")
 
     def test_descriptor_json(self):
         ss = structure_set(LensParams(6, 3))
@@ -220,17 +220,11 @@ class TestStructureSet:
 
 class TestCpFormula:
     def test_examples(self):
-        assert rho_cp_formula((), 3, 4).is_zero()
+        # the single-term complex-projective formula 8 * (f^2 - 1) is the
+        # lens-space formula at N = 4, d = 4, k = 1
         f = f_element(4)
         one4 = ring.one(truncated(4))
-        assert rho_cp_formula((1,), 4, 4) == (f * f - one4) * 8
-        assert rho_cp_formula((1, 0), 6, 4) == (f**4 - f**2) * 8
-        # single-term instantiation matches the lens-space formula at k=1
-        assert rho_cp_formula((1,), 4, 4) == rho_bar_formula(LensParams(4, 4), (1,))
-
-    def test_length_checked(self):
-        with pytest.raises(ValueError):
-            rho_cp_formula((1,), 3, 4)
+        assert rho_bar_formula(LensParams(4, 4), (1,)) == (f * f - one4) * 8
 
 
 class TestElements:
@@ -257,7 +251,7 @@ class TestElements:
     def test_add_neg_cancels(self):
         p = LensParams(6, 4)
         x = StructureElement(p, ring.const(truncated(6), 8), NormalCoords((1,), (1,)))
-        z = element_add(x, element_neg(x))
+        z = element_add(x, element_scale(x, -1))
         assert z.rho.is_zero() and z.coords.is_zero()
 
     def test_scale(self):

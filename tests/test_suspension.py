@@ -21,7 +21,6 @@ from rho_lattice.surgery import (
     zero_element,
 )
 from rho_lattice.suspension import (
-    browder_livesay_cascade,
     browder_livesay_composite,
     elem_mu4m2,
     elem_nu,
@@ -315,12 +314,3 @@ class TestBrowderLivesay:
     def test_odd_n_rejected(self):
         with pytest.raises(PreconditionFailed):
             browder_livesay_composite(zero_element(LensParams(5, 4)), 1)
-
-    def test_cascade(self):
-        p = LensParams(8, 5)
-        tb = torsion_basis(p)
-        x = element_scale(tb.mu4[0], 2)
-        assert browder_livesay_cascade(x, tb, 1) == 2
-        top = tb.mu4[1]
-        with pytest.raises(PreconditionFailed):
-            browder_livesay_cascade(top, tb, 1)
