@@ -8,6 +8,7 @@ Subpackages:
 - :mod:`rho_lattice.surgery` -- normal coordinates, rho-bar formulas, kernels
 - :mod:`rho_lattice.suspension` -- suspension map and torsion invariants
 - :mod:`rho_lattice.verify` -- the re-derivation harness behind ``rho-lattice verify``
+- :mod:`rho_lattice.frozen` -- the base of the immutable value classes
 """
 
 __version__ = "0.1.0"

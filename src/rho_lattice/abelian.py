@@ -14,11 +14,11 @@ integer matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .exceptions import VerificationFailure
+from .frozen import Frozen
 
 IntMatrix = list[list[int]]
 
@@ -257,19 +257,20 @@ def _canonical_factors(orders: Sequence[int]) -> tuple[int, ...]:
     return tuple(chain) + (0,) * rank
 
 
-@dataclass(frozen=True)
-class FinAb:
+class FinAb(Frozen):
     """A finitely generated abelian group in canonical invariant-factor form."""
 
-    factors: tuple[int, ...]
+    _fields = ("factors",)
+    __slots__ = _fields
+
+    def __init__(self, factors: tuple[int, ...]):
+        if factors != _canonical_factors(factors):
+            raise ValueError(f"{factors} is not in canonical form")
+        self._assign(factors=factors)
 
     @staticmethod
     def from_orders(orders: Sequence[int]) -> FinAb:
         return FinAb(_canonical_factors(orders))
-
-    def __post_init__(self):
-        if self.factors != _canonical_factors(self.factors):
-            raise ValueError(f"{self.factors} is not in canonical form")
 
     @property
     def rank(self) -> int:

@@ -15,7 +15,10 @@ harness:
 
 Each subcommand imports only the layers it uses, so a ``ring`` query
 loads neither ``surgery``, ``suspension`` nor ``verify``, and
-``special --N 1024`` answers in under a second.
+``special --N 1024`` answers in under a second.  The value classes are
+slotted classes on :class:`rho_lattice.frozen.Frozen`, not dataclass
+decorations, so no query loads ``inspect``, ``ast``, ``dis`` or
+``tokenize``.
 
 JSON outputs carry a top-level "schema": "rho-lattice/1".  ``verify``
 prints one line per check, in canonical order, once the whole sweep has
@@ -166,6 +169,12 @@ class _Parser:
             return ring.x_power(self.m, 1)
         if name not in ("f", "g", "f_k", "fk", "fp_k", "f_prime_k", "fpk"):
             raise ParseError(f"unknown name {name!r}", start)
+        if self.m.kind != ring.TRUNCATED:
+            raise ParseError(
+                f"{name!r} exists only in the truncated ring, not under the "
+                f"{self.m.kind} ideal",
+                start,
+            )
         from .elements import Catalog
 
         N = self.m.N
@@ -259,7 +268,7 @@ def cmd_special(args) -> int:
     _emit(
         {
             "N": args.N,
-            "k": args.k,
+            "k": cat.k,
             "f": cat.f.to_json(),
             "f_k": cat.f_k.to_json(),
             "f_prime_k": cat.f_prime_k.to_json(),

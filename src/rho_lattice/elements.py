@@ -23,7 +23,6 @@ to exist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -31,6 +30,7 @@ from math import gcd
 from . import ring
 from .abelian import smith_normal_form, solve_with_snf
 from .exceptions import PreconditionFailed, VerificationFailure
+from .frozen import Frozen
 from .ring import Element, Modulus, split_two_power
 
 
@@ -131,21 +131,26 @@ def g_element(N: int) -> Element:
     return ring.crt_combine(parts, N)
 
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(Frozen):
     """The named elements f, f_k, f'_k and g for a fixed (N, k), built
     once per (N, k) and cached; ``special`` prints exactly these."""
 
-    N: int
-    k: int
-    f: Element
-    f_k: Element
-    f_prime_k: Element
-    g: Element
+    _fields = ("N", "k", "f", "f_k", "f_prime_k", "g")
+    __slots__ = _fields
+
+    def __init__(
+        self, N: int, k: int, f: Element, f_k: Element, f_prime_k: Element, g: Element
+    ):
+        self._assign(N=N, k=k, f=f, f_k=f_k, f_prime_k=f_prime_k, g=g)
 
     @staticmethod
     def get(N: int, k: int) -> Catalog:
-        return _catalog(N, k)
+        """The catalog for k coprime to N, with k reduced to its least
+        positive residue: f_k depends only on k mod N (x^N = 1), and f'_k
+        is the closed form at that residue."""
+        if gcd(k, N) != 1:
+            raise ValueError(f"k = {k} must be coprime to N = {N}")
+        return _catalog(N, k % N)
 
 
 @lru_cache(maxsize=None)

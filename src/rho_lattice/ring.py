@@ -29,9 +29,8 @@ can be shared freely between threads or processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -42,6 +41,7 @@ from .exceptions import (
     OddOrderEvaluation,
     UnsupportedModulus,
 )
+from .frozen import Frozen
 
 Rational = Union[int, Fraction]
 
@@ -50,7 +50,9 @@ TRUNCATED = "truncated"
 BINOMIAL_PLUS = "binomial_plus"
 ODD_TRUNCATED = "odd_truncated"
 
-_KINDS = (GROUP, TRUNCATED, BINOMIAL_PLUS, ODD_TRUNCATED)
+# Modulus and Element store their fields through this directly rather than
+# Frozen._assign: one or both are built on every ring operation.
+_set = object.__setattr__
 
 
 def split_two_power(n: int) -> tuple[int, int]:
@@ -62,43 +64,47 @@ def split_two_power(n: int) -> tuple[int, int]:
     return k, n
 
 
-@dataclass(frozen=True)
-class Modulus:
+class Modulus(Frozen):
     """Identifies one of the four quotient rings over a fixed N.
 
     ``param`` is the exponent l for binomial_plus and unused otherwise.
+    ``dim``, the length of the canonical coefficient vector, is computed
+    once here; it takes no part in equality, hashing or the repr.
     """
 
-    N: int
-    kind: str
-    param: int = 0
+    _fields = ("N", "kind", "param")
+    __slots__ = _fields + ("dim",)
 
-    def __post_init__(self):
-        if self.N < 2:
-            raise ValueError(f"N must be >= 2, got {self.N}")
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown ring kind {self.kind!r}")
-        if self.kind == BINOMIAL_PLUS:
-            if self.N % (2 ** (self.param + 1)) != 0:
-                raise ValueError(
-                    f"binomial_plus({self.param}) requires 2^{self.param + 1} | N"
-                )
-        if self.kind == ODD_TRUNCATED:
-            k, m = split_two_power(self.N)
+    def __init__(self, N: int, kind: str, param: int = 0):
+        if N < 2:
+            raise ValueError(f"N must be >= 2, got {N}")
+        if kind == GROUP:
+            dim = N
+        elif kind == TRUNCATED:
+            dim = N - 1
+        elif kind == BINOMIAL_PLUS:
+            if N % (2 ** (param + 1)) != 0:
+                raise ValueError(f"binomial_plus({param}) requires 2^{param + 1} | N")
+            dim = 2**param
+        elif kind == ODD_TRUNCATED:
+            k, m = split_two_power(N)
             if k == 0 or m == 1:
                 raise ValueError("odd_truncated requires N = 2^K * M with K >= 1, M > 1")
+            dim = 2**k * (m - 1)
+        else:
+            raise ValueError(f"unknown ring kind {kind!r}")
+        _set(self, "N", N)
+        _set(self, "kind", kind)
+        _set(self, "param", param)
+        _set(self, "dim", dim)
 
-    @property
-    def dim(self) -> int:
-        """Length of the canonical coefficient vector."""
-        if self.kind == GROUP:
-            return self.N
-        if self.kind == TRUNCATED:
-            return self.N - 1
-        if self.kind == BINOMIAL_PLUS:
-            return 2**self.param
-        k, m = split_two_power(self.N)
-        return 2**k * (m - 1)
+    def __eq__(self, other):
+        if other.__class__ is not Modulus:
+            return NotImplemented
+        return self.N == other.N and self.kind == other.kind and self.param == other.param
+
+    def __hash__(self) -> int:
+        return hash((self.N, self.kind, self.param))
 
     def describe(self) -> str:
         n = self.N
@@ -238,23 +244,35 @@ def _make(m: Modulus, num: Sequence[int], den: int = 1) -> Element:
     return Element(m, tuple(c // g for c in num), den // g)
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(Frozen):
     """A ring element: canonical integer numerators over one denominator.
 
     The canonical coefficients are ``num[i] / den`` with ``den > 0`` and
-    ``gcd(den, *num) == 1``, so dataclass equality and hashing are exact.
-    Do not construct directly; use :func:`reduce_poly`, :func:`from_coeffs`
-    or the helpers below so the canonical-form invariant holds.
+    ``gcd(den, *num) == 1``, so comparing and hashing (modulus, num, den)
+    is exact.  Do not construct directly; use :func:`reduce_poly`,
+    :func:`from_coeffs` or the helpers below so the canonical-form
+    invariant holds.
     """
 
-    modulus: Modulus
-    num: tuple[int, ...]
-    den: int
+    _fields = ("modulus", "num", "den")
+    __slots__ = _fields
 
-    @cached_property
+    def __init__(self, modulus: Modulus, num: tuple[int, ...], den: int):
+        _set(self, "modulus", modulus)
+        _set(self, "num", num)
+        _set(self, "den", den)
+
+    def __eq__(self, other):
+        if other.__class__ is not Element:
+            return NotImplemented
+        return self.den == other.den and self.num == other.num and self.modulus == other.modulus
+
+    def __hash__(self) -> int:
+        return hash((self.modulus, self.num, self.den))
+
+    @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """The canonical coefficients as Fractions (built on first use)."""
+        """The canonical coefficients as Fractions (built on each use)."""
         return tuple(Fraction(c, self.den) for c in self.num)
 
     # -- queries ----------------------------------------------------------
@@ -567,18 +585,19 @@ def inverse(a: Element) -> Element:
 # 1 + x^(2^l) times the odd part.  Dimensions add up: sum 2^l + 2^K(M-1) = N-1.
 
 
-def crt_factors(N: int) -> list[Modulus]:
-    """The factor moduli for the truncated ring of order N.
+@lru_cache(maxsize=None)
+def crt_factors(N: int) -> tuple[Modulus, ...]:
+    """The factor moduli for the truncated ring of order N, built once per N.
 
-    For odd N (K = 0) no splitting is defined and the list degenerates to
+    For odd N (K = 0) no splitting is defined and the tuple degenerates to
     the ring itself, making split/combine the identity.
     """
     k, m = split_two_power(N)
     if k == 0:
-        return [truncated(N)]
-    factors = [binomial_plus(N, l) for l in range(k)]
+        return (truncated(N),)
+    factors = tuple(binomial_plus(N, l) for l in range(k))
     if m > 1:
-        factors.append(odd_truncated(N))
+        factors += (odd_truncated(N),)
     return factors
 
 

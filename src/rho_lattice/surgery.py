@@ -24,8 +24,7 @@ of this model.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 
@@ -38,6 +37,7 @@ from .exceptions import (
     VerificationFailure,
     WorkCapExceeded,
 )
+from .frozen import Frozen
 from .ring import Element, eigen_test, in_lattice_4r, restrict, split_two_power
 
 DEFAULT_CANDIDATE_CAP = 2**22
@@ -49,36 +49,27 @@ def candidate_cap() -> int:
     return int(value) if value else DEFAULT_CANDIDATE_CAP
 
 
-@dataclass(frozen=True)
-class LensParams:
+class LensParams(Frozen):
     """Parameters (N, d, k) of a lens space L^(2d-1) with k coprime to N.
 
     Derived quantities: N = 2^K * M with M odd, e = floor(d/2),
     c = floor((d-1)/2).  k is normalized to its least positive residue;
-    an even k can only occur for odd N.
+    an even k can only occur for odd N.  K and M are computed once here;
+    equality, hash, repr and to_json ignore them.
     """
 
-    N: int
-    d: int
-    k: int = 1
+    _fields = ("N", "d", "k")
+    __slots__ = _fields + ("K", "M")
 
-    def __post_init__(self):
-        if self.N < 2:
+    def __init__(self, N: int, d: int, k: int = 1):
+        if N < 2:
             raise ValueError("N must be >= 2")
-        if self.d < 3:
+        if d < 3:
             raise ValueError("d must be >= 3")
-        if gcd(self.k, self.N) != 1:
-            raise ValueError(f"k = {self.k} must be coprime to N = {self.N}")
-        object.__setattr__(self, "k", self.k % self.N)
-
-    # cached in the instance __dict__, which equality, hash and to_json ignore
-    @cached_property
-    def K(self) -> int:
-        return split_two_power(self.N)[0]
-
-    @cached_property
-    def M(self) -> int:
-        return split_two_power(self.N)[1]
+        if gcd(k, N) != 1:
+            raise ValueError(f"k = {k} must be coprime to N = {N}")
+        K, M = split_two_power(N)
+        self._assign(N=N, d=d, k=k % N, K=K, M=M)
 
     @property
     def e(self) -> int:
@@ -108,12 +99,14 @@ class LensParams:
         return {"N": self.N, "d": self.d, "k": self.k}
 
 
-@dataclass(frozen=True)
-class NormalCoords:
+class NormalCoords(Frozen):
     """Reduced 2-local normal coordinates: c entries mod 2^K and c mod 2."""
 
-    t4: tuple[int, ...]
-    t4m2: tuple[int, ...]
+    _fields = ("t4", "t4m2")
+    __slots__ = _fields
+
+    def __init__(self, t4: tuple[int, ...], t4m2: tuple[int, ...]):
+        self._assign(t4=t4, t4m2=t4m2)
 
     @staticmethod
     def zero(params: LensParams) -> NormalCoords:
@@ -256,11 +249,15 @@ def _formula_or_zero(params: LensParams, coords: NormalCoords) -> Element:
 # kernel of the coordinate-class map
 
 
-@dataclass(frozen=True)
-class KernelResult:
-    torsion: FinAb
-    members: tuple[tuple[int, ...], ...]  # t4-vectors in the kernel
-    method: str  # always "brute": kernel_rho_bar only enumerates
+class KernelResult(Frozen):
+    """The kernel's torsion, its member t4-vectors, and ``method``, always
+    "brute": kernel_rho_bar only enumerates."""
+
+    _fields = ("torsion", "members", "method")
+    __slots__ = _fields
+
+    def __init__(self, torsion: FinAb, members: tuple[tuple[int, ...], ...], method: str):
+        self._assign(torsion=torsion, members=members, method=method)
 
 
 def kernel_closed_form(params: LensParams) -> FinAb:
@@ -327,15 +324,23 @@ def kernel_rho_bar(params: LensParams) -> KernelResult:
     return KernelResult(torsion.direct_sum(free_part), tuple(members), "brute")
 
 
-@dataclass(frozen=True)
-class StructureSetDescriptor:
+class StructureSetDescriptor(Frozen):
     """Free rank plus torsion presentation of the structure-set model."""
 
-    params: LensParams
-    free_rank: int
-    torsion: FinAb
-    method: str
-    members: tuple[tuple[int, ...], ...] | None = None
+    _fields = ("params", "free_rank", "torsion", "method", "members")
+    __slots__ = _fields
+
+    def __init__(
+        self,
+        params: LensParams,
+        free_rank: int,
+        torsion: FinAb,
+        method: str,
+        members: tuple[tuple[int, ...], ...] | None = None,
+    ):
+        self._assign(
+            params=params, free_rank=free_rank, torsion=torsion, method=method, members=members
+        )
 
     def to_json(self, include_members: bool = False) -> dict:
         obj = {
@@ -376,8 +381,7 @@ def structure_set(params: LensParams, method: str = "auto") -> StructureSetDescr
 # structure-set elements as invariant tuples
 
 
-@dataclass(frozen=True)
-class StructureElement:
+class StructureElement(Frozen):
     """An element modeled by its invariant tuple (rho, normal coordinates).
 
     Valid tuples satisfy the consistency congruence: the class of ``rho``
@@ -385,9 +389,11 @@ class StructureElement:
     coordinates.  Torsion elements are exactly those with rho = 0.
     """
 
-    params: LensParams
-    rho: Element
-    coords: NormalCoords
+    _fields = ("params", "rho", "coords")
+    __slots__ = _fields
+
+    def __init__(self, params: LensParams, rho: Element, coords: NormalCoords):
+        self._assign(params=params, rho=rho, coords=coords)
 
     def is_torsion(self) -> bool:
         return self.rho.is_zero()

@@ -28,7 +28,6 @@ its order profile and that it generates the full torsion group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import gcd, prod
@@ -37,6 +36,7 @@ from . import ring
 from .abelian import smith_normal_form, solve_with_snf, subgroup_from_elements
 from .elements import Catalog
 from .exceptions import PreconditionFailed, VerificationFailure
+from .frozen import Frozen
 from .surgery import (
     LensParams,
     NormalCoords,
@@ -75,8 +75,7 @@ def _tau_multiplicity(x: StructureElement) -> int | None:
     return int(ratio)
 
 
-@dataclass(frozen=True)
-class SuspensionResult:
+class SuspensionResult(Frozen):
     """All completions of a suspension consistent with the model.
 
     ``determined`` is set when there is exactly one; ``candidates`` is the
@@ -84,9 +83,16 @@ class SuspensionResult:
     each passing validation).
     """
 
-    source: StructureElement
-    candidates: tuple[StructureElement, ...]
-    determined: StructureElement | None
+    _fields = ("source", "candidates", "determined")
+    __slots__ = _fields
+
+    def __init__(
+        self,
+        source: StructureElement,
+        candidates: tuple[StructureElement, ...],
+        determined: StructureElement | None,
+    ):
+        self._assign(source=source, candidates=candidates, determined=determined)
 
     def candidate_t4e(self) -> tuple[int, ...]:
         """The possible values of the new top t4-coordinate (even d only)."""
@@ -151,13 +157,16 @@ def suspend(x: StructureElement) -> SuspensionResult:
     return SuspensionResult(x, tuple(candidates), determined)
 
 
-@dataclass(frozen=True)
-class ChoiceRecord:
+class ChoiceRecord(Frozen):
     """One resolved suspension ambiguity (for the reproducibility log)."""
 
-    source_params: dict
-    candidate_t4e: tuple[int, ...]
-    chosen_t4e: int
+    _fields = ("source_params", "candidate_t4e", "chosen_t4e")
+    __slots__ = _fields
+
+    def __init__(self, source_params: dict, candidate_t4e: tuple[int, ...], chosen_t4e: int):
+        self._assign(
+            source_params=source_params, candidate_t4e=candidate_t4e, chosen_t4e=chosen_t4e
+        )
 
     def to_json(self) -> dict:
         return {
@@ -341,8 +350,7 @@ def image_test_even_target(y: StructureElement) -> bool:
 # the inductive torsion basis
 
 
-@dataclass(frozen=True)
-class TorsionBasis:
+class TorsionBasis(Frozen):
     """Basis mu_{4i}, mu_{4i-2} (i = 1..c) of the torsion subgroup.
 
     ``orders`` are the cyclic orders 2^min(K,2i) of the mu_{4i}; every
@@ -350,14 +358,29 @@ class TorsionBasis:
     the integer matrix [generator columns | diag(moduli)] over the
     flattened coordinates (t4 mod 2^K, then t4m2 mod 2), from which
     :func:`torsion_coordinates` reads each expansion by one integer solve.
+    It is derived from the other fields, so equality, hash and repr
+    ignore it.
     """
 
-    params: LensParams
-    mu4: tuple[StructureElement, ...]
-    mu4m2: tuple[StructureElement, ...]
-    orders: tuple[int, ...]
-    choice_log: tuple[ChoiceRecord, ...]
-    snf: tuple = field(repr=False, compare=False)
+    _fields = ("params", "mu4", "mu4m2", "orders", "choice_log")
+    __slots__ = _fields + ("snf",)
+
+    def __init__(
+        self,
+        params: LensParams,
+        mu4: tuple[StructureElement, ...],
+        mu4m2: tuple[StructureElement, ...],
+        orders: tuple[int, ...],
+        choice_log: tuple[ChoiceRecord, ...],
+        snf: tuple,
+    ):
+        self._assign(
+            params=params, mu4=mu4, mu4m2=mu4m2, orders=orders, choice_log=choice_log, snf=snf
+        )
+
+    def __reduce__(self):
+        cls, args = super().__reduce__()
+        return cls, args + (self.snf,)
 
     def to_json(self) -> dict:
         return {

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from itertools import product
@@ -25,6 +24,7 @@ from . import SUITES, ring
 from .abelian import FinAb, iso_eq
 from .elements import divide_by_f, f_element, f_k_element, f_prime_k_element, g_element
 from .exceptions import NotInvertible, VerificationFailure
+from .frozen import Frozen
 from .ring import (
     Element,
     eval_minus_one,
@@ -72,20 +72,28 @@ DEFAULT_SWEEP_N = (2, 3, 4, 5, 6, 8, 9, 12, 16, 24)
 DEFAULT_SWEEP_D = (3, 4, 5, 6, 7, 8)
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Frozen):
     """One instance of a statement: ``fn(*args)`` over the named ``params``.
 
     Checks hold module-level functions and plain arguments, so they pickle
     and can be sent to worker processes as they are.
     """
 
-    statement: str
-    params: dict
-    fn: Callable[..., str | None]
-    args: tuple
-    suite: str
-    seed: int = 0
+    _fields = ("statement", "params", "fn", "args", "suite", "seed")
+    __slots__ = _fields
+
+    def __init__(
+        self,
+        statement: str,
+        params: dict,
+        fn: Callable[..., str | None],
+        args: tuple,
+        suite: str,
+        seed: int = 0,
+    ):
+        self._assign(
+            statement=statement, params=params, fn=fn, args=args, suite=suite, seed=seed
+        )
 
     def run(self) -> str | None:
         """The witness string of a failure, or None when the check passes."""
@@ -779,18 +787,24 @@ def _check_browder_livesay(N: int) -> str | None:
 # harness
 
 
-@dataclass(frozen=True)
-class Statement:
+class Statement(Frozen):
     """A statement's suite, check and default ``(params, args)`` rows.
 
     A row's check runs ``fn(*args)``, with the seed appended when ``seeded``.
     """
 
-    name: str
-    suite: str
-    fn: Callable[..., str | None]
-    rows: tuple[tuple[dict, tuple], ...]
-    seeded: bool = False
+    _fields = ("name", "suite", "fn", "rows", "seeded")
+    __slots__ = _fields
+
+    def __init__(
+        self,
+        name: str,
+        suite: str,
+        fn: Callable[..., str | None],
+        rows: tuple[tuple[dict, tuple], ...],
+        seeded: bool = False,
+    ):
+        self._assign(name=name, suite=suite, fn=fn, rows=rows, seeded=seeded)
 
 
 def _rows(params: Iterable[dict]) -> tuple[tuple[dict, tuple], ...]:
@@ -804,8 +818,8 @@ def _registry() -> tuple[Statement, ...]:
     sweep = DEFAULT_SWEEP_N
     ring_kinds = []
     for N in sweep:
-        factors = ring.crt_factors(N) if N % 2 == 0 else []
-        for m in [truncated(N), ring.group_ring(N)] + factors:
+        factors = ring.crt_factors(N) if N % 2 == 0 else ()
+        for m in (truncated(N), ring.group_ring(N)) + factors:
             label = m.kind if m.kind != ring.BINOMIAL_PLUS else f"{m.kind}({m.param})"
             ring_kinds.append(({"N": N, "kind": label}, (N, label, m)))
     truncated_n = tuple(({"N": N, "kind": "truncated"}, (N, truncated(N))) for N in sweep)

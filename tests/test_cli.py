@@ -51,6 +51,16 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_expression("frob", truncated(4))
 
+    def test_negative_k_reads_its_residue(self):
+        m = truncated(8)
+        assert parse_expression("f_k(-1)", m) == parse_expression("f_k(7)", m)
+        assert parse_expression("fp_k(-1)", m) == parse_expression("fp_k(7)", m)
+
+    @pytest.mark.parametrize("text", ("f", "g", "x + f", "f_k(3)", "fp_k(3)"))
+    def test_named_constants_need_the_truncated_ring(self, text):
+        with pytest.raises(ParseError, match="not under the group ideal"):
+            parse_expression(text, ring.group_ring(4))
+
 
 class TestSubcommands:
     def test_ring_examples(self):
@@ -78,6 +88,21 @@ class TestSubcommands:
         assert "coprime" in out.stderr and "Traceback" not in out.stderr
         out = run_cli("structure-set", "--N", "4", "--d", "2")
         assert out.returncode == 2 and "Traceback" not in out.stderr
+
+    def test_named_constant_under_group_ideal_is_a_parse_error(self):
+        out = run_cli("ring", "x + f", "--N", "4", "--ideal", "group")
+        assert out.returncode == 2
+        assert out.stderr.startswith(
+            "parse error: 'f' exists only in the truncated ring, not under the group ideal"
+        )
+
+    def test_special_prints_the_least_positive_k(self, capsys):
+        printed = []
+        for k in ("-1", "7", "9", "1"):
+            assert main(["special", "--N", "8", "--k", k]) == 0
+            printed.append(json.loads(capsys.readouterr().out))
+        assert printed[0] == printed[1] and printed[1]["k"] == 7
+        assert printed[2] == printed[3] and printed[2]["k"] == 1
 
     def test_structure_set(self):
         out = run_cli("structure-set", "--N", "3", "--d", "3")
@@ -204,8 +229,8 @@ class TestSubcommands:
         assert "choice_log" in obj
 
 
-def _layers_loaded_by(*argv):
-    """The rho_lattice modules a fresh process holds after running one query."""
+def _modules_loaded_by(*argv):
+    """The modules a fresh process holds after running one query."""
     code = (
         "import sys\n"
         "from rho_lattice import cli\n"
@@ -215,7 +240,12 @@ def _layers_loaded_by(*argv):
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    loaded = proc.stderr.splitlines()[-1].split()
+    return set(proc.stderr.splitlines()[-1].split())
+
+
+def _layers_loaded_by(*argv):
+    """The rho_lattice modules a fresh process holds after running one query."""
+    loaded = _modules_loaded_by(*argv)
     return {name.split(".")[1] for name in loaded if name.startswith("rho_lattice.")}
 
 
@@ -228,6 +258,19 @@ class TestLazyImports:
         loaded = _layers_loaded_by("special", "--N", "8")
         assert "elements" in loaded
         assert not loaded & {"surgery", "suspension", "verify"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ("ring", "1+x", "--N", "4"),
+            ("special", "--N", "8"),
+            ("structure-set", "--N", "8", "--d", "4"),
+            ("suspend", "--N", "8", "--d", "4"),
+        ),
+        ids=lambda argv: argv[0],
+    )
+    def test_cold_query_skips_dataclasses_and_inspect(self, argv):
+        assert not _modules_loaded_by(*argv) & {"dataclasses", "inspect"}
 
     def test_suite_choices_follow_verify(self):
         sub = next(a for a in cli.build_parser()._actions if a.dest == "command")

@@ -110,6 +110,13 @@ class TestG:
         cat = Catalog.get(8, 3)
         assert cat.f_k == cat.f * cat.f_prime_k
 
+    def test_catalog_reduces_k(self):
+        assert Catalog.get(8, 11) is Catalog.get(8, 3)
+        assert Catalog.get(8, -1) is Catalog.get(8, 7)
+        assert Catalog.get(8, 9).k == 1
+        with pytest.raises(ValueError, match="coprime"):
+            Catalog.get(8, -2)
+
 
 def random_valid_u(rng, N):
     """A random element of the 4-integral (+)-lattice vanishing at x = -1."""

@@ -26,6 +26,27 @@ def test_library_has_no_assert_statements():
     assert offenders == []
 
 
+def test_no_module_imports_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize, about 11 ms of
+    # every cold CLI query; the value classes are written out instead.
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if "dataclasses" in _imported_modules(node)
+    ]
+    assert offenders == []
+
+
+def _imported_modules(node) -> set:
+    """The top-level modules an import statement names."""
+    if isinstance(node, ast.Import):
+        return {alias.name.split(".")[0] for alias in node.names}
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return {node.module.split(".")[0]}
+    return set()
+
+
 def test_elements_are_built_only_inside_ring():
     # Element's canonical form is kept by ring's one normalizing helper.
     offenders = [

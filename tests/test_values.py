@@ -1,0 +1,155 @@
+"""The immutable value classes: repr, equality, hash, pickling, immutability."""
+
+import pickle
+
+import pytest
+
+from rho_lattice import ring, surgery, suspension, verify
+from rho_lattice.abelian import FinAb
+from rho_lattice.elements import Catalog, f_element, f_k_element, f_prime_k_element, g_element
+from rho_lattice.surgery import LensParams, NormalCoords
+
+P = LensParams(2, 3)
+Z = (
+    "StructureElement(params=LensParams(N=2, d=3, k=1), rho=<0 in Q[x]/<1 + x + ... + x^1>>, "
+    "coords=NormalCoords(t4=(0,), t4m2=(0,)))"
+)
+Z4 = Z.replace("d=3", "d=4")
+
+
+def _unit(t4, t4m2):
+    return Z.replace("t4=(0,), t4m2=(0,)", f"t4=({t4},), t4m2=({t4m2},)")
+
+
+# (build, old dataclass repr, a field, hashable); build makes a fresh object
+VALUES = {
+    "Modulus": (
+        lambda: ring.truncated(8),
+        "Modulus(N=8, kind='truncated', param=0)",
+        "N",
+        True,
+    ),
+    "Element": (
+        lambda: ring.reduce_poly({0: 1, 1: 2}, ring.truncated(4)),
+        "<1 + 2*x^1 in Q[x]/<1 + x + ... + x^3>>",
+        "num",
+        True,
+    ),
+    "FinAb": (lambda: FinAb((2, 4)), "FinAb(factors=(2, 4))", "factors", True),
+    "Catalog": (
+        lambda: Catalog(
+            3, 1, f_element(3), f_k_element(3, 1), f_prime_k_element(3, 1), g_element(3)
+        ),
+        "Catalog(N=3, k=1, f=<1/3 + 2/3*x^1 in Q[x]/<1 + x + ... + x^2>>, "
+        "f_k=<1/3 + 2/3*x^1 in Q[x]/<1 + x + ... + x^2>>, "
+        "f_prime_k=<1 in Q[x]/<1 + x + ... + x^2>>, g=<-1 + -2*x^1 in Q[x]/<1 + x + ... + x^2>>)",
+        "g",
+        True,
+    ),
+    "LensParams": (lambda: LensParams(8, 6, 9), "LensParams(N=8, d=6, k=1)", "k", True),
+    "NormalCoords": (
+        lambda: NormalCoords((1,), (0,)),
+        "NormalCoords(t4=(1,), t4m2=(0,))",
+        "t4",
+        True,
+    ),
+    "KernelResult": (
+        lambda: surgery.kernel_rho_bar(P),
+        "KernelResult(torsion=FinAb(factors=(2, 2)), members=((0,), (1,)), method='brute')",
+        "method",
+        True,
+    ),
+    "StructureSetDescriptor": (
+        lambda: surgery.structure_set(P),
+        "StructureSetDescriptor(params=LensParams(N=2, d=3, k=1), free_rank=0, "
+        "torsion=FinAb(factors=(2, 2)), method='brute', members=((0,), (1,)))",
+        "free_rank",
+        True,
+    ),
+    "StructureElement": (lambda: surgery.zero_element(P), Z, "rho", True),
+    "SuspensionResult": (
+        lambda: suspension.suspend(surgery.zero_element(P)),
+        f"SuspensionResult(source={Z}, candidates=({Z4},), determined={Z4})",
+        "determined",
+        True,
+    ),
+    "ChoiceRecord": (
+        lambda: suspension.ChoiceRecord({"N": 8, "d": 4, "k": 1}, (2, 6), 2),
+        "ChoiceRecord(source_params={'N': 8, 'd': 4, 'k': 1}, candidate_t4e=(2, 6), "
+        "chosen_t4e=2)",
+        "chosen_t4e",
+        False,
+    ),
+    "TorsionBasis": (
+        lambda: suspension.torsion_basis(P),
+        f"TorsionBasis(params=LensParams(N=2, d=3, k=1), mu4=({_unit(1, 0)},), "
+        f"mu4m2=({_unit(0, 1)},), orders=(2,), choice_log=())",
+        "snf",
+        True,
+    ),
+    "Check": (
+        lambda: verify.Check("s", {"N": 2}, len, ((),), "ring"),
+        "Check(statement='s', params={'N': 2}, fn=<built-in function len>, args=((),), "
+        "suite='ring', seed=0)",
+        "seed",
+        False,
+    ),
+    "Statement": (
+        lambda: verify.Statement("s", "ring", len, (({"N": 2}, (2,)),)),
+        "Statement(name='s', suite='ring', fn=<built-in function len>, "
+        "rows=(({'N': 2}, (2,)),), seeded=False)",
+        "seeded",
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_value_class(name):
+    build, expected, field, hashable = VALUES[name]
+    a, b = build(), build()
+    assert type(a).__name__ == name
+    assert repr(a) == expected
+    assert a == b and not a != b and a != object()
+    if hashable:
+        assert hash(a) == hash(b)
+    else:  # a dict field, as with the dataclass
+        with pytest.raises(TypeError):
+            hash(a)
+    copy = pickle.loads(pickle.dumps(a))
+    assert copy == a and repr(copy) == expected
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(b, field))
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    # slots only: no instance dict to write around the frozen fields
+    assert not hasattr(a, "__dict__")
+
+
+def test_torsion_basis_snf_is_outside_eq_hash_and_repr():
+    basis = suspension.torsion_basis(LensParams(4, 4))
+    other = suspension.TorsionBasis(
+        basis.params, basis.mu4, basis.mu4m2, basis.orders, basis.choice_log, ()
+    )
+    assert other == basis and hash(other) == hash(basis) and repr(other) == repr(basis)
+    assert pickle.loads(pickle.dumps(basis)).snf == basis.snf
+
+
+def test_modulus_dim_per_kind():
+    assert [m.dim for m in (ring.group_ring(24), ring.truncated(24))] == [24, 23]
+    assert [m.dim for m in ring.crt_factors(24)] == [1, 2, 4, 16]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    (
+        ((1, "truncated"), "N must be >= 2"),
+        ((8, "cyclic"), "unknown ring kind 'cyclic'"),
+        ((8, "binomial_plus", 3), r"binomial_plus\(3\) requires 2\^4 \| N"),
+        ((8, "odd_truncated"), "odd_truncated requires"),
+        ((9, "odd_truncated"), "odd_truncated requires"),
+    ),
+)
+def test_modulus_validation(args, message):
+    with pytest.raises(ValueError, match=message):
+        ring.Modulus(*args)

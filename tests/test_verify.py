@@ -1,7 +1,6 @@
 """The verify harness: its statement registry, its filter and its worker pool."""
 
 import concurrent.futures
-import dataclasses
 import json
 import pickle
 
@@ -22,7 +21,8 @@ def _check_id(check):
 def test_reproduce_command_rebuilds_its_check():
     rebuilt = {}
     for check in verify.build_checks(verify.SUITES):
-        entry = verify._run_one(dataclasses.replace(check, fn=_fails, args=()))
+        failing = verify.Check(check.statement, check.params, _fails, (), check.suite, check.seed)
+        entry = verify._run_one(failing)
         command = entry["reproduce"]
         if command not in rebuilt:
             args = build_parser().parse_args(command.split()[1:])
