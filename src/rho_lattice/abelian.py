@@ -1,9 +1,9 @@
-"""Finitely generated abelian groups via integer matrices.
+"""Finite abelian groups via integer matrices.
 
 Groups are presented by their invariant-factor list in divisibility order
-(d_1 | d_2 | ...), each factor > 1 or 0, where 0 stands for an infinite
-cyclic factor.  Two presentations are isomorphic exactly when their
-canonical factor lists coincide.
+(d_1 | d_2 | ...), each factor > 1.  Two presentations are isomorphic
+exactly when their canonical factor lists coincide, so ``==`` on
+:class:`FinAb` is the isomorphism test.
 
 The workhorse is an exact Smith normal form over Z with unimodular
 transforms, using a smallest-magnitude pivot rule so the transforms are
@@ -236,15 +236,12 @@ def _primary_parts(d: int) -> dict[int, int]:
 
 
 def _canonical_factors(orders: Sequence[int]) -> tuple[int, ...]:
-    """Invariant factors (divisibility order, 1s dropped, 0s last)."""
-    rank = 0
+    """Invariant factors (divisibility order, 1s dropped)."""
     by_prime: dict[int, list[int]] = {}
     for d in orders:
-        if d < 0:
-            raise ValueError("cyclic orders must be non-negative")
-        if d == 0:
-            rank += 1
-        elif d > 1:
+        if d < 1:
+            raise ValueError(f"cyclic orders must be at least 1, got {d}")
+        if d > 1:
             for p, e in _primary_parts(d).items():
                 by_prime.setdefault(p, []).append(e)
     depth = max((len(v) for v in by_prime.values()), default=0)
@@ -254,11 +251,11 @@ def _canonical_factors(orders: Sequence[int]) -> tuple[int, ...]:
         for idx, e in enumerate(exps):
             chain[idx] *= p**e
     chain.reverse()  # ascending divisibility
-    return tuple(chain) + (0,) * rank
+    return tuple(chain)
 
 
 class FinAb(Frozen):
-    """A finitely generated abelian group in canonical invariant-factor form."""
+    """A finite abelian group in canonical invariant-factor form."""
 
     _fields = ("factors",)
     __slots__ = _fields
@@ -272,14 +269,7 @@ class FinAb(Frozen):
     def from_orders(orders: Sequence[int]) -> FinAb:
         return FinAb(_canonical_factors(orders))
 
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.factors if d == 0)
-
-    def order(self) -> int | None:
-        """Group order, or None when infinite."""
-        if self.rank:
-            return None
+    def order(self) -> int:
         n = 1
         for d in self.factors:
             n *= d
@@ -288,11 +278,6 @@ class FinAb(Frozen):
     def direct_sum(self, other: FinAb) -> FinAb:
         return FinAb.from_orders(list(self.factors) + list(other.factors))
 
-    def __str__(self) -> str:
-        if not self.factors:
-            return "0"
-        return " + ".join("Z" if d == 0 else f"Z{d}" for d in self.factors)
-
     def to_json(self) -> dict:
         return {"factors": list(self.factors)}
 
@@ -300,22 +285,17 @@ class FinAb(Frozen):
 TRIVIAL = FinAb(())
 
 
-def iso_eq(a: FinAb, b: FinAb) -> bool:
-    """Isomorphism test: canonical factor lists agree."""
-    return a.factors == b.factors
-
-
 def subgroup_from_elements(
-    ambient: FinAb | Sequence[int], elements: Sequence[Sequence[int]]
+    mods: Sequence[int], elements: Sequence[Sequence[int]]
 ) -> FinAb:
-    """Presentation of the subgroup of ``ambient`` generated by ``elements``.
+    """Presentation of the subgroup generated by ``elements`` of the finite
+    group Z/mods[0] + Z/mods[1] + ...
 
-    ``ambient`` is either a presentation or a plain list of cyclic orders
-    fixing the coordinate system; it must be finite.  Each element is a
-    coordinate vector modulo those orders.  Computed by Smith normal form
-    of the stacked generator/relation matrix; output is canonical.
+    ``mods`` is a list of positive cyclic orders fixing the coordinate
+    system; each element is a coordinate vector modulo those orders.
+    Computed by Smith normal form of the stacked generator/relation matrix;
+    output is canonical.
     """
-    mods = tuple(ambient.factors if isinstance(ambient, FinAb) else ambient)
     if any(d <= 0 for d in mods):
         raise ValueError("ambient group must be finite")
     n = len(mods)

@@ -28,12 +28,14 @@ Exit codes:
 
     0  success (for ``verify``: every check passed)
     1  ``verify`` ran and at least one check failed
-    2  bad input (parse error, invalid parameters, unreadable JSON, an
-       --element-json whose N, d, k differ from the command line)
+    2  bad input (parse error, invalid parameters, input nested too deeply,
+       unreadable JSON, an --element-json whose N, d, k differ from the
+       command line, a ``verify`` selection that matches no check)
     3  not invertible
     4  work cap exceeded (WorkCapExceeded)
     5  internal verification failure (VerificationFailure), including a
-       ``verify`` worker pool that failed; rerun with ``--workers 1``
+       closed-form inverse that fails its check and a ``verify`` worker
+       pool that failed; rerun with ``--workers 1``
 
 Codes 4 and 5 print ``error: <TypeName>: <message>`` on stderr.
 """
@@ -190,7 +192,11 @@ class _Parser:
 
 
 def parse_expression(text: str, modulus: ring.Modulus) -> ring.Element:
-    return _Parser(text, modulus).parse()
+    parser = _Parser(text, modulus)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", parser.pos) from None
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +222,14 @@ def _element_arg(args, params):
     from .suspension import elem_mu4m2, elem_nu, elem_omega, elem_sigma, elem_tau
 
     if args.element_json:
-        if args.element_json == "-":
-            data = json.load(sys.stdin)
-        else:
-            with open(args.element_json) as fh:
-                data = json.load(fh)
+        try:
+            if args.element_json == "-":
+                data = json.load(sys.stdin)
+            else:
+                with open(args.element_json) as fh:
+                    data = json.load(fh)
+        except RecursionError:
+            raise ValueError("--element-json is nested too deeply") from None
         x = element_from_json(data)
         if x.params != params:
             raise ValueError(
@@ -492,7 +501,7 @@ def main(argv=None) -> int:
     except (WorkCapExceeded, VerificationFailure) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4 if isinstance(exc, WorkCapExceeded) else 5
-    except (ValueError, ArithmeticError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

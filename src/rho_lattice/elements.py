@@ -76,20 +76,13 @@ def f_prime_k_element(N: int, k: int) -> Element:
     return num * ring.inverse(den)
 
 
-def alternating_unit(m: Modulus, l: int) -> Element:
-    """A_l = 1 - x + x^2 - ... - x^(2^l - 1), reduced into ``m``.
-
-    Satisfies (1 + x) * A_l = 1 - x^(2^l).
-    """
-    return ring.alternating_sum(m, 2**l)
-
-
 def h_l_element(N: int, l: int) -> Element:
-    """(1+x)^(-1) = A_l / 2 in the CRT factor Q[x]/<1 + x^(2^l)>, l >= 1."""
+    """(1+x)^(-1) = A_l / 2 in the CRT factor Q[x]/<1 + x^(2^l)>, l >= 1,
+    with A_l = 1 - x + x^2 - ... - x^(2^l - 1): (1 + x) * A_l = 1 - x^(2^l)."""
     if l < 1:
         raise ValueError("h_l is defined for l >= 1 (1+x vanishes in the l = 0 factor)")
     m = ring.binomial_plus(N, l)
-    return alternating_unit(m, l).scale(Fraction(1, 2))
+    return ring.alternating_sum(m, 2**l).scale(Fraction(1, 2))
 
 
 def h_element(N: int) -> Element:
@@ -101,7 +94,7 @@ def h_element(N: int) -> Element:
     """
     K, M = split_two_power(N)
     m = ring.odd_truncated(N)
-    a_k = alternating_unit(m, K)
+    a_k = ring.alternating_sum(m, 2**K)
     step = 2**K
     series = ring.reduce_poly({j * step: j + 1 for j in range(M)}, m)
     return (a_k * series).scale(Fraction(-1, M))

@@ -40,6 +40,7 @@ from .exceptions import (
     NotInvertible,
     OddOrderEvaluation,
     UnsupportedModulus,
+    VerificationFailure,
 )
 from .frozen import Frozen
 
@@ -365,20 +366,13 @@ def element_from_json(obj: Mapping) -> Element:
     return from_coeffs(m, [Fraction(int(num), int(den)) for num, den in obj["coeffs"]])
 
 
-RawPoly = Union[Mapping[int, Rational], Sequence[Rational], Rational]
-
-
-def reduce_poly(raw: RawPoly, m: Modulus) -> Element:
+def reduce_poly(raw: Mapping[int, Rational], m: Modulus) -> Element:
     """Reduce a raw polynomial in x into canonical form over ``m``.
 
-    ``raw`` is an exponent->coefficient mapping (negative exponents allowed,
-    read through x^(-k) = x^(N-k)), a coefficient sequence, or a bare
-    rational constant.  Reduction is idempotent and a ring homomorphism.
+    ``raw`` maps exponents to coefficients (negative exponents allowed,
+    read through x^(-k) = x^(N-k)).  Reduction is idempotent and a ring
+    homomorphism.
     """
-    if isinstance(raw, (int, Fraction)):
-        raw = {0: raw}
-    elif not isinstance(raw, Mapping):
-        raw = dict(enumerate(raw))
     exps = [e for e, c in raw.items() if c]
     nums, den = _over_common_den([raw[e] for e in exps])
     return _make(m, _fold_int(zip(exps, nums), m), den)
@@ -522,7 +516,7 @@ def _mul_matrix(a: Element) -> list[list[int]]:
 @lru_cache(maxsize=None)
 def _closed_form_index(m: Modulus) -> tuple[dict[tuple[int, ...], int], ...]:
     """Canonical numerators of 1 - x^k and of 1 + x + ... + x^(k-1) in a
-    group or truncated ring, each mapped to its least k in 1..N-1."""
+    truncated ring, each mapped to its least k in 1..N-1."""
     one_minus: dict[tuple[int, ...], int] = {}
     geometric: dict[tuple[int, ...], int] = {}
     for k in range(1, m.N):
@@ -534,37 +528,39 @@ def _closed_form_index(m: Modulus) -> tuple[dict[tuple[int, ...], int], ...]:
 def inverse(a: Element) -> Element:
     """Multiplicative inverse of ``a``: mul(a, inverse(a)) == 1.
 
-    Two closed forms are used when the input matches them in a group or
-    truncated ring of order N:
+    Two closed forms are used when the input matches them in the truncated
+    ring of order N:
 
       (1 - x^k)^(-1)              = -(1/N) * (1 + 2x^k + 3x^(2k) + ... + N x^((N-1)k))
       (1 + x + ... + x^(k-1))^(-1) = 1 + x^k + x^(2k) + ... + x^((r-1)k),
                                      r the least positive integer with r*k = 1 mod N
 
-    (both requiring gcd(k, N) = 1); everything else falls back to solving
-    the dim-by-dim linear system over Q by fraction-free elimination.
-    Raises :class:`NotInvertible` with a zero-divisor witness when the
-    element is not a unit.
+    (both requiring gcd(k, N) = 1); a closed form that fails its check
+    raises :class:`VerificationFailure`.  Everything else, including every
+    group-ring element, is solved as a dim-by-dim linear system over Q by
+    fraction-free elimination.  Raises :class:`NotInvertible` with a
+    zero-divisor witness when the element is not a unit.
     """
     m = a.modulus
     if a.is_zero():
         raise NotInvertible("zero is not invertible", witness=one(m))
-    if m.kind in (GROUP, TRUNCATED) and a.den == 1:
+    if m.kind == TRUNCATED and a.den == 1:
         n = m.N
         one_minus, geometric = _closed_form_index(m)
+        inv = None
         k = one_minus.get(a.num)
         if k is not None and gcd(k, n) == 1:
             inv = reduce_poly({(j * k) % n: -(j + 1) for j in range(n)}, m).scale(
                 Fraction(1, n)
             )
-            if a * inv == one(m):
-                return inv
-        k = geometric.get(a.num)
-        if k is not None and gcd(k, n) == 1:
-            r = pow(k, -1, n)
-            inv = geometric_sum(m, r, step=k)
-            if a * inv == one(m):
-                return inv
+        else:
+            k = geometric.get(a.num)
+            if k is not None and gcd(k, n) == 1:
+                inv = geometric_sum(m, pow(k, -1, n), step=k)
+        if inv is not None:
+            if a * inv != one(m):
+                raise VerificationFailure(f"closed-form inverse of {a!r} fails its check")
+            return inv
     sol, null = solve_rational(_mul_matrix(a), [a.den] + [0] * (m.dim - 1))
     if sol is None:
         witness = from_coeffs(m, null)
@@ -587,14 +583,11 @@ def inverse(a: Element) -> Element:
 
 @lru_cache(maxsize=None)
 def crt_factors(N: int) -> tuple[Modulus, ...]:
-    """The factor moduli for the truncated ring of order N, built once per N.
-
-    For odd N (K = 0) no splitting is defined and the tuple degenerates to
-    the ring itself, making split/combine the identity.
-    """
+    """The factor moduli for the truncated ring of even order N, built once
+    per N.  Odd N has no splitting and raises :class:`UnsupportedModulus`."""
     k, m = split_two_power(N)
     if k == 0:
-        return (truncated(N),)
+        raise UnsupportedModulus(f"no CRT splitting for odd N = {N}")
     factors = tuple(binomial_plus(N, l) for l in range(k))
     if m > 1:
         factors += (odd_truncated(N),)
@@ -605,15 +598,14 @@ def crt_split(a: Element) -> list[Element]:
     """Project a truncated-ring element into every CRT factor."""
     if a.modulus.kind != TRUNCATED:
         raise UnsupportedModulus("crt_split expects a truncated-ring element")
-    if a.modulus.N % 2 == 1:
-        return [a]
     return [
         _make(f, _fold_int(enumerate(a.num), f), a.den) for f in crt_factors(a.modulus.N)
     ]
 
 
 def crt_combine(parts: Sequence[Element], N: int) -> Element:
-    """Inverse of :func:`crt_split`: reassemble a truncated-ring element.
+    """Inverse of :func:`crt_split`: reassemble a truncated-ring element of
+    even order N.
 
     Garner recombination up the tower x^(2n) - 1 = (x^n - 1)(x^n + 1), with
     G_n = 1 + x + ... + x^(n-1): residues u modulo G_n and v modulo the next
@@ -626,10 +618,6 @@ def crt_combine(parts: Sequence[Element], N: int) -> Element:
     zur Gathen and Gerhard, Modern Computer Algebra, section 5.6).  The
     numerators stay integers over one denominator.
     """
-    if N % 2 == 1:
-        if len(parts) != 1 or parts[0].modulus != truncated(N):
-            raise ValueError("odd N has the single identity factor")
-        return parts[0]
     factors = crt_factors(N)
     if len(parts) != len(factors) or any(
         p.modulus != f for p, f in zip(parts, factors)

@@ -471,27 +471,18 @@ def element_from_json(obj) -> StructureElement:
 # transfer to subgroups
 
 
-def transfer_coords(
-    coords: NormalCoords, params: LensParams, n_prime: int
-) -> NormalCoords:
-    """Reduce t_{4i} mod 2^K' and t_{4i-2} mod 2^min(K',1)."""
-    target = LensParams(n_prime, params.d, params.k % n_prime)
-    return NormalCoords(
-        tuple(t % target.t4_modulus for t in coords.t4),
-        tuple(t % target.t4m2_modulus for t in coords.t4m2),
-    )
-
-
 def transfer(x: StructureElement, n_prime: int) -> StructureElement:
     """Restriction to the subgroup of order N' | N.
 
-    rho restricts through the quotient of rings; coordinates reduce
-    modulo the target moduli.  Commutes with the formula up to class.
+    rho restricts through the quotient of rings; t_{4i} reduces mod 2^K'
+    and t_{4i-2} mod 2^min(K',1).  Commutes with the formula up to class.
     """
     p = x.params
     if n_prime < 2 or p.N % n_prime != 0:
         raise ValueError(f"{n_prime} does not divide N = {p.N}")
     target = LensParams(n_prime, p.d, p.k % n_prime)
-    return StructureElement(
-        target, restrict(x.rho, n_prime), transfer_coords(x.coords, p, n_prime)
+    coords = NormalCoords(
+        tuple(t % target.t4_modulus for t in x.coords.t4),
+        tuple(t % target.t4m2_modulus for t in x.coords.t4m2),
     )
+    return StructureElement(target, restrict(x.rho, n_prime), coords)

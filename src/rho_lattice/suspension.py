@@ -131,11 +131,9 @@ def suspend(x: StructureElement) -> SuspensionResult:
         K = p.K
         if K == 1:
             values = {tau_mult % 2}
-        elif K >= 2:
+        else:
             base = 2 ** (K - 2)
             values = {(tau_mult * base) % mod, (tau_mult * 3 * base) % mod}
-        else:
-            values = {0}
     else:
         values = set()
         for v in range(mod):

@@ -21,7 +21,7 @@ from math import gcd, lcm
 from typing import Callable, Iterable
 
 from . import SUITES, ring
-from .abelian import FinAb, iso_eq
+from .abelian import FinAb
 from .elements import divide_by_f, f_element, f_k_element, f_prime_k_element, g_element
 from .exceptions import NotInvertible, VerificationFailure
 from .frozen import Frozen
@@ -462,7 +462,7 @@ def _check_kernel_vs_closed(N: int, d: int, k: int) -> str | None:
     p = LensParams(N, d, k)
     kr = kernel_rho_bar(p)
     cf = kernel_closed_form(p)
-    if not iso_eq(kr.torsion, cf):
+    if kr.torsion != cf:
         return f"brute {kr.torsion.factors} vs closed {cf.factors}"
     return None
 
@@ -936,6 +936,11 @@ def run_suites(
     """Run the requested suites; returns the deterministic report object."""
     suites = tuple(suites)
     checks = build_checks(suites, max_n, max_d, seed)
+    if not checks:
+        bounds = "".join(
+            f" --max-{key} {v}" for key, v in (("N", max_n), ("d", max_d)) if v is not None
+        )
+        raise ValueError(f"no check matches --suite {'+'.join(suites)}{bounds}")
     if workers > 1 and len(checks) > 1:
         results = _run_parallel(checks, workers)
     else:

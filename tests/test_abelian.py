@@ -11,7 +11,6 @@ from rho_lattice.abelian import (
     FinAb,
     TRIVIAL,
     fraction_free_rref,
-    iso_eq,
     kernel_basis,
     smith_normal_form,
     solve_rational,
@@ -178,17 +177,20 @@ class TestFinAb:
         assert FinAb.from_orders([2, 3]).factors == (6,)
         assert FinAb.from_orders([4, 6]).factors == (2, 12)
         assert FinAb.from_orders([1, 1]) == TRIVIAL
-        assert FinAb.from_orders([0, 2]).factors == (2, 0)
 
     def test_iso_eq(self):
-        assert iso_eq(FinAb.from_orders([2, 4]), FinAb.from_orders([4, 2]))
-        assert not iso_eq(FinAb.from_orders([8]), FinAb.from_orders([2, 4]))
-        assert iso_eq(FinAb.from_orders([0, 2]), FinAb.from_orders([2, 0]))
+        assert FinAb.from_orders([2, 4]) == FinAb.from_orders([4, 2])
+        assert FinAb.from_orders([8]) != FinAb.from_orders([2, 4])
+        assert FinAb.from_orders([2, 3]) == FinAb.from_orders([6])
 
-    def test_order_and_rank(self):
-        g = FinAb.from_orders([4, 6])
-        assert g.order() == 24 and g.rank == 0
-        assert FinAb.from_orders([0]).order() is None
+    def test_order(self):
+        assert FinAb.from_orders([4, 6]).order() == 24
+        assert TRIVIAL.order() == 1
+
+    def test_infinite_or_negative_order_rejected(self):
+        for orders in ([0], [-2], [4, 0]):
+            with pytest.raises(ValueError):
+                FinAb.from_orders(orders)
 
     def test_direct_sum(self):
         a = FinAb.from_orders([4])

@@ -173,6 +173,20 @@ class TestSubcommands:
         assert out.stderr.startswith("error: ") and field in out.stderr
         assert "Traceback" not in out.stderr
 
+    def test_deeply_nested_expression_is_a_parse_error(self):
+        out = run_cli("ring", "(" * 1000 + "x" + ")" * 1000, "--N", "8")
+        assert out.returncode == 2
+        assert out.stderr.startswith("parse error: expression nested too deeply")
+        assert "Traceback" not in out.stderr and out.stdout == ""
+
+    def test_deeply_nested_element_json_is_bad_input(self, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000)
+        out = run_cli("suspend", "--N", "8", "--d", "4", "--element-json", str(path))
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: --element-json is nested too deeply")
+        assert "Traceback" not in out.stderr and out.stdout == ""
+
     @pytest.mark.parametrize("command", ("suspend", "transfer"))
     def test_element_json_must_match_command_line(self, command):
         extra = ["--to-n", "2"] if command == "transfer" else []
@@ -312,6 +326,12 @@ class TestVerify:
             main(["verify", "--suite", "torsion", "--max-N", "4", "--workers", workers])
         assert exc.value.code == 2
         assert "--workers: must be at least 1" in capsys.readouterr().err
+
+    def test_empty_selection_is_bad_input(self, capsys):
+        rc = main(["verify", "--suite", "ring", "--max-N", "1", "--workers", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == "error: no check matches --suite ring --max-N 1\n"
 
     def test_main_entrypoint_inprocess(self, capsys):
         rc = main(["verify", "--suite", "torsion", "--max-N", "4", "--workers", "1"])

@@ -14,6 +14,7 @@ from rho_lattice.exceptions import (
     NotInvertible,
     OddOrderEvaluation,
     UnsupportedModulus,
+    VerificationFailure,
 )
 from rho_lattice.ring import (
     crt_combine,
@@ -145,6 +146,34 @@ class TestInverse:
         assert w is not None and not w.is_zero()
         assert (a * w).is_zero()
 
+    def test_group_ring_witness_pinned(self):
+        a = reduce_poly({0: 1, 3: -1}, group_ring(8))
+        with pytest.raises(NotInvertible) as err:
+            inverse(a)
+        assert str(err.value) == (
+            "<1 + -1*x^3 in Q[x]/<x^8 - 1>> is a zero divisor: witness "
+            "<1 + 1*x^1 + 1*x^2 + 1*x^3 + 1*x^4 + 1*x^5 + 1*x^6 + 1*x^7 in Q[x]/<x^8 - 1>>"
+        )
+        assert err.value.witness.num == (1,) * 8 and err.value.witness.den == 1
+
+    def test_failed_closed_form_raises(self, monkeypatch):
+        m = truncated(8)
+        a = reduce_poly({0: 1, 1: -1}, m)
+        monkeypatch.setattr(ring, "_closed_form_index", lambda _m: ({a.num: 3}, {}))
+        with pytest.raises(VerificationFailure):
+            inverse(a)
+
+    def test_group_ring_skips_closed_forms(self, monkeypatch):
+        def no_index(_m):
+            raise AssertionError("closed-form index built for a group ring")
+
+        monkeypatch.setattr(ring, "_closed_form_index", no_index)
+        m = group_ring(9)
+        a = reduce_poly({0: 2, 1: 1}, m)
+        assert a * inverse(a) == one(m)
+        with pytest.raises(NotInvertible):
+            inverse(reduce_poly({0: 1, 1: -1}, m))
+
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(st.data())
     def test_random_unit_roundtrip(self, data):
@@ -259,12 +288,14 @@ class TestCrt:
         for n in (4, 6, 8, 12, 16, 24):
             assert sum(f.dim for f in crt_factors(n)) == n - 1
 
-    def test_odd_order_identity_factor(self):
-        m = truncated(9)
-        a = reduce_poly({2: Fraction(1, 3)}, m)
-        parts = crt_split(a)
-        assert parts == [a]
-        assert crt_combine(parts, 9) == a
+    def test_odd_order_unsupported(self):
+        a = reduce_poly({2: Fraction(1, 3)}, truncated(9))
+        with pytest.raises(UnsupportedModulus):
+            crt_factors(9)
+        with pytest.raises(UnsupportedModulus):
+            crt_split(a)
+        with pytest.raises(UnsupportedModulus):
+            crt_combine([a], 9)
 
     def test_minus_eigen_kills_level_zero(self):
         for n in (4, 6, 8, 12):
@@ -342,7 +373,7 @@ class TestRepresentation:
         if m.kind in (ring.GROUP, ring.TRUNCATED):
             results += [involution(a), eigen_project(a, 1), eigen_project(a, -1)]
             results += [restrict(a, d) for d in range(2, m.N + 1) if m.N % d == 0]
-            if m.kind == ring.TRUNCATED:
+            if m.kind == ring.TRUNCATED and m.N % 2 == 0:
                 results += crt_split(a) + [crt_combine(crt_split(a), m.N)]
         for r in results:
             assert _canonical(r), r
