@@ -29,6 +29,8 @@ can be shared freely between threads or processes.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -119,18 +121,24 @@ class Modulus(Frozen):
         return f"Q[x]/<1 + x^{2 ** k} + ... + x^{2 ** k * (m - 1)}>"
 
 
+# The factories hand out one shared Modulus per ring, so comparing the
+# moduli of two elements is nearly always an identity check.
+@lru_cache(maxsize=None)
 def group_ring(N: int) -> Modulus:
     return Modulus(N, GROUP)
 
 
+@lru_cache(maxsize=None)
 def truncated(N: int) -> Modulus:
     return Modulus(N, TRUNCATED)
 
 
+@lru_cache(maxsize=None)
 def binomial_plus(N: int, l: int) -> Modulus:
     return Modulus(N, BINOMIAL_PLUS, l)
 
 
+@lru_cache(maxsize=None)
 def odd_truncated(N: int) -> Modulus:
     return Modulus(N, ODD_TRUNCATED)
 
@@ -205,16 +213,51 @@ def _fold_int(terms: Iterable[tuple[int, int]], m: Modulus) -> list[int]:
     return out[:d]
 
 
+# Signed machine-word typecodes, narrowest first, as (limit, code, bytes): a
+# product coefficient fits ``code`` when its absolute value is below limit.
+_WORDS = sorted(
+    (1 << (8 * array(code).itemsize - 1), code, array(code).itemsize) for code in "bhiq"
+)
+
+
+@lru_cache(maxsize=None)
+def _top_bits(length: int, code: str) -> int:
+    """The integer whose ``length`` words of type ``code`` (in native byte
+    order) each hold only their top bit."""
+    limit = 1 << (8 * array(code).itemsize - 1)
+    return int.from_bytes(array(code, [-limit] * length).tobytes(), sys.byteorder)
+
+
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """The coefficients of the product of the integer polynomials a and b.
 
     Kronecker substitution: both are evaluated at 2^bits, with bits wide
     enough to hold any product coefficient in two's complement, so one
-    big-integer multiplication does the whole convolution; the signed
-    digits are then peeled off the low end.
+    big-integer multiplication does the whole convolution.
+
+    When every product coefficient fits a signed machine word, bits is the
+    width of the narrowest ``array`` typecode that holds it, and packing and
+    unpacking run in C: the operands' two's-complement words are read as one
+    unsigned integer, and flipping then subtracting the top bit of every
+    word (T) makes it the signed evaluation.  The product, plus T with the
+    top bits flipped back, is the two's-complement words of the result.
+    Otherwise the operands are packed with shifts and the signed digits
+    peeled off the low end one at a time.
     """
     n = len(a) + len(b) - 1
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    if not bound:
+        return [0] * n
+    for limit, code, size in _WORDS:
+        if bound < limit:
+            order = sys.byteorder
+            top_a = _top_bits(len(a), code)
+            top_b = _top_bits(len(b), code)
+            top = _top_bits(n, code)
+            pa = (int.from_bytes(array(code, a).tobytes(), order) ^ top_a) - top_a
+            pb = (int.from_bytes(array(code, b).tobytes(), order) ^ top_b) - top_b
+            words = ((pa * pb + top) ^ top).to_bytes(n * size, order)
+            return memoryview(words).cast(code).tolist()
     bits = bound.bit_length() + 1
     pa = pb = 0
     for c in reversed(a):
@@ -238,8 +281,6 @@ def _make(m: Modulus, num: Sequence[int], den: int = 1) -> Element:
     """The element num / den in canonical form: den > 0, gcd(den, *num) == 1
     (so zero has den == 1).  Every element is built here."""
     g = gcd(den, *num)
-    if den < 0:
-        g = -g
     if g == 1:
         return Element(m, tuple(num), den)
     return Element(m, tuple(c // g for c in num), den // g)
@@ -266,7 +307,11 @@ class Element(Frozen):
     def __eq__(self, other):
         if other.__class__ is not Element:
             return NotImplemented
-        return self.den == other.den and self.num == other.num and self.modulus == other.modulus
+        return (
+            self.den == other.den
+            and self.num == other.num
+            and (self.modulus is other.modulus or self.modulus == other.modulus)
+        )
 
     def __hash__(self) -> int:
         return hash((self.modulus, self.num, self.den))
@@ -288,7 +333,7 @@ class Element(Frozen):
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: Element) -> None:
-        if self.modulus != other.modulus:
+        if self.modulus is not other.modulus and self.modulus != other.modulus:
             raise ModulusMismatch(
                 f"cannot combine elements over {self.modulus} and {other.modulus}"
             )
@@ -486,7 +531,7 @@ def restrict(a: Element, n_prime: int) -> Element:
         raise UnsupportedModulus(f"restriction not defined on {m.describe()}")
     if n_prime < 2 or m.N % n_prime != 0:
         raise ValueError(f"{n_prime} does not divide N = {m.N}")
-    target = Modulus(n_prime, m.kind)
+    target = (group_ring if m.kind == GROUP else truncated)(n_prime)
     return _make(target, _fold_int(enumerate(a.num), target), a.den)
 
 

@@ -66,7 +66,7 @@ def _tau_multiplicity(x: StructureElement) -> int | None:
     if not x.coords.is_zero():
         return None
     p = x.params
-    if p.K < 1 or p.d % 2:
+    if p.K < 1:
         return None
     t = tau_rho(p.N)
     ratio = x.rho.coeffs[0] / t.coeffs[0]

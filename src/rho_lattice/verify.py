@@ -116,12 +116,29 @@ def _coprime_ks(N: int, limit: int = 2) -> list[int]:
 
 
 def _random_element(rng: random.Random, m: ring.Modulus, integral: bool = False) -> Element:
-    """Coefficients p/q with p in [-9, 9] and, unless integral, q in [1, 6]."""
+    """Coefficients p/q with p in [-9, 9] and, unless integral, q in [1, 6].
+
+    Each value is drawn by rejection on 5- and 3-bit words, the same words
+    ``rng.randint(-9, 9)`` and ``rng.randint(1, 6)`` consume, so the stream
+    and the elements are those of randint.
+    """
+    bits = rng.getrandbits
+    nums = []
+    dens = []
+    for _ in range(m.dim):
+        p = bits(5)
+        while p >= 19:
+            p = bits(5)
+        nums.append(p - 9)
+        if not integral:
+            q = bits(3)
+            while q >= 6:
+                q = bits(3)
+            dens.append(q + 1)
     if integral:
-        return ring.from_numerators(m, [rng.randint(-9, 9) for _ in range(m.dim)])
-    pairs = [(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(m.dim)]
-    den = lcm(*(q for _, q in pairs))
-    return ring.from_numerators(m, [p * (den // q) for p, q in pairs], den)
+        return ring.from_numerators(m, nums)
+    den = lcm(*dens)
+    return ring.from_numerators(m, [p * (den // q) for p, q in zip(nums, dens)], den)
 
 
 def _mul_raw(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
@@ -149,11 +166,12 @@ def _check_ring_axioms(N: int, kind_desc: str, m: ring.Modulus, seed: int) -> st
         a = _random_element(rng, m)
         b = _random_element(rng, m)
         c = _random_element(rng, m)
-        if (a * b) * c != a * (b * c):
+        ab = a * b
+        if ab * c != a * (b * c):
             return f"associativity fails at trial {trial}"
-        if a * (b + c) != a * b + a * c:
+        if a * (b + c) != ab + a * c:
             return f"distributivity fails at trial {trial}"
-        if a * b != b * a:
+        if ab != b * a:
             return f"commutativity fails at trial {trial}"
         if a * one != a:
             return f"unit law fails at trial {trial}"

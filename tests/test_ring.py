@@ -1,5 +1,6 @@
 """Quotient-ring arithmetic: canonical forms, units, involution, CRT."""
 
+import math
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -445,4 +446,48 @@ class TestConvolution:
 
     def test_zero_and_extreme_signs(self):
         for a, b in [([0], [5]), ([0, 0, 0], [1, -1]), ([-1] * 9, [-1] * 9), ([1, -1] * 6, [-1, 1] * 6)]:
+            assert ring._convolve(a, b) == _schoolbook(a, b)
+
+    @pytest.mark.parametrize("bits", [7, 15, 31, 63])
+    @pytest.mark.parametrize("offset", [-1, 0])
+    def test_word_width_boundaries(self, bits, offset):
+        # bound = max|a| * max|b| * min(len) is limit - 1 (the widest product
+        # that fits the word) or limit (one more: the next width, or the
+        # shift-and-peel path past 2^63), and the extreme coefficients occur.
+        bound = 2**bits + offset
+        half = bound // 2
+        cases = [
+            ([bound], [-1]),
+            ([-bound], [-1]),
+            ([bound, -bound, 0, -1, bound], [1]),
+            ([-1], [bound, 1, -bound]),
+            ([-1, -1], [-half, -half]),
+            ([1, -1], [half, -half]),
+        ]
+        for a, b in cases:
+            assert max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b)) <= bound
+            assert ring._convolve(a, b) == _schoolbook(a, b)
+
+    @pytest.mark.parametrize("bits", [7, 15, 31, 63])
+    def test_all_negative_extremes(self, bits):
+        # every coefficient of the product is positive and the middle one
+        # is as large as the word allows
+        length = 5
+        m = math.isqrt((2**bits - 1) // length)
+        a = b = [-m] * length
+        out = ring._convolve(a, b)
+        assert out == _schoolbook(a, b)
+        assert out[length - 1] == m * m * length < 2**bits
+
+    def test_zero_and_length_one_operands(self):
+        for a, b in [
+            ([0], [2**70]),
+            ([0, 0, 0], [2**70, -(2**70), 3]),
+            ([-(2**70), 5], [0, 0]),
+            ([0] * 7, [0] * 4),
+            ([3], [-4]),
+            ([-(2**62)], [2]),
+            ([-(2**62)], [-2]),
+            ([2**63 - 1], [1, -1, 1]),
+        ]:
             assert ring._convolve(a, b) == _schoolbook(a, b)

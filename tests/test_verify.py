@@ -3,10 +3,12 @@
 import concurrent.futures
 import json
 import pickle
+import random
+from math import lcm
 
 import pytest
 
-from rho_lattice import verify
+from rho_lattice import ring, verify
 from rho_lattice.cli import build_parser, main
 
 
@@ -86,3 +88,28 @@ def test_pool_failure_exits_5_without_serial_fallback(monkeypatch, capsys, execu
 @pytest.mark.parametrize("N", [64, 96, 256])
 def test_g_quasi_inverse_beyond_the_sweep(N):
     assert verify._check_g_quasi_inverse(N) is None
+
+
+def _randint_element(rng, m, integral):
+    """The element the harness drew with two ``randint`` calls per coefficient."""
+    if integral:
+        return ring.from_numerators(m, [rng.randint(-9, 9) for _ in range(m.dim)])
+    pairs = [(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(m.dim)]
+    den = lcm(*(q for _, q in pairs))
+    return ring.from_numerators(m, [p * (den // q) for p, q in pairs], den)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize(
+    "modulus",
+    [ring.group_ring(12), ring.truncated(12), ring.binomial_plus(12, 1), ring.odd_truncated(12)],
+    ids=lambda m: m.kind,
+)
+@pytest.mark.parametrize("integral", [False, True])
+def test_random_element_draws_the_randint_stream(seed, modulus, integral):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        assert verify._random_element(ours, modulus, integral) == _randint_element(
+            theirs, modulus, integral
+        )
+    assert ours.getstate() == theirs.getstate()
