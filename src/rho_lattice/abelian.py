@@ -165,14 +165,18 @@ def fraction_free_rref(A: Sequence[Sequence[int]]) -> tuple[IntMatrix, list[int]
 def solve_rational(
     A: Sequence[Sequence[int]], b: Sequence[int]
 ) -> tuple[list[Fraction] | None, list[Fraction] | None]:
-    """Solve A x = b over Q for an integer matrix A and integer vector b.
+    """Solve A x = b over Q for a square integer matrix A and integer
+    vector b.
 
     Returns (None, v) when A has a nonzero kernel, with v the kernel
     vector that is 1 at the first free column and 0 at the other free
-    columns.  Otherwise returns (x, None) with the unique solution, or
-    (None, None) when the system is inconsistent.
+    columns.  Otherwise A has full rank and the system has the unique
+    solution x, returned as (x, None).  Raises ``ValueError`` when A is
+    not square.
     """
     m = len(A[0])
+    if len(A) != m:
+        raise ValueError(f"solve_rational needs a square matrix, got {len(A)} by {m}")
     r, pivots, _ = fraction_free_rref([list(row) + [c] for row, c in zip(A, b)])
     rows = [(i, col) for i, col in enumerate(pivots) if col < m]
     free = next((c for c in range(m) if c not in pivots), None)
@@ -182,8 +186,6 @@ def solve_rational(
         for i, col in rows:
             null[col] = Fraction(-r[i][free], r[i][col])
         return None, null
-    if len(rows) < len(pivots):
-        return None, None
     return [Fraction(r[i][m], r[i][col]) for i, col in rows], None
 
 

@@ -488,6 +488,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # exact answers can be longer than the 4,300 digits Python converts by
+    # default (3.10.7 onward)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     if getattr(args, "workers", 1) is None:
         import os

@@ -23,6 +23,14 @@ Negative exponents are interpreted through x^N = 1 (which holds in every
 kind: x^N - 1 is a multiple of each ideal generator), so x^(-k) means
 x^(N-k).
 
+A product reduces inside one big integer.  Both factors are packed at
+2^bits per coefficient (Kronecker substitution) and multiplied once, and
+the product is reduced modulo 2^(bits*n) - 1 or 2^(bits*n) + 1, which is
+reduction modulo x^n - 1 or x^n + 1 (the Schoenhage-Strassen wrap; n is N,
+or 2^l for binomial_plus).  :func:`_convolve` says why the result is exact.
+The truncated rings then fold their top coefficients; the conjugation
+x -> x^(N-1) is a reversal of the coefficient vector.
+
 Everything is immutable and every operation is a pure function; values
 can be shared freely between threads or processes.
 """
@@ -166,24 +174,8 @@ def _over_common_den(values: Sequence[Rational]) -> tuple[list[int], int]:
 
 
 def _fold_int(terms: Iterable[tuple[int, int]], m: Modulus) -> list[int]:
-    """Reduce integer (exponent, coefficient) terms into canonical form."""
+    """Reduce sparse integer (exponent, coefficient) terms into canonical form."""
     n = m.N
-    if m.kind == GROUP:
-        out = [0] * n
-        for e, c in terms:
-            out[e % n] += c
-        return out
-
-    if m.kind == TRUNCATED:
-        # x^N = 1, then x^(N-1) = -(1 + x + ... + x^(N-2))
-        out = [0] * n
-        for e, c in terms:
-            out[e % n] += c
-        top = out.pop()
-        if top:
-            out = [c - top for c in out]
-        return out
-
     if m.kind == BINOMIAL_PLUS:
         # x^(2^l) = -1, period 2^(l+1) with sign flip
         w = 2**m.param
@@ -195,16 +187,28 @@ def _fold_int(terms: Iterable[tuple[int, int]], m: Modulus) -> list[int]:
             else:
                 out[e] += c
         return out
-
-    # odd_truncated: x^N = 1, then long division by the monic generator
-    # g = 1 + x^(2^K) + ... + x^(2^K*(M-1)) of degree D = 2^K*(M-1).
-    k, mm = split_two_power(n)
-    step = 2**k
-    d = step * (mm - 1)
     out = [0] * n
     for e, c in terms:
         out[e % n] += c
-    for e in range(n - 1, d - 1, -1):
+    return _from_cyclic(out, m)
+
+
+def _from_cyclic(out: list[int], m: Modulus) -> list[int]:
+    """Reduce a vector of N coefficients, already reduced modulo x^N - 1,
+    into the group, truncated or odd_truncated ring ``m`` (reusing ``out``)."""
+    if m.kind == GROUP:
+        return out
+    if m.kind == TRUNCATED:
+        # x^(N-1) = -(1 + x + ... + x^(N-2))
+        top = out.pop()
+        return [c - top for c in out] if top else out
+
+    # odd_truncated: long division by the monic generator
+    # g = 1 + x^(2^K) + ... + x^(2^K*(M-1)) of degree D = 2^K*(M-1).
+    k, mm = split_two_power(m.N)
+    step = 2**k
+    d = step * (mm - 1)
+    for e in range(m.N - 1, d - 1, -1):
         c = out[e]
         if c:
             out[e] = 0
@@ -228,23 +232,49 @@ def _top_bits(length: int, code: str) -> int:
     return int.from_bytes(array(code, [-limit] * length).tobytes(), sys.byteorder)
 
 
-def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """The coefficients of the product of the integer polynomials a and b.
+def _wrap(p: int, width: int, sign: int) -> int:
+    """The residue of p modulo 2^width - sign (sign = 1 or -1) that
+    :func:`_convolve` unpacks: with p = lo + hi * 2^width and
+    0 <= lo < 2^width, lo + sign * hi, less 2^width - sign when it is at
+    least 2^(width - 1)."""
+    full = 1 << width
+    hi = p >> width
+    s = (p & (full - 1)) + (hi if sign == 1 else -hi)
+    if 2 * s >= full:
+        s -= full - sign
+    return s
+
+
+def _convolve(a: Sequence[int], b: Sequence[int], n: int, sign: int) -> list[int]:
+    """The n coefficients of a * b modulo x^n - sign (sign = 1 or -1), for
+    integer polynomials a and b with len(a), len(b) <= n.
 
     Kronecker substitution: both are evaluated at 2^bits, with bits wide
-    enough to hold any product coefficient in two's complement, so one
-    big-integer multiplication does the whole convolution.
+    enough to hold any result coefficient in two's complement, so one
+    big-integer multiplication does the whole convolution.  Reducing
+    modulo x^n - sign is then reducing the product P modulo 2^W - sign,
+    W = bits * n (the Schoenhage-Strassen wrap): P = lo + hi * 2^W with
+    0 <= lo < 2^W is congruent to S = lo + sign * hi, and S less 2^W - sign
+    when S >= 2^(W-1) is the packed result D = sum d_k * 2^(bits*k).
 
-    When every product coefficient fits a signed machine word, bits is the
-    width of the narrowest ``array`` typecode that holds it, and packing and
-    unpacking run in C: the operands' two's-complement words are read as one
-    unsigned integer, and flipping then subtracting the top bit of every
-    word (T) makes it the signed evaluation.  The product, plus T with the
-    top bits flipped back, is the two's-complement words of the result.
+    This is exact.  Coefficient d_k sums the products a_i * b_j with
+    i + j = k mod n, at most min(len(a), len(b)) of them, so the bound
+    max|a| * max|b| * min(len(a), len(b)) that sizes the words holds for
+    the wrapped coefficients as it did for the unwrapped ones: each d_k
+    fits its word, and |D| < 2^(W-1).  P has at most 2n - 1 digits of that
+    size, so |hi| <= 2^(W-bits-1), and after the subtraction
+    -2^(W-1) + sign <= S < 2^(W-1).  D and S are congruent and differ by
+    less than 2^W - sign, so they are equal.
+
+    When every result coefficient fits a signed machine word, bits is the
+    width of the narrowest ``array`` typecode that holds it, and packing
+    and unpacking run in C: the operands' two's-complement words are read
+    as one unsigned integer, and flipping then subtracting the top bit of
+    every word (T) makes it the signed evaluation.  D plus T with the top
+    bits flipped back is the two's-complement words of the result.
     Otherwise the operands are packed with shifts and the signed digits
     peeled off the low end one at a time.
     """
-    n = len(a) + len(b) - 1
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     if not bound:
         return [0] * n
@@ -256,7 +286,8 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
             top = _top_bits(n, code)
             pa = (int.from_bytes(array(code, a).tobytes(), order) ^ top_a) - top_a
             pb = (int.from_bytes(array(code, b).tobytes(), order) ^ top_b) - top_b
-            words = ((pa * pb + top) ^ top).to_bytes(n * size, order)
+            prod = _wrap(pa * pb, 8 * size * n, sign)
+            words = ((prod + top) ^ top).to_bytes(n * size, order)
             return memoryview(words).cast(code).tolist()
     bits = bound.bit_length() + 1
     pa = pb = 0
@@ -264,7 +295,7 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
         pa = (pa << bits) + c
     for c in reversed(b):
         pb = (pb << bits) + c
-    prod = pa * pb
+    prod = _wrap(pa * pb, bits * n, sign)
     mask, half, full = (1 << bits) - 1, 1 << (bits - 1), 1 << bits
     out = []
     for _ in range(n):
@@ -368,8 +399,12 @@ class Element(Frozen):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        folded = _fold_int(enumerate(_convolve(self.num, other.num)), self.modulus)
-        return _make(self.modulus, folded, self.den * other.den)
+        m = self.modulus
+        if m.kind == BINOMIAL_PLUS:
+            num = _convolve(self.num, other.num, m.dim, -1)
+        else:
+            num = _from_cyclic(_convolve(self.num, other.num, m.N, 1), m)
+        return _make(m, num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -479,8 +514,12 @@ def involution(a: Element) -> Element:
     m = a.modulus
     if m.kind not in (GROUP, TRUNCATED):
         raise UnsupportedModulus(f"involution not defined on {m.describe()}")
-    n = m.N
-    return _make(m, _fold_int(((n - e, c) for e, c in enumerate(a.num)), m), a.den)
+    # x^e -> x^(N-e): reverse all but the constant term; in the truncated
+    # ring x^1 lands on x^(N-1), which reduces
+    num = a.num
+    if m.kind == GROUP:
+        return _make(m, [num[0], *num[:0:-1]], a.den)
+    return _make(m, _from_cyclic([num[0], 0, *num[:0:-1]], m), a.den)
 
 
 def eigen_project(a: Element, sign: int) -> Element:
@@ -661,7 +700,10 @@ def crt_combine(parts: Sequence[Element], N: int) -> Element:
     they give the idempotents e = (1 - x^n)/2 and e = 1 - (1 + y + ... +
     y^(M-1))/M, so each step is u + (v - u) * e reduced modulo G_n * F (von
     zur Gathen and Gerhard, Modern Computer Algebra, section 5.6).  The
-    numerators stay integers over one denominator.
+    numerators stay integers over one denominator.  G_n * F is G_(n*s),
+    with s = 2 at a binomial step and s = M at the odd one, and the step's
+    product has n*s coefficients (the odd step's after wrapping modulo
+    x^N - 1), so reducing it is one subtraction of the top coefficient.
     """
     factors = crt_factors(N)
     if len(parts) != len(factors) or any(
@@ -677,9 +719,9 @@ def crt_combine(parts: Sequence[Element], N: int) -> Element:
             scale, prod = 2, d + [-c for c in d]
         else:  # e = 1 - (1 + y + ... + y^(M-1)) / M
             scale = N // n
-            prod = _convolve(d, [scale - 1] + ([0] * (n - 1) + [-1]) * (scale - 1))
+            prod = _convolve(d, [scale - 1] + ([0] * (n - 1) + [-1]) * (scale - 1), N, 1)
         for i, a in enumerate(u):
             prod[i] += scale * a
-        u = _fold_int(enumerate(prod), truncated(n * scale))
+        u = _from_cyclic(prod, truncated(n * scale))
         den *= scale
     return _make(truncated(N), u, den)

@@ -72,6 +72,12 @@ class TestSubcommands:
         out = run_cli("ring", "1+x+x^2+x^3", "--N", "4", "--format", "tsv")
         assert all(line.endswith("0/1") for line in out.stdout.splitlines())
 
+    def test_ring_prints_answers_past_the_default_digit_limit(self):
+        out = run_cli("ring", "2^20000", "--N", "4")
+        assert out.returncode == 0 and out.stderr == ""
+        num, den = json.loads(out.stdout)["element"]["coeffs"][0]
+        assert len(num) == 6021 and num.isdigit() and den == "1"
+
     def test_ring_not_invertible_surfaced(self):
         out = run_cli("ring", "(1+x)^-1", "--N", "4")
         assert out.returncode == 3

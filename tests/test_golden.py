@@ -67,17 +67,23 @@ GOLDEN = [
 ]
 
 
-def run_cli(*argv):
+def run_cli(*argv, flags=()):
     return subprocess.run(
-        [sys.executable, "-m", "rho_lattice.cli", *argv], capture_output=True
+        [sys.executable, *flags, "-m", "rho_lattice.cli", *argv], capture_output=True
     )
 
 
+# Every recording must also hold under -O, which strips asserts.
 @pytest.mark.parametrize(
-    "name, stream, code, argv", GOLDEN, ids=[g[0] for g in GOLDEN]
+    "name, stream, code, argv, flags",
+    [
+        pytest.param(*g, flags, id=g[0] + "".join(flags))
+        for flags in ([], ["-O"])
+        for g in GOLDEN
+    ],
 )
-def test_cli_output_matches_recording(name, stream, code, argv):
-    out = run_cli(*argv)
+def test_cli_output_matches_recording(name, stream, code, argv, flags):
+    out = run_cli(*argv, flags=flags)
     assert out.returncode == code
     assert getattr(out, stream) == (DATA / name).read_bytes()
 

@@ -227,6 +227,17 @@ class TestInvolution:
         assert eigen_test(eigen_project(a, 1), 1)
         assert eigen_test(eigen_project(a, -1), -1) or eigen_project(a, -1).is_zero()
 
+    @pytest.mark.parametrize("N", range(2, 51))
+    def test_matches_reflected_fold(self, N):
+        rng = random.Random(N)
+        for m in (group_ring(N), truncated(N)):
+            for den_top in (1, 6):
+                a = from_coeffs(
+                    m, [Fraction(rng.randint(-9, 9), rng.randint(1, den_top)) for _ in range(m.dim)]
+                )
+                folded = ring._fold_int(((N - e, c) for e, c in enumerate(a.num)), m)
+                assert involution(a) == ring.from_numerators(m, folded, a.den)
+
 
 class TestEvalMinusOne:
     def test_plus_one_factor_dies(self):
@@ -316,6 +327,18 @@ class TestCrt:
         assert crt_combine(sa, n) == a
         for pa, pb, pab in zip(sa, sb, crt_split(a * b)):
             assert pa * pb == pab
+
+    # every even N up to 64 whose odd part M exceeds 1, so the recombination
+    # takes its wrapped odd step
+    @pytest.mark.parametrize("N", [n for n in range(6, 65, 2) if ring.split_two_power(n)[1] > 1])
+    def test_roundtrip_with_odd_part(self, N):
+        rng = random.Random(N)
+        m = truncated(N)
+        for den_top in (1, 6):
+            a = from_coeffs(
+                m, [Fraction(rng.randint(-99, 99), rng.randint(1, den_top)) for _ in range(m.dim)]
+            )
+            assert crt_combine(crt_split(a), N) == a
 
 
 class TestLattice:
@@ -435,28 +458,49 @@ def _schoolbook(a, b):
     return out
 
 
+def _wrapped(a, b, n, sign):
+    """The schoolbook product folded modulo x^n - sign by a plain loop."""
+    out = [0] * n
+    for k, c in enumerate(_schoolbook(a, b)):
+        out[k % n] += c * sign ** (k // n)
+    return out
+
+
 class TestConvolution:
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(
-        st.lists(st.integers(-(2**70), 2**70) | st.integers(-3, 3), min_size=1, max_size=50),
-        st.lists(st.integers(-(2**70), 2**70) | st.integers(-3, 3), min_size=1, max_size=50),
-    )
-    def test_matches_schoolbook(self, a, b):
-        assert ring._convolve(a, b) == _schoolbook(a, b)
+    @given(st.data())
+    def test_matches_schoolbook(self, data):
+        n = data.draw(st.integers(1, 50))
+        top = data.draw(st.sampled_from([3, 2**6, 2**14, 2**30, 2**62, 2**70]))
+        coeff = st.integers(-top, top) | st.integers(-3, 3)
+        a = data.draw(st.lists(coeff, min_size=1, max_size=n))
+        b = data.draw(st.lists(coeff, min_size=1, max_size=n))
+        sign = data.draw(st.sampled_from([1, -1]))
+        assert ring._convolve(a, b, n, sign) == _wrapped(a, b, n, sign)
 
     def test_zero_and_extreme_signs(self):
-        for a, b in [([0], [5]), ([0, 0, 0], [1, -1]), ([-1] * 9, [-1] * 9), ([1, -1] * 6, [-1, 1] * 6)]:
-            assert ring._convolve(a, b) == _schoolbook(a, b)
+        for a, b, n in [
+            ([0], [5], 1),
+            ([0, 0, 0], [1, -1], 3),
+            ([-1] * 9, [-1] * 9, 9),
+            ([-1] * 9, [-1] * 9, 17),
+            ([1, -1] * 6, [-1, 1] * 6, 12),
+            ([1, -1] * 6, [-1, 1] * 6, 23),
+        ]:
+            for sign in (1, -1):
+                assert ring._convolve(a, b, n, sign) == _wrapped(a, b, n, sign)
 
     @pytest.mark.parametrize("bits", [7, 15, 31, 63])
     @pytest.mark.parametrize("offset", [-1, 0])
     def test_word_width_boundaries(self, bits, offset):
         # bound = max|a| * max|b| * min(len) is limit - 1 (the widest product
         # that fits the word) or limit (one more: the next width, or the
-        # shift-and-peel path past 2^63), and the extreme coefficients occur.
+        # shift-and-peel path past 2^63), and the extreme coefficients occur,
+        # unwrapped and wrapped (the last six cases: coefficient 0 sums
+        # x^0 and x^n terms).
         bound = 2**bits + offset
         half = bound // 2
-        cases = [
+        unwrapped = [
             ([bound], [-1]),
             ([-bound], [-1]),
             ([bound, -bound, 0, -1, bound], [1]),
@@ -464,20 +508,35 @@ class TestConvolution:
             ([-1, -1], [-half, -half]),
             ([1, -1], [half, -half]),
         ]
-        for a, b in cases:
+        cases = [(a, b, len(a) + len(b) - 1, sign) for a, b in unwrapped for sign in (1, -1)]
+        cases += [
+            ([half, half], [1, 1], 2, 1),  # [2 * half, 2 * half]
+            ([-half, -half], [1, 1], 2, 1),
+            ([half, -half], [1, 1], 2, -1),  # [2 * half, 0]
+            ([-half, half], [1, 1], 2, -1),
+            ([half, 0, half], [1, 1], 3, 1),  # [2 * half, half, half]
+            ([-half, 0, half], [1, 1], 3, -1),  # [-2 * half, -half, half]
+        ]
+        for a, b, n, sign in cases:
             assert max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b)) <= bound
-            assert ring._convolve(a, b) == _schoolbook(a, b)
+            out = ring._convolve(a, b, n, sign)
+            assert out == _wrapped(a, b, n, sign)
+            assert max(map(abs, out)) >= 2 * half
 
     @pytest.mark.parametrize("bits", [7, 15, 31, 63])
     def test_all_negative_extremes(self, bits):
         # every coefficient of the product is positive and the middle one
-        # is as large as the word allows
+        # is as large as the word allows; n = 2 * length - 1 does not wrap,
+        # and n = length wraps every coefficient to that size
         length = 5
         m = math.isqrt((2**bits - 1) // length)
         a = b = [-m] * length
-        out = ring._convolve(a, b)
+        out = ring._convolve(a, b, 2 * length - 1, 1)
         assert out == _schoolbook(a, b)
         assert out[length - 1] == m * m * length < 2**bits
+        assert ring._convolve(a, b, length, 1) == [m * m * length] * length
+        out = ring._convolve(a, b, length, -1)
+        assert out == _wrapped(a, b, length, -1) and out[length - 1] == m * m * length
 
     def test_zero_and_length_one_operands(self):
         for a, b in [
@@ -490,4 +549,38 @@ class TestConvolution:
             ([-(2**62)], [-2]),
             ([2**63 - 1], [1, -1, 1]),
         ]:
-            assert ring._convolve(a, b) == _schoolbook(a, b)
+            for n in (max(len(a), len(b)), len(a) + len(b) - 1):
+                for sign in (1, -1):
+                    assert ring._convolve(a, b, n, sign) == _wrapped(a, b, n, sign)
+
+    # the three word widths and the shift-and-peel path
+    @pytest.mark.parametrize("c", [2**7 - 1, 2**15 - 1, 2**31 - 1, 2**63 - 1, 2**70 - 1])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_symmetric_residue_threshold(self, c, sign, monkeypatch):
+        # S = lo + sign * hi, the wrapped packed product before its one
+        # correction, lands within the top word below 2^(W-1) when the
+        # coefficients are at the positive extreme (S is kept), within the
+        # top word above it at the negative extreme (S less 2^W - sign),
+        # and at 2^W - sign exactly for a zero result
+        sums = []
+        wrap = ring._wrap
+
+        def spy(p, width, sign):
+            sums.append(((p & ((1 << width) - 1)) + sign * (p >> width), width))
+            return wrap(p, width, sign)
+
+        monkeypatch.setattr(ring, "_wrap", spy)
+        n, h = 6, c // 2
+        for a, below in [([h] * n, True), ([-h] * n, False)]:
+            out = ring._convolve(a, [1, 1], n, sign)
+            assert out == _wrapped(a, [1, 1], n, sign)
+            assert max(map(abs, out)) == 2 * h
+            (s, width), = sums
+            sums.clear()
+            assert (s < 2 ** (width - 1)) == below
+            assert abs(s - 2 ** (width - 1)) < 2 ** (width - width // n + 1)
+        # (x - 1)(x + 1) = x^2 - 1 and -(x + 1)(x^2 - x + 1) = -(x^3 + 1)
+        a, b, n = ([-1, 1], [1, 1], 2) if sign == 1 else ([-1, -1], [1, -1, 1], 3)
+        assert ring._convolve([c * x for x in a], b, n, sign) == [0] * n
+        (s, width), = sums
+        assert s == 2**width - sign
