@@ -128,11 +128,14 @@ def fraction_free_rref(A: Sequence[Sequence[int]]) -> tuple[IntMatrix, list[int]
     Returns (R, pivots, sign).  R is row equivalent to A; every pivot entry
     of R equals the last pivot p and the pivot columns are zero elsewhere,
     so R / p is the reduced row echelon form of A over Q.  ``pivots`` lists
-    the pivot columns in order and ``sign`` is (-1)^(number of row swaps).
-    Each division by the previous pivot is exact (Bareiss, "Sylvester's
-    identity and multistep integer-preserving Gaussian elimination",
-    Math. Comp. 22, 1968), so the entries stay integers bounded by minors
-    of A.
+    the pivot columns in order.  A pivot row whose pivot is negative is
+    negated first, so every pivot is positive and a row with nothing to
+    clear is left alone when the pivot repeats (the +-1 pivots of a sparse
+    sign matrix); ``sign`` is (-1)^(row swaps + negations), and sign * p is
+    the determinant of a square A of full rank.  Each division by the
+    previous pivot is exact (Bareiss, "Sylvester's identity and multistep
+    integer-preserving Gaussian elimination", Math. Comp. 22, 1968), so the
+    entries stay integers bounded by minors of A.
     """
     a = [list(row) for row in A]
     n = len(a)
@@ -152,6 +155,10 @@ def fraction_free_rref(A: Sequence[Sequence[int]]) -> tuple[IntMatrix, list[int]
             sign = -sign
         top = a[r]
         piv = top[col]
+        if piv < 0:
+            top = a[r] = [-x for x in top]
+            piv = -piv
+            sign = -sign
         for i in range(n):
             f = a[i][col]
             if i == r or (f == 0 and piv == prev):

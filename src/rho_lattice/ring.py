@@ -64,6 +64,7 @@ ODD_TRUNCATED = "odd_truncated"
 # Modulus and Element store their fields through this directly rather than
 # Frozen._assign: one or both are built on every ring operation.
 _set = object.__setattr__
+_new = object.__new__
 
 
 def split_two_power(n: int) -> tuple[int, int]:
@@ -284,8 +285,8 @@ def _convolve(a: Sequence[int], b: Sequence[int], n: int, sign: int) -> list[int
             top_a = _top_bits(len(a), code)
             top_b = _top_bits(len(b), code)
             top = _top_bits(n, code)
-            pa = (int.from_bytes(array(code, a).tobytes(), order) ^ top_a) - top_a
-            pb = (int.from_bytes(array(code, b).tobytes(), order) ^ top_b) - top_b
+            pa = (int.from_bytes(array(code, a), order) ^ top_a) - top_a
+            pb = (int.from_bytes(array(code, b), order) ^ top_b) - top_b
             prod = _wrap(pa * pb, 8 * size * n, sign)
             words = ((prod + top) ^ top).to_bytes(n * size, order)
             return memoryview(words).cast(code).tolist()
@@ -310,11 +311,19 @@ def _convolve(a: Sequence[int], b: Sequence[int], n: int, sign: int) -> list[int
 
 def _make(m: Modulus, num: Sequence[int], den: int = 1) -> Element:
     """The element num / den in canonical form: den > 0, gcd(den, *num) == 1
-    (so zero has den == 1).  Every element is built here."""
-    g = gcd(den, *num)
-    if g == 1:
-        return Element(m, tuple(num), den)
-    return Element(m, tuple(c // g for c in num), den // g)
+    (so zero has den == 1).  Every element is built here, unpickled ones
+    too (``Element.__reduce__``); an integral num / 1 is already canonical
+    and skips the gcd."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    el = _new(Element)
+    _set(el, "modulus", m)
+    _set(el, "num", tuple(num))
+    _set(el, "den", den)
+    return el
 
 
 class Element(Frozen):
@@ -330,10 +339,8 @@ class Element(Frozen):
     _fields = ("modulus", "num", "den")
     __slots__ = _fields
 
-    def __init__(self, modulus: Modulus, num: tuple[int, ...], den: int):
-        _set(self, "modulus", modulus)
-        _set(self, "num", num)
-        _set(self, "den", den)
+    def __reduce__(self):
+        return _make, (self.modulus, self.num, self.den)
 
     def __eq__(self, other):
         if other.__class__ is not Element:
@@ -398,8 +405,9 @@ class Element(Frozen):
     def __mul__(self, other) -> Element:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        self._check(other)
         m = self.modulus
+        if other.modulus is not m:
+            self._check(other)
         if m.kind == BINOMIAL_PLUS:
             num = _convolve(self.num, other.num, m.dim, -1)
         else:

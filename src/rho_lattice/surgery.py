@@ -12,9 +12,9 @@ resulting manifold is assembled here from two invariants:
 The coordinates map to eigenspace classes modulo the 4-integral lattice
 through an explicit polynomial in f (``rho_bar_formula``); the kernel of
 that map is the torsion of the structure set.  The kernel is computed here
-twice: by brute-force enumeration of all coordinate tuples (the oracle)
-and by the closed form (+) Z_{2^min(K,1)} (+) Z_{2^min(K,2i)}, and the two
-presentations are compared exactly.
+twice: by exhaustive enumeration of all coordinate tuples (the oracle),
+which meets in the middle, and by the closed form (+) Z_{2^min(K,1)} (+)
+Z_{2^min(K,2i)}, and the two presentations are compared exactly.
 
 The odd-order sector contributes no torsion and only the order M^c of its
 normal-invariant group is exposed; its internal coordinates are not part
@@ -26,10 +26,17 @@ from __future__ import annotations
 import os
 from functools import lru_cache
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from . import ring
-from .abelian import FinAb, TRIVIAL, fraction_free_rref, subgroup_from_elements
+from .abelian import (
+    FinAb,
+    TRIVIAL,
+    fraction_free_rref,
+    smith_normal_form,
+    solve_with_snf,
+    subgroup_from_elements,
+)
 from .elements import Catalog
 from .exceptions import (
     ModulusMismatch,
@@ -250,8 +257,9 @@ def _formula_or_zero(params: LensParams, coords: NormalCoords) -> Element:
 
 
 class KernelResult(Frozen):
-    """The kernel's torsion, its member t4-vectors, and ``method``, always
-    "brute": kernel_rho_bar only enumerates."""
+    """The kernel's torsion, its member t4-vectors in lexicographic order,
+    and ``method``, always "brute": kernel_rho_bar decides every candidate
+    tuple, by meeting in the middle."""
 
     _fields = ("torsion", "members", "method")
     __slots__ = _fields
@@ -267,14 +275,37 @@ def kernel_closed_form(params: LensParams) -> FinAb:
     return FinAb.from_orders(orders)
 
 
-def kernel_rho_bar(params: LensParams) -> KernelResult:
-    """Brute-force kernel of the coordinate-class map.
+def _residue_sums(tables: list[list[list[int]]], mod: int, dim: int):
+    """(t, v) for each t in product(*(range(len(table)) for table in
+    tables)), in that order, with v the tuple of sum_i tables[i][t_i] mod
+    ``mod``.  The sum over all but the last coordinate is formed once and
+    reused across the last one, so the tuples stream in little memory."""
+    if not tables:
+        yield (), (0,) * dim
+        return
+    *init, last = tables
+    for head in product(*(range(len(table)) for table in init)):
+        base = [0] * dim
+        for t, table in zip(head, init):
+            base = [a + b for a, b in zip(base, table[t])]
+        for t, row in enumerate(last):
+            yield head + (t,), tuple([(a + b) % mod for a, b in zip(base, row)])
 
-    Enumerates all 2^(K*c) t4-tuples, keeps those whose formula value is
-    4-integral, and presents the subgroup they generate; every t_{4i-2}
-    coordinate is adjoined freely since the formula ignores it.  The odd
-    sector contributes nothing.  Raises :class:`WorkCapExceeded` when the
-    candidate count passes the cap (default 2^22, env ``RHO_LATTICE_CAP``).
+
+def kernel_rho_bar(params: LensParams) -> KernelResult:
+    """Exhaustive kernel of the coordinate-class map, by meeting in the middle.
+
+    A t4-tuple is in the kernel when its formula value is 4-integral, that
+    is when the residues of its first ceil(c/2) and its last floor(c/2)
+    coordinates cancel.  The tails' residues go in a table (at most 2^11
+    under the default cap); the heads stream in lexicographic order and
+    each looks up the negation of its residue.  So every one of the
+    2^(K*c) tuples is decided in about 2^(K*ceil(c/2)) steps, and the
+    members come out in lexicographic order.  The subgroup they generate
+    is presented, and every t_{4i-2} coordinate is adjoined freely since
+    the formula ignores it.  The odd sector contributes nothing.  Raises
+    :class:`WorkCapExceeded` when the 2^(K*c) candidates pass the cap
+    (default 2^22, env ``RHO_LATTICE_CAP``).
     """
     cap = candidate_cap()
     K, c = params.K, params.c
@@ -296,30 +327,36 @@ def kernel_rho_bar(params: LensParams) -> KernelResult:
     dim = params.modulus().dim
     lifts = [lift_tbar((t,), params)[0] for t in range(2**K)]
     multiples = [[[t * x % mod for x in row] for t in lifts] for row in rows]
-    members = []
-    for t4 in product(range(2**K), repeat=c):
-        value = [0] * dim
-        for t, table in zip(t4, multiples):
-            if t:
-                value = [v + b for v, b in zip(value, table[t])]
-        if all(v % mod == 0 for v in value):
-            members.append(t4)
-    torsion = TRIVIAL
-    if c:
-        # greedy generating subset: a member joins when it enlarges the span
-        mods, gens = [2**K] * c, []
-        for t4 in members:
-            span = subgroup_from_elements(mods, gens + [t4])
-            if span.order() > torsion.order():
-                gens.append(t4)
-                torsion = span
-                if torsion.order() == len(members):
-                    break
-        if torsion.order() != len(members):
-            raise VerificationFailure(
-                f"{len(members)} kernel members span a subgroup of order "
-                f"{torsion.order()} at {params}"
-            )
+    split = (c + 1) // 2
+    tails: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for tail, value in _residue_sums(multiples[split:], mod, dim):
+        tails.setdefault(tuple([-v % mod for v in value]), []).append(tail)
+    members = [
+        head + tail
+        for head, value in _residue_sums(multiples[:split], mod, dim)
+        for tail in tails.get(value, ())
+    ]
+    # greedy generating subset: a member joins when it lies outside the
+    # span of the columns of [gens | diag(mods)], whose Smith form is
+    # recomputed only then.  That lattice has full rank c, so the span has
+    # order prod(mods) / prod(diagonal).
+    mods, gens, order = [2**K] * c, [], 1
+    relations = [[m if i == j else 0 for j in range(c)] for i, m in enumerate(mods)]
+    span = smith_normal_form(relations)
+    for t4 in members:
+        if solve_with_snf(span, t4) is not None:
+            continue
+        gens.append(t4)
+        span = smith_normal_form([list(g) + r for g, r in zip(zip(*gens), relations)])
+        order = prod(mods) // prod(span[0][i][i] for i in range(c))
+        if order == len(members):
+            break
+    torsion = subgroup_from_elements(mods, gens)
+    if torsion.order() != len(members):
+        raise VerificationFailure(
+            f"{len(members)} kernel members span a subgroup of order "
+            f"{torsion.order()} at {params}"
+        )
     free_part = FinAb.from_orders([2] * c)
     return KernelResult(torsion.direct_sum(free_part), tuple(members), "brute")
 

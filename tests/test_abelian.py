@@ -28,7 +28,7 @@ def matmul(A, B):
 
 def det(A):
     """Determinant of a square integer matrix: the last Bareiss pivot times
-    the sign of the row swaps."""
+    fraction_free_rref's sign, (-1)^(swaps + negations)."""
     if not A:
         return 1
     r, pivots, sign = fraction_free_rref(A)
@@ -72,6 +72,41 @@ def rank(a):
     return len(fraction_free_rref(a)[1])
 
 
+def rref(A):
+    """Reduced row echelon form over Q by Gauss-Jordan on Fractions, and
+    its pivot columns."""
+    a = [[Fraction(x) for x in row] for row in A]
+    pivots = []
+    for col in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        a[r] = [x / a[r][col] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col]:
+                a[i] = [x - a[i][col] * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+    return a, pivots
+
+
+def laplace_det(A):
+    """Determinant by cofactor expansion along the first row."""
+    if not A:
+        return 1
+    return sum(
+        (-1) ** j * x * laplace_det([row[:j] + row[j + 1 :] for row in A[1:]])
+        for j, x in enumerate(A[0])
+        if x
+    )
+
+
+sign_matrix = st.tuples(st.integers(1, 7), st.integers(1, 7)).flatmap(
+    lambda nm: int_matrix(*nm, bound=1)
+)
+
+
 class TestFractionFreeElimination:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(any_matrix)
@@ -108,6 +143,21 @@ class TestFractionFreeElimination:
     def test_det_multiplicative(self, ab):
         a, b = ab
         assert det(matmul(a, b)) == det(a) * det(b)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.one_of(sign_matrix, any_matrix))
+    def test_rref_matches_fraction_reference(self, a):
+        # {-1, 0, 1} entries give repeated pivots, where rows with nothing
+        # to clear are skipped
+        r, pivots, _ = fraction_free_rref(a)
+        p = r[len(pivots) - 1][pivots[-1]] if pivots else 1
+        assert p > 0
+        assert ([[Fraction(x, p) for x in row] for row in r], pivots) == rref(a)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.one_of(square_matrix, st.integers(1, 6).flatmap(lambda n: int_matrix(n, n, 1))))
+    def test_det_matches_laplace_expansion(self, a):
+        assert det(a) == laplace_det(a)
 
     def test_examples(self):
         assert det([[2, 1], [7, 4]]) == 1

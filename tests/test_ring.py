@@ -1,6 +1,8 @@
 """Quotient-ring arithmetic: canonical forms, units, involution, CRT."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -26,6 +28,7 @@ from rho_lattice.ring import (
     element_from_json,
     eval_minus_one,
     from_coeffs,
+    from_numerators,
     geometric_sum,
     group_ring,
     in_lattice_4r,
@@ -426,6 +429,28 @@ class TestRepresentation:
         assert back == a and _canonical(back)
         assert a.is_integral() == all(c.denominator == 1 for c in a.coeffs)
         assert a.is_zero() == (a == zero(m))
+
+    @pytest.mark.parametrize(
+        "num, den, canonical",
+        [
+            ([3, -1, 0, 2], 1, ((3, -1, 0, 2), 1)),  # den == 1: no gcd taken
+            ([6, -2, 0, 4], 4, ((3, -1, 0, 2), 2)),  # common factor 2 cancels
+            ([0, 0, 0, 0], 7, ((0, 0, 0, 0), 1)),  # zero has den == 1
+        ],
+    )
+    def test_construction_survives_pickle_and_copy(self, num, den, canonical):
+        a = from_numerators(truncated(5), num, den)
+        assert type(a) is ring.Element and (a.num, a.den) == canonical
+        for b in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+            assert type(b) is ring.Element and b == a and hash(b) == hash(a)
+            assert (b.modulus, b.num, b.den) == (a.modulus, a.num, a.den)
+        with pytest.raises(AttributeError):
+            a.num = (0, 0, 0, 0)
+        with pytest.raises(AttributeError):
+            del a.den
+        assert (a.num, a.den) == canonical
+        with pytest.raises(TypeError):
+            ring.Element(a.modulus, a.num, a.den)  # only _make builds elements
 
     # K = 1 (2, 6, 10), M = 1 (8), and K >= 2 with M > 1 (24, 36, 40, 48, 96)
     @pytest.mark.parametrize("n", [2, 6, 8, 10, 24, 36, 40, 48, 96])

@@ -1,16 +1,18 @@
 """Normal coordinates, the coordinate-class formulas and kernels."""
 
 import random
-from math import gcd
+from itertools import product
+from math import gcd, lcm
 
 import pytest
 
 from rho_lattice import ring
-from rho_lattice.abelian import TRIVIAL
+from rho_lattice.abelian import TRIVIAL, FinAb
 from rho_lattice.elements import f_element, f_prime_k_element
 from rho_lattice.exceptions import PreconditionFailed, WorkCapExceeded
 from rho_lattice.surgery import (
     LensParams,
+    _formula_basis,
     NormalCoords,
     StructureElement,
     element_add,
@@ -60,7 +62,7 @@ class TestRank:
         assert l_group_reduced_rank(5, -1) == 2
         assert l_group_reduced_rank(2, -1) == 0
 
-    @pytest.mark.parametrize("N", list(range(2, 25)))
+    @pytest.mark.parametrize("N", list(range(2, 25)) + [64, 96])
     def test_lattice_vs_clause(self, N):
         # l_group_reduced_rank asserts internally that the lattice rank
         # matches the closed clause; exercise both signs
@@ -190,6 +192,64 @@ class TestKernel:
         for k in ks:
             p = LensParams(N, d, k)
             assert kernel_rho_bar(p).torsion == kernel_closed_form(p)
+
+
+def product_kernel(params):
+    """(torsion, members) of the coordinate-class map: the members by the
+    plain product loop over every t4-tuple, the torsion read off them.
+
+    The members form a subgroup H = (+)_i Z_{2^(a_i)} of (Z/2^K)^c, and
+    H[2^j] = {t in H : 2^j * t = 0} has order 2^(sum_i min(a_i, j)), so
+    r_j = log2(|H[2^j]| / |H[2^(j-1)]|) factors have a_i >= j."""
+    K, c = params.K, params.c
+    if K == 0:
+        return TRIVIAL, ((0,) * c,)
+    basis = _formula_basis(params.N, params.d, params.k)
+    D = lcm(*(b.den for b in basis))
+    mod = 4 * D
+    rows = [[x * (D // b.den) % mod for x in b.num] for b in basis]
+    lifts = [lift_tbar((t,), params)[0] for t in range(2**K)]
+    multiples = [[[t * x % mod for x in row] for t in lifts] for row in rows]
+    members = []
+    for t4 in product(range(2**K), repeat=c):
+        value = map(sum, zip(*[table[t] for t, table in zip(t4, multiples)]))
+        if not any(map(mod.__rmod__, value)):
+            members.append(t4)
+    logs = [
+        sum(1 for t in members if all(x % 2 ** (K - j) == 0 for x in t)).bit_length() - 1
+        for j in range(K + 1)
+    ]
+    r = [hi - lo for lo, hi in zip(logs, logs[1:])]
+    torsion = FinAb.from_orders([2 ** sum(1 for rj in r if rj > i) for i in range(r[0])])
+    return torsion.direct_sum(FinAb.from_orders([2] * c)), tuple(members)
+
+
+class TestKernelOracle:
+    # every (N, d, k) of the grid with at most 2^16 candidates, k among the
+    # first three units mod N: meeting in the middle finds exactly the
+    # product loop's members, in the same order, and the same torsion
+    @pytest.mark.parametrize("N", (2, 3, 4, 5, 6, 8, 9, 10, 12, 16, 20, 24, 32))
+    def test_matches_product_loop(self, N):
+        for d in range(3, 10):
+            for k in [k for k in range(1, N) if gcd(k, N) == 1][:3]:
+                p = LensParams(N, d, k)
+                if (2**p.K) ** p.c > 2**16:
+                    continue
+                kr = kernel_rho_bar(p)
+                assert (kr.torsion, kr.members) == product_kernel(p), p
+
+    @pytest.mark.parametrize("N", (32, 96))
+    def test_members_past_the_product_loop(self, N):
+        # K = 5, c = 4: 2^20 candidates, past the product loop's grid; the
+        # first sizes where matching a head with the tail of equal residue,
+        # not of opposite residue, gives a different member set
+        p = LensParams(N, 9)
+        kr = kernel_rho_bar(p)
+        assert kr.torsion == kernel_closed_form(p)
+        assert len(kr.members) * 2**p.c == kr.torsion.order()
+        assert list(kr.members) == sorted(set(kr.members))
+        for t4 in kr.members[::127]:
+            assert in_lattice_4r(rho_bar_formula(p, t4), p.sign), t4
 
 
 class TestStructureSet:
