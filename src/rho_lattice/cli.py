@@ -32,7 +32,8 @@ Exit codes:
        unreadable JSON, an --element-json whose N, d, k differ from the
        command line, a ``verify`` selection that matches no check)
     3  not invertible
-    4  work cap exceeded (WorkCapExceeded)
+    4  work cap exceeded (WorkCapExceeded): a kernel enumeration past its
+       candidate cap, or a power whose coefficients would pass it in bits
     5  internal verification failure (VerificationFailure), including a
        closed-form inverse that fails its check and a ``verify`` worker
        pool that failed; rerun with ``--workers 1``

@@ -104,16 +104,25 @@ def g_element(N: int) -> Element:
     """The quasi-inverse of f: g*f*v = v for all v in the (-1)-eigenspace.
 
     For odd N (K = 0) f is invertible and g is its literal inverse, the
-    unique choice.  For even N, g is assembled by Chinese remaindering:
-    component 0 in the l = 0 factor (where 1 + x vanishes, so every
-    (-1)-eigen element projects to 0 there), and the inverse of the
-    f-component everywhere else, which is (1-x) times the (1+x)-inverse
-    h_l resp. h of that factor.  g itself lies in the (-1)-eigenspace, but
-    is not unique with that property when K >= 1.
+    unique choice, in closed form: (1 + x) * (1 - x + x^2 - ... + x^(N-1))
+    = 1 + x^N = 2, so g = (1 - x) * (1 - x + ... + x^(N-1)) / 2; a g that
+    fails g * f = 1 raises :class:`VerificationFailure`.  For even N, g is
+    assembled by Chinese remaindering: component 0 in the l = 0 factor
+    (where 1 + x vanishes, so every (-1)-eigen element projects to 0
+    there), and the inverse of the f-component everywhere else, which is
+    (1-x) times the (1+x)-inverse h_l resp. h of that factor.  g itself
+    lies in the (-1)-eigenspace, but is not unique with that property when
+    K >= 1.
     """
     K, M = split_two_power(N)
     if K == 0:
-        return ring.inverse(f_element(N))
+        m = ring.truncated(N)
+        g = (ring.reduce_poly({0: 1, 1: -1}, m) * ring.alternating_sum(m, N)).scale(
+            Fraction(1, 2)
+        )
+        if g * f_element(N) != ring.one(m):
+            raise VerificationFailure(f"closed-form g fails g * f = 1 at N = {N}")
+        return g
     parts = [ring.zero(ring.binomial_plus(N, 0))]
     for l in range(1, K):
         m_l = ring.binomial_plus(N, l)
@@ -196,9 +205,11 @@ def divide_by_f(u: Element) -> Element:
 
     Preconditions: the ring order N is even, u is 4-integral and
     (+1)-eigen, and u vanishes at x = -1.  The quotient is assembled
-    constructively: u is written as an integer combination of the pair
-    vectors B_k = 4*(x^k + x^(-k)) + 8*(-1)^(k+1), each of which has the
-    explicit quotient (1-x) * v_k.
+    constructively: u is written as an integer combination sum c_k * B_k
+    of the pair vectors B_k = 4*(x^k + x^(-k)) + 8*(-1)^(k+1), each of
+    which has the explicit integral quotient a_k = (1-x) * v_k, so the
+    quotient's numerators are the one integer combination sum c_k * a_k.
+    It is checked to satisfy f * a = u and to lie in the lattice.
     """
     m = u.modulus
     N = m.N
@@ -214,10 +225,11 @@ def divide_by_f(u: Element) -> Element:
     sol = solve_with_snf(snf, u.num)
     if sol is None:
         raise PreconditionFailed("u is not an integer combination of the pair vectors")
-    a = ring.zero(m)
+    num = [0] * m.dim
     for c, q in zip(sol, quotients):
         if c:
-            a = a + q.scale(c)
+            num = [s + c * t for s, t in zip(num, q.num)]
+    a = ring.from_numerators(m, num)
     if Catalog.get(N, 1).f * a != u:
         raise VerificationFailure("constructive division by f failed to verify")
     if not ring.in_lattice_4r(a, -1):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 
 class ModulusMismatch(ValueError):
     """Two ring elements with different moduli were combined."""
@@ -35,7 +37,19 @@ class PreconditionFailed(ValueError):
 
 
 class WorkCapExceeded(RuntimeError):
-    """An enumeration would exceed the configured candidate cap."""
+    """Work would exceed the configured cap: an enumeration's candidates,
+    or the bits of a power's coefficients."""
+
+
+DEFAULT_WORK_CAP = 2**22
+CAP_ENV_VAR = "RHO_LATTICE_CAP"
+
+
+def work_cap() -> int:
+    """The one work cap, read from ``RHO_LATTICE_CAP`` on each call: the
+    kernel enumeration's candidate count and a power's coefficient bits."""
+    value = os.environ.get(CAP_ENV_VAR)
+    return int(value) if value else DEFAULT_WORK_CAP
 
 
 class VerificationFailure(AssertionError):

@@ -46,11 +46,14 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .abelian import solve_rational
 from .exceptions import (
+    CAP_ENV_VAR,
     ModulusMismatch,
     NotInvertible,
     OddOrderEvaluation,
     UnsupportedModulus,
     VerificationFailure,
+    WorkCapExceeded,
+    work_cap,
 )
 from .frozen import Frozen
 
@@ -196,7 +199,13 @@ def _fold_int(terms: Iterable[tuple[int, int]], m: Modulus) -> list[int]:
 
 def _from_cyclic(out: list[int], m: Modulus) -> list[int]:
     """Reduce a vector of N coefficients, already reduced modulo x^N - 1,
-    into the group, truncated or odd_truncated ring ``m`` (reusing ``out``)."""
+    into the group, truncated or odd_truncated ring ``m``.
+
+    The group ring returns ``out`` itself.  The truncated ring pops the top
+    coefficient from ``out`` and subtracts it from the rest; the
+    odd_truncated ring subtracts its top 2^K coefficients from every block
+    of 2^K below them.
+    """
     if m.kind == GROUP:
         return out
     if m.kind == TRUNCATED:
@@ -204,18 +213,12 @@ def _from_cyclic(out: list[int], m: Modulus) -> list[int]:
         top = out.pop()
         return [c - top for c in out] if top else out
 
-    # odd_truncated: long division by the monic generator
-    # g = 1 + x^(2^K) + ... + x^(2^K*(M-1)) of degree D = 2^K*(M-1).
-    k, mm = split_two_power(m.N)
-    step = 2**k
-    d = step * (mm - 1)
-    for e in range(m.N - 1, d - 1, -1):
-        c = out[e]
-        if c:
-            out[e] = 0
-            for j in range(mm - 1):
-                out[e - d + step * j] -= c
-    return out[:d]
+    # odd_truncated: the generator 1 + y + ... + y^(M-1), y = x^(2^K), has
+    # degree d = 2^K * (M - 1), and x^(d + r) = -x^r * (1 + y + ... + y^(M-2))
+    # for r < 2^K.  Each top coefficient therefore lands only below d, so
+    # result[i] = out[i] - out[d + i mod 2^K]: one block subtraction.
+    d = m.dim
+    return [c - t for c, t in zip(out, out[d:] * (d // (m.N - d)))]
 
 
 # Signed machine-word typecodes, narrowest first, as (limit, code, bytes): a
@@ -235,7 +238,7 @@ def _top_bits(length: int, code: str) -> int:
 
 def _wrap(p: int, width: int, sign: int) -> int:
     """The residue of p modulo 2^width - sign (sign = 1 or -1) that
-    :func:`_convolve` unpacks: with p = lo + hi * 2^width and
+    :func:`_kronecker` unpacks: with p = lo + hi * 2^width and
     0 <= lo < 2^width, lo + sign * hi, less 2^width - sign when it is at
     least 2^(width - 1)."""
     full = 1 << width
@@ -246,9 +249,48 @@ def _wrap(p: int, width: int, sign: int) -> int:
     return s
 
 
+# The longest product modulus that :func:`_convolve` multiplies classically.
+# Best of 27 runs of 3,000 products of two random vectors of n - 1 entries
+# in -9..9 (the shape of a truncated-ring product), on a 2-core Intel Xeon
+# VM under CPython 3.11:
+#
+#   n          1    2    3    4    5    6    7    8    9    10   11   12
+#   Kronecker  2.32 2.41 2.52 2.82 3.16 3.07 3.31 3.41 3.53 3.87 3.81 3.96 us
+#   classical  0.34 0.37 0.41 0.93 1.50 2.02 2.78 3.27 4.06 3.86 6.29 7.50 us
+#
+# The packing's fixed cost dominates below n = 8; from there on the double
+# loop's n^2 products catch up, and they grow faster than one big-integer
+# multiplication.
+_CLASSICAL_MAX = 7
+
+
 def _convolve(a: Sequence[int], b: Sequence[int], n: int, sign: int) -> list[int]:
     """The n coefficients of a * b modulo x^n - sign (sign = 1 or -1), for
     integer polynomials a and b with len(a), len(b) <= n.
+
+    Up to n = ``_CLASSICAL_MAX`` a plain double loop computes the product
+    and wraps it as it goes: since len(b) <= n, the term a_i * b_j lands at
+    i + j or, once past x^n, at i + j - n times sign.  Longer products are
+    one Kronecker multiplication (:func:`_kronecker`), whose fixed cost the
+    double loop does not pay (von zur Gathen and Gerhard, Modern Computer
+    Algebra, section 8).
+    """
+    if n > _CLASSICAL_MAX:
+        return _kronecker(a, b, n, sign)
+    out = [0] * n
+    for i, x in enumerate(a):
+        if x:
+            j = i
+            for y in b:
+                if j == n:
+                    j, x = 0, sign * x
+                out[j] += x * y
+                j += 1
+    return out
+
+
+def _kronecker(a: Sequence[int], b: Sequence[int], n: int, sign: int) -> list[int]:
+    """:func:`_convolve` by one big-integer multiplication.
 
     Kronecker substitution: both are evaluated at 2^bits, with bits wide
     enough to hold any result coefficient in two's complement, so one
@@ -307,6 +349,11 @@ def _convolve(a: Sequence[int], b: Sequence[int], n: int, sign: int) -> list[int
             prod += 1
         out.append(low)
     return out
+
+
+def _bits(a: Element) -> int:
+    """The bits of a's largest numerator plus those of its denominator."""
+    return max(map(abs, a.num)).bit_length() + a.den.bit_length()
 
 
 def _make(m: Modulus, num: Sequence[int], den: int = 1) -> Element:
@@ -417,14 +464,33 @@ class Element(Frozen):
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> Element:
+        """Square and multiply.  Before each product the bits of its
+        coefficients are bounded by those of its operands (numerator plus
+        denominator bits, added, plus the dimension's bits); past the work
+        cap (``RHO_LATTICE_CAP``, default 2^22 bits) it raises
+        :class:`WorkCapExceeded` instead of computing a number that large.
+        A power of a monomial stays small and is never refused."""
         if n < 0:
             return inverse(self) ** (-n)
+        cap = work_cap()
+        dim_bits = self.modulus.dim.bit_length()
+
+        def checked(a: Element, b: Element) -> Element:
+            bits = _bits(a) + _bits(b) + dim_bits
+            if bits > cap:
+                raise WorkCapExceeded(
+                    f"a power needs products of about {bits}-bit coefficients, "
+                    f"past the cap {cap}; raise {CAP_ENV_VAR}"
+                )
+            return a * b
+
         result = one(self.modulus)
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = checked(result, base)
+            if n > 1:
+                base = checked(base, base)
             n >>= 1
         return result
 
@@ -687,12 +753,35 @@ def crt_factors(N: int) -> tuple[Modulus, ...]:
 
 
 def crt_split(a: Element) -> list[Element]:
-    """Project a truncated-ring element into every CRT factor."""
-    if a.modulus.kind != TRUNCATED:
+    """Project a truncated-ring element into every CRT factor.
+
+    Reduction down the tower x^(2n) - 1 = (x^n - 1)(x^n + 1), the mirror of
+    :func:`crt_combine`'s climb.  The numerators, padded with one 0 to the
+    N coefficients of a polynomial modulo x^N - 1, reduce modulo
+    x^(2^K) - 1 by summing their M blocks of length 2^K.  A residue v
+    modulo x^(2h) - 1 splits into lo = v[:h] and hi = v[h:]: lo - hi is its
+    residue modulo 1 + x^h and lo + hi its residue modulo x^h - 1, which
+    the next step halves again, for h = 2^(K-1), ..., 1.  The odd factor
+    reduces the padded vector directly (:func:`_from_cyclic`).
+    """
+    m = a.modulus
+    if m.kind != TRUNCATED:
         raise UnsupportedModulus("crt_split expects a truncated-ring element")
-    return [
-        _make(f, _fold_int(enumerate(a.num), f), a.den) for f in crt_factors(a.modulus.N)
-    ]
+    N = m.N
+    factors = crt_factors(N)
+    num = [*a.num, 0]
+    h = step = N & -N  # 2^K
+    v = [sum(block) for block in zip(*(num[j : j + h] for j in range(0, N, h)))]
+    parts = []
+    while h > 1:
+        h //= 2
+        lo, hi = v[:h], v[h:]
+        parts.append([x - y for x, y in zip(lo, hi)])
+        v = [x + y for x, y in zip(lo, hi)]
+    parts.reverse()
+    if step != N:  # M > 1
+        parts.append(_from_cyclic(num, factors[-1]))
+    return [_make(f, p, a.den) for f, p in zip(factors, parts)]
 
 
 def crt_combine(parts: Sequence[Element], N: int) -> Element:

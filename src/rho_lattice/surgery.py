@@ -23,7 +23,6 @@ of this model.
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm, prod
@@ -39,22 +38,15 @@ from .abelian import (
 )
 from .elements import Catalog
 from .exceptions import (
+    CAP_ENV_VAR,
     ModulusMismatch,
     PreconditionFailed,
     VerificationFailure,
     WorkCapExceeded,
+    work_cap,
 )
 from .frozen import Frozen
 from .ring import Element, eigen_test, in_lattice_4r, restrict, split_two_power
-
-DEFAULT_CANDIDATE_CAP = 2**22
-CAP_ENV_VAR = "RHO_LATTICE_CAP"
-
-
-def candidate_cap() -> int:
-    value = os.environ.get(CAP_ENV_VAR)
-    return int(value) if value else DEFAULT_CANDIDATE_CAP
-
 
 class LensParams(Frozen):
     """Parameters (N, d, k) of a lens space L^(2d-1) with k coprime to N.
@@ -157,18 +149,26 @@ def l_group_reduced_rank(N: int, parity: int) -> int:
     rational ring (the number of non-pivot columns of the integer matrix of
     involution - parity), then cross-checked against the closed clauses
     (N even: N/2 for +, N/2 - 1 for -; N odd: (N-1)/2 for both).
+
+    The columns of x^2, ..., x^(N-2) come first and those of x^0 and x^1
+    last; the rank does not depend on the column order.  The involution
+    sends x^j to x^(N-j) for 2 <= j <= N-2, so those columns hold two
+    entries of +-1 each and Bareiss elimination meets +-1 pivots that leave
+    most rows untouched.  The constant column (pivot 2 for parity -1) and
+    the dense column of x^1 -> x^(N-1) = -(1 + ... + x^(N-2)) would
+    otherwise rescale nearly every row at every later step.
     """
     if parity not in (1, -1):
         raise ValueError("parity must be +1 or -1")
     m = ring.truncated(N)
     dim = m.dim
-    cols = [ring.involution(ring.x_power(m, j)).num for j in range(dim)]
     # rank of (I - parity*id), I the integer involution matrix
-    mat = [
-        [cols[j][i] - (parity if i == j else 0) for j in range(dim)]
-        for i in range(dim)
-    ]
-    _, pivots, _ = fraction_free_rref(mat)
+    cols = []
+    for j in [*range(2, dim), *range(min(dim, 2))]:
+        col = list(ring.involution(ring.x_power(m, j)).num)
+        col[j] -= parity
+        cols.append(col)
+    _, pivots, _ = fraction_free_rref(list(zip(*cols)))
     computed = dim - len(pivots)
     if N % 2 == 1:
         expected = (N - 1) // 2
@@ -307,7 +307,7 @@ def kernel_rho_bar(params: LensParams) -> KernelResult:
     :class:`WorkCapExceeded` when the 2^(K*c) candidates pass the cap
     (default 2^22, env ``RHO_LATTICE_CAP``).
     """
-    cap = candidate_cap()
+    cap = work_cap()
     K, c = params.K, params.c
     if K == 0:
         return KernelResult(TRIVIAL, ((0,) * c,), "brute")

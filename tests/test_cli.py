@@ -232,6 +232,14 @@ class TestSubcommands:
         assert out.stderr.startswith("error: WorkCapExceeded: ")
         assert "Traceback" not in out.stderr
 
+    def test_power_past_the_cap_exit_code(self, monkeypatch, capsys):
+        monkeypatch.setenv("RHO_LATTICE_CAP", "100000")
+        assert main(["ring", "2^1000000000000", "--N", "4"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: WorkCapExceeded: ") and "RHO_LATTICE_CAP" in err
+        assert main(["ring", "x^1000000000000", "--N", "4", "--format", "tsv"]) == 0
+        assert capsys.readouterr().out.startswith("x^0\t1/1\n")
+
     def test_verification_failure_exit_code(self, monkeypatch, capsys):
         def broken(params):
             raise VerificationFailure("basis spans 3 of 4 torsion elements")

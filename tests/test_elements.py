@@ -6,7 +6,8 @@ from math import gcd
 
 import pytest
 
-from rho_lattice import ring
+from rho_lattice import elements, ring
+from rho_lattice.abelian import solve_with_snf
 from rho_lattice.elements import (
     Catalog,
     divide_by_f,
@@ -17,7 +18,7 @@ from rho_lattice.elements import (
     h_element,
     h_l_element,
 )
-from rho_lattice.exceptions import PreconditionFailed
+from rho_lattice.exceptions import PreconditionFailed, VerificationFailure
 from rho_lattice.ring import (
     eigen_test,
     eval_minus_one,
@@ -81,6 +82,17 @@ class TestG:
     def test_exact_inverse_for_odd_order(self):
         for N in (3, 5, 9, 15):
             assert g_element(N) * f_element(N) == one(truncated(N))
+
+    @pytest.mark.parametrize("N", range(3, 50, 2))
+    def test_odd_closed_form_is_the_inverse(self, N):
+        # the closed form against the dense rational solve it replaced
+        assert g_element(N) == ring.inverse(f_element(N))
+
+    def test_odd_closed_form_that_fails_raises(self, monkeypatch):
+        real = elements.f_element
+        monkeypatch.setattr(elements, "f_element", lambda N: real(N).scale(2))
+        with pytest.raises(VerificationFailure):
+            g_element(9)
 
     def test_minus_eigen(self):
         for N in (4, 6, 8, 12):
@@ -161,6 +173,18 @@ class TestDivideByF:
             a = divide_by_f(u)
             assert f * a == u
             assert in_lattice_4r(a, -1)
+
+    @pytest.mark.parametrize("N", [2, 4, 6, 8, 12, 16, 24, 48])
+    def test_matches_element_sum_assembly(self, N):
+        # the quotient's numerators against summing c_k * a_k as elements
+        rng = random.Random(2000 + N)
+        snf, quotients = elements._pair_division_data(N)
+        for _ in range(10):
+            u = random_valid_u(rng, N)
+            expected = zero(truncated(N))
+            for c, q in zip(solve_with_snf(snf, u.num), quotients):
+                expected = expected + q.scale(c)
+            assert divide_by_f(u) == expected
 
     def test_agrees_with_quasi_inverse(self):
         # g * u solves the same division problem, so the two must coincide

@@ -20,6 +20,7 @@ VERIFY_SEED0_SHA256 = "1b11b1ca90763a78d7546a1b013cb032caa3210cad26d843b1b90b5c5
 # (recorded file, stream, exit code, command line)
 GOLDEN = [
     ("special_N24_k5.stdout", "stdout", 0, ["special", "--N", "24", "--k", "5"]),
+    ("special_N9_k2.stdout", "stdout", 0, ["special", "--N", "9", "--k", "2"]),
     ("kernel_N16_d8.stdout", "stdout", 0, ["kernel", "--N", "16", "--d", "8"]),
     (
         "structure_set_N16_d8_members.stdout",
@@ -34,6 +35,12 @@ GOLDEN = [
         ["torsion-basis", "--N", "8", "--d", "7", "--k", "3"],
     ),
     ("ring_inv_1mx5_N24.stdout", "stdout", 0, ["ring", "(1-x^5)^(-1)", "--N", "24"]),
+    (
+        "ring_group_N6_product.stdout",
+        "stdout",
+        0,
+        ["ring", "(2-x)^3*(1+x^2)", "--N", "6", "--ideal", "group"],
+    ),
     (
         "suspend_N16_d4_tau.stdout",
         "stdout",

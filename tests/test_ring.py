@@ -18,8 +18,10 @@ from rho_lattice.exceptions import (
     OddOrderEvaluation,
     UnsupportedModulus,
     VerificationFailure,
+    WorkCapExceeded,
 )
 from rho_lattice.ring import (
+    const,
     crt_combine,
     crt_factors,
     crt_split,
@@ -100,6 +102,33 @@ class TestReduce:
                 prod[e1 + e2] = prod.get(e1 + e2, 0) + c1 * c2
         assert reduce_poly(s, m) == reduce_poly(p, m) + reduce_poly(q, m)
         assert reduce_poly(prod, m) == reduce_poly(p, m) * reduce_poly(q, m)
+
+
+def _odd_long_division(out, N):
+    """Reduce N coefficients modulo 1 + y + ... + y^(M-1), y = x^(2^K), by
+    long division from the top coefficient down."""
+    K, M = ring.split_two_power(N)
+    step = 2**K
+    d = step * (M - 1)
+    out = list(out)
+    for e in range(N - 1, d - 1, -1):
+        c = out[e]
+        out[e] = 0
+        for j in range(M - 1):
+            out[e - d + step * j] -= c
+    return out[:d]
+
+
+class TestOddReduction:
+    @pytest.mark.parametrize(
+        "N", [n for n in range(6, 97, 2) if ring.split_two_power(n)[1] > 1]
+    )
+    def test_block_subtraction_matches_long_division(self, N):
+        rng = random.Random(N)
+        m = ring.odd_truncated(N)
+        for _ in range(5):
+            out = [rng.randint(-(2**70), 2**70) for _ in range(N)]
+            assert ring._from_cyclic(list(out), m) == _odd_long_division(out, N)
 
 
 class TestRingAxioms:
@@ -188,6 +217,30 @@ class TestInverse:
         except NotInvertible:
             return
         assert a * inv == one(m)
+
+
+class TestPowerCap:
+    def test_growing_power_refused_past_the_cap(self, monkeypatch):
+        m = truncated(4)
+        monkeypatch.setenv("RHO_LATTICE_CAP", "64")
+        assert const(m, 2) ** 20 == const(m, 2**20)
+        with pytest.raises(WorkCapExceeded, match="RHO_LATTICE_CAP"):
+            const(m, 2) ** 1000
+        with pytest.raises(WorkCapExceeded):
+            reduce_poly({0: 1, 1: 1}, m) ** 1000
+        with pytest.raises(WorkCapExceeded):
+            const(m, Fraction(1, 3)) ** 1000  # denominators count too
+        # monomials never grow, whatever the exponent
+        assert x_power(m) ** (10**12) == x_power(m, 10**12)
+        assert x_power(m) ** -(10**12) == x_power(m, -(10**12))
+
+    def test_default_cap_answers_large_powers(self, monkeypatch):
+        monkeypatch.delenv("RHO_LATTICE_CAP", raising=False)
+        m = truncated(4)
+        assert const(m, 2) ** 20000 == const(m, 2**20000)
+        # coefficients of about 200,000 bits, well under the default 2^22
+        a = reduce_poly({0: 1, 1: 1}, m)
+        assert (a**200000) * a == a**200001
 
 
 class TestInvolution:
@@ -330,6 +383,22 @@ class TestCrt:
         assert crt_combine(sa, n) == a
         for pa, pb, pab in zip(sa, sb, crt_split(a * b)):
             assert pa * pb == pab
+
+    @pytest.mark.parametrize("N", range(2, 97, 2))
+    def test_split_matches_per_factor_fold(self, N):
+        # the tower reduction against folding the numerators into each
+        # factor on its own; K = 1 (N = 2, 6, 10, ...), M = 1 (powers of
+        # two) and M > 1 with K >= 2 all occur
+        rng = random.Random(N)
+        m = truncated(N)
+        for den_top in (1, 6):
+            a = from_coeffs(
+                m, [Fraction(rng.randint(-99, 99), rng.randint(1, den_top)) for _ in range(m.dim)]
+            )
+            assert crt_split(a) == [
+                ring._make(f, ring._fold_int(enumerate(a.num), f), a.den)
+                for f in crt_factors(N)
+            ]
 
     # every even N up to 64 whose odd part M exceeds 1, so the recombination
     # takes its wrapped odd step
@@ -492,6 +561,10 @@ def _wrapped(a, b, n, sign):
 
 
 class TestConvolution:
+    # _convolve multiplies classically up to n = _CLASSICAL_MAX and by
+    # Kronecker substitution above; the first two tests run both sides.
+    # The tests after them pin the packed kernel's word widths and its
+    # wrap, so they call _kronecker by name at every n.
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.data())
     def test_matches_schoolbook(self, data):
@@ -503,6 +576,26 @@ class TestConvolution:
         sign = data.draw(st.sampled_from([1, -1]))
         assert ring._convolve(a, b, n, sign) == _wrapped(a, b, n, sign)
 
+    @pytest.mark.parametrize("n", range(1, ring._CLASSICAL_MAX + 4))
+    def test_both_sides_of_the_crossover(self, n, monkeypatch):
+        # the classical loop runs up to _CLASSICAL_MAX and the packed kernel
+        # above it, and both wrap like the schoolbook product
+        calls = []
+        packed = ring._kronecker
+        monkeypatch.setattr(
+            ring, "_kronecker", lambda *args: calls.append(args) or packed(*args)
+        )
+        rng = random.Random(n)
+        lengths = sorted({1, max(n - 1, 1), n})
+        for top in (9, 2**40, 2**100):
+            for la in lengths:
+                for lb in lengths:
+                    a = [rng.randint(-top, top) for _ in range(la)]
+                    b = [rng.randint(-top, top) for _ in range(lb)]
+                    for sign in (1, -1):
+                        assert ring._convolve(a, b, n, sign) == _wrapped(a, b, n, sign)
+        assert bool(calls) == (n > ring._CLASSICAL_MAX)
+
     def test_zero_and_extreme_signs(self):
         for a, b, n in [
             ([0], [5], 1),
@@ -513,7 +606,7 @@ class TestConvolution:
             ([1, -1] * 6, [-1, 1] * 6, 23),
         ]:
             for sign in (1, -1):
-                assert ring._convolve(a, b, n, sign) == _wrapped(a, b, n, sign)
+                assert ring._kronecker(a, b, n, sign) == _wrapped(a, b, n, sign)
 
     @pytest.mark.parametrize("bits", [7, 15, 31, 63])
     @pytest.mark.parametrize("offset", [-1, 0])
@@ -544,7 +637,7 @@ class TestConvolution:
         ]
         for a, b, n, sign in cases:
             assert max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b)) <= bound
-            out = ring._convolve(a, b, n, sign)
+            out = ring._kronecker(a, b, n, sign)
             assert out == _wrapped(a, b, n, sign)
             assert max(map(abs, out)) >= 2 * half
 
@@ -556,11 +649,11 @@ class TestConvolution:
         length = 5
         m = math.isqrt((2**bits - 1) // length)
         a = b = [-m] * length
-        out = ring._convolve(a, b, 2 * length - 1, 1)
+        out = ring._kronecker(a, b, 2 * length - 1, 1)
         assert out == _schoolbook(a, b)
         assert out[length - 1] == m * m * length < 2**bits
-        assert ring._convolve(a, b, length, 1) == [m * m * length] * length
-        out = ring._convolve(a, b, length, -1)
+        assert ring._kronecker(a, b, length, 1) == [m * m * length] * length
+        out = ring._kronecker(a, b, length, -1)
         assert out == _wrapped(a, b, length, -1) and out[length - 1] == m * m * length
 
     def test_zero_and_length_one_operands(self):
@@ -576,7 +669,7 @@ class TestConvolution:
         ]:
             for n in (max(len(a), len(b)), len(a) + len(b) - 1):
                 for sign in (1, -1):
-                    assert ring._convolve(a, b, n, sign) == _wrapped(a, b, n, sign)
+                    assert ring._kronecker(a, b, n, sign) == _wrapped(a, b, n, sign)
 
     # the three word widths and the shift-and-peel path
     @pytest.mark.parametrize("c", [2**7 - 1, 2**15 - 1, 2**31 - 1, 2**63 - 1, 2**70 - 1])
@@ -597,7 +690,7 @@ class TestConvolution:
         monkeypatch.setattr(ring, "_wrap", spy)
         n, h = 6, c // 2
         for a, below in [([h] * n, True), ([-h] * n, False)]:
-            out = ring._convolve(a, [1, 1], n, sign)
+            out = ring._kronecker(a, [1, 1], n, sign)
             assert out == _wrapped(a, [1, 1], n, sign)
             assert max(map(abs, out)) == 2 * h
             (s, width), = sums
@@ -606,6 +699,6 @@ class TestConvolution:
             assert abs(s - 2 ** (width - 1)) < 2 ** (width - width // n + 1)
         # (x - 1)(x + 1) = x^2 - 1 and -(x + 1)(x^2 - x + 1) = -(x^3 + 1)
         a, b, n = ([-1, 1], [1, 1], 2) if sign == 1 else ([-1, -1], [1, -1, 1], 3)
-        assert ring._convolve([c * x for x in a], b, n, sign) == [0] * n
+        assert ring._kronecker([c * x for x in a], b, n, sign) == [0] * n
         (s, width), = sums
         assert s == 2**width - sign
