@@ -7,14 +7,18 @@ exactly when their canonical factor lists coincide, so ``==`` on
 
 The workhorse is an exact Smith normal form over Z with unimodular
 transforms, using a smallest-magnitude pivot rule so the transforms are
-reproducible across platforms.  Linear algebra over Q (ranks, solutions,
-kernel vectors) goes through one fraction-free Gauss-Jordan eliminator on
-integer matrices.
+reproducible across platforms.  Every subgroup question of the package
+(its order, membership, the coefficients of a member, its presentation)
+goes through one value, :class:`Span`, which holds that Smith form; no
+other module takes a Smith form.  Linear algebra over Q (ranks,
+solutions, kernel vectors) goes through one fraction-free Gauss-Jordan
+eliminator on integer matrices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Sequence
 
 from .exceptions import VerificationFailure
@@ -196,15 +200,6 @@ def solve_rational(
     return [Fraction(r[i][m], r[i][col]) for i, col in rows], None
 
 
-def kernel_basis(A: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Basis of the integer kernel {z : A z = 0}, as a list of vectors."""
-    n = len(A)
-    m = len(A[0]) if n else 0
-    d, _, v = smith_normal_form(A)
-    rank = sum(1 for i in range(min(n, m)) if d[i][i])
-    return [[v[row][j] for row in range(m)] for j in range(rank, m)]
-
-
 def solve_with_snf(
     snf: tuple[IntMatrix, IntMatrix, IntMatrix], b: Sequence[int]
 ) -> list[int] | None:
@@ -294,37 +289,60 @@ class FinAb(Frozen):
 TRIVIAL = FinAb(())
 
 
+class Span(Frozen):
+    """The subgroup of Z/mods[0] + Z/mods[1] + ... spanned by ``gens``.
+
+    ``mods`` are positive cyclic orders fixing the coordinate system and
+    each generator is a coordinate vector, stored reduced modulo them.  The
+    span is held as the Smith normal form ``snf`` of the integer matrix
+    [gens | diag(mods)], whose columns are the generators and the ambient
+    relations (Cohen, A Course in Computational Algebraic Number Theory,
+    section 2.4).  That matrix has full row rank, so the span has ``order``
+    prod(mods) / prod(diagonal).  Both are derived from ``mods`` and
+    ``gens``, so equality, hash and repr ignore them.
+    """
+
+    _fields = ("mods", "gens")
+    __slots__ = _fields + ("snf", "order")
+
+    def __init__(self, mods: Sequence[int], gens: Sequence[Sequence[int]]):
+        if any(d <= 0 for d in mods):
+            raise ValueError("ambient group must be finite")
+        n = len(mods)
+        if any(len(vec) != n for vec in gens):
+            raise ValueError(f"coordinate vector of length {n} expected")
+        gens = tuple(tuple(x % d for x, d in zip(vec, mods)) for vec in gens)
+        snf = smith_normal_form(
+            [[g[i] for g in gens] + [mods[i] if j == i else 0 for j in range(n)] for i in range(n)]
+        )
+        order = prod(mods) // prod(snf[0][i][i] for i in range(n))
+        self._assign(mods=tuple(mods), gens=gens, snf=snf, order=order)
+
+    def solve(self, vec: Sequence[int]) -> list[int] | None:
+        """Integer coefficients z with sum z_j * gens[j] = vec modulo mods,
+        or None when ``vec`` lies outside the span."""
+        z = solve_with_snf(self.snf, vec)
+        return None if z is None else z[: len(self.gens)]
+
+
 def subgroup_from_elements(
     mods: Sequence[int], elements: Sequence[Sequence[int]]
 ) -> FinAb:
     """Presentation of the subgroup generated by ``elements`` of the finite
     group Z/mods[0] + Z/mods[1] + ...
 
-    ``mods`` is a list of positive cyclic orders fixing the coordinate
-    system; each element is a coordinate vector modulo those orders.
-    Computed by Smith normal form of the stacked generator/relation matrix;
-    output is canonical.
+    The relations among the m generators are the kernel of Z^m -> ambient,
+    e_j -> elements[j]: the first m entries of the integer kernel of
+    [gens | diag(mods)], which the span's Smith form gives as the columns
+    of V past the rank.  Their Smith form presents the subgroup; output is
+    canonical.
     """
-    if any(d <= 0 for d in mods):
-        raise ValueError("ambient group must be finite")
-    n = len(mods)
-    for vec in elements:
-        if len(vec) != n:
-            raise ValueError(f"coordinate vector of length {n} expected")
-    gens = [[vec[i] % mods[i] for i in range(n)] for vec in elements]
-    gens = [g for g in gens if any(g)]
-    if not gens:
-        return TRIVIAL
-    m = len(gens)
-    # kernel of Z^m -> ambient, e_j -> gens[j]:
-    # solutions z of  E z = diag(mods) w  for some integer w
-    stacked = [
-        [gens[j][i] for j in range(m)] + [mods[i] if c == i else 0 for c in range(n)]
-        for i in range(n)
-    ]
-    relations = [vec[:m] for vec in kernel_basis(stacked)]
+    span = Span(mods, elements)
+    n, m = len(span.mods), len(span.gens)
+    v = span.snf[2]
+    relations = [[v[i][j] for i in range(m)] for j in range(n, n + m)]
     d, _, _ = smith_normal_form(relations)
-    diag = [d[i][i] for i in range(min(len(d), m))]
-    if len(diag) < m or any(x == 0 for x in diag):
+    diag = [d[i][i] for i in range(m)]
+    if any(x == 0 for x in diag):
         raise VerificationFailure("subgroup of a finite group must be finite")
     return FinAb.from_orders(diag)

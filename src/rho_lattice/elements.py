@@ -15,10 +15,10 @@ N is even, but it acts invertibly on the (-1)-eigenspace: the quasi-inverse
 g constructed here satisfies g * f * v = v for every v with
 involution(v) = -v.
 
-The constructive ``divide_by_f`` solves u = f * a for a in the
-4-integral (-1)-eigenlattice whenever u is 4-integral, (+1)-eigen and
-vanishes at x = -1, which is exactly the obstruction for such a quotient
-to exist.
+``divide_by_f`` solves u = f * a for a in the 4-integral
+(-1)-eigenlattice whenever u is 4-integral, (+1)-eigen and vanishes at
+x = -1, which is exactly the obstruction for such a quotient to exist.
+The quotient is g * u, the unique (-1)-eigen solution, and it is checked.
 """
 
 from __future__ import annotations
@@ -28,10 +28,9 @@ from functools import lru_cache
 from math import gcd
 
 from . import ring
-from .abelian import smith_normal_form, solve_with_snf
 from .exceptions import PreconditionFailed, VerificationFailure
 from .frozen import Frozen
-from .ring import Element, Modulus, split_two_power
+from .ring import Element, split_two_power
 
 
 def f_element(N: int) -> Element:
@@ -168,48 +167,18 @@ def _catalog(N: int, k: int) -> Catalog:
 
 
 # ---------------------------------------------------------------------------
-# constructive division by f on the 4-integral lattice
-
-
-def _pair_basis_vector(m: Modulus, k: int) -> Element:
-    """B_k = 4*(x^k + x^(-k)) + 8*(-1)^(k+1); spans the +eigen, eval-0 lattice."""
-    return ring.reduce_poly({k: 4, -k: 4, 0: 8 * (-1) ** (k + 1)}, m)
-
-
-def _quotient_for_pair(m: Modulus, k: int) -> Element:
-    """a_k with f * a_k = B_k:  a_k = (1-x) * v_k for the alternating v_k."""
-    raw: dict[int, int] = {}
-    for i in range(k):
-        e = k - 1 - i
-        raw[e] = raw.get(e, 0) + 4 * (-1) ** i
-    for i in range(k):
-        e = -k + i
-        raw[e] = raw.get(e, 0) + 4 * (-1) ** i
-    v = ring.reduce_poly(raw, m)
-    return ring.reduce_poly({0: 1, 1: -1}, m) * v
-
-
-@lru_cache(maxsize=None)
-def _pair_division_data(N: int) -> tuple[tuple[list[list[int]], ...], tuple[Element, ...]]:
-    """Per even N: the Smith normal form of the integer matrix whose columns
-    are the pair vectors B_k, and their quotients a_k, for k = 1..N/2."""
-    m = ring.truncated(N)
-    ks = range(1, N // 2 + 1)
-    basis = [_pair_basis_vector(m, k) for k in ks]
-    rows = [[b.num[i] for b in basis] for i in range(m.dim)]
-    return smith_normal_form(rows), tuple(_quotient_for_pair(m, k) for k in ks)
+# division by f on the 4-integral lattice
 
 
 def divide_by_f(u: Element) -> Element:
     """Solve u = f * a with a in the 4-integral (-1)-eigenlattice.
 
     Preconditions: the ring order N is even, u is 4-integral and
-    (+1)-eigen, and u vanishes at x = -1.  The quotient is assembled
-    constructively: u is written as an integer combination sum c_k * B_k
-    of the pair vectors B_k = 4*(x^k + x^(-k)) + 8*(-1)^(k+1), each of
-    which has the explicit integral quotient a_k = (1-x) * v_k, so the
-    quotient's numerators are the one integer combination sum c_k * a_k.
-    It is checked to satisfy f * a = u and to lie in the lattice.
+    (+1)-eigen, and u vanishes at x = -1.  The quotient is a = g * u for
+    the quasi-inverse g, and it is the only one: g * f fixes the
+    (-1)-eigenspace, so any (-1)-eigen a with f * a = u equals g * f * a
+    = g * u.  It is checked to satisfy f * a = u and to lie in the
+    lattice.
     """
     m = u.modulus
     N = m.N
@@ -219,18 +188,9 @@ def divide_by_f(u: Element) -> Element:
         raise PreconditionFailed("u must be 4-integral and (+1)-eigen")
     if ring.eval_minus_one(u) != 0:
         raise PreconditionFailed("u must vanish at x = -1")
-    if u.is_zero():
-        return ring.zero(m)
-    snf, quotients = _pair_division_data(N)
-    sol = solve_with_snf(snf, u.num)
-    if sol is None:
-        raise PreconditionFailed("u is not an integer combination of the pair vectors")
-    num = [0] * m.dim
-    for c, q in zip(sol, quotients):
-        if c:
-            num = [s + c * t for s, t in zip(num, q.num)]
-    a = ring.from_numerators(m, num)
-    if Catalog.get(N, 1).f * a != u:
+    catalog = Catalog.get(N, 1)
+    a = catalog.g * u
+    if catalog.f * a != u:
         raise VerificationFailure("constructive division by f failed to verify")
     if not ring.in_lattice_4r(a, -1):
         raise VerificationFailure("quotient left the 4-integral (-1)-lattice")

@@ -25,17 +25,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from . import ring
-from .abelian import (
-    FinAb,
-    TRIVIAL,
-    fraction_free_rref,
-    smith_normal_form,
-    solve_with_snf,
-    subgroup_from_elements,
-)
+from .abelian import TRIVIAL, FinAb, Span, fraction_free_rref, subgroup_from_elements
 from .elements import Catalog
 from .exceptions import (
     CAP_ENV_VAR,
@@ -337,19 +330,15 @@ def kernel_rho_bar(params: LensParams) -> KernelResult:
         for tail in tails.get(value, ())
     ]
     # greedy generating subset: a member joins when it lies outside the
-    # span of the columns of [gens | diag(mods)], whose Smith form is
-    # recomputed only then.  That lattice has full rank c, so the span has
-    # order prod(mods) / prod(diagonal).
-    mods, gens, order = [2**K] * c, [], 1
-    relations = [[m if i == j else 0 for j in range(c)] for i, m in enumerate(mods)]
-    span = smith_normal_form(relations)
+    # span so far, which is rebuilt only then
+    mods, gens = [2**K] * c, []
+    span = Span(mods, gens)
     for t4 in members:
-        if solve_with_snf(span, t4) is not None:
+        if span.solve(t4) is not None:
             continue
         gens.append(t4)
-        span = smith_normal_form([list(g) + r for g, r in zip(zip(*gens), relations)])
-        order = prod(mods) // prod(span[0][i][i] for i in range(c))
-        if order == len(members):
+        span = Span(mods, gens)
+        if span.order == len(members):
             break
     torsion = subgroup_from_elements(mods, gens)
     if torsion.order() != len(members):

@@ -33,7 +33,7 @@ from itertools import product
 from math import gcd, prod
 
 from . import ring
-from .abelian import smith_normal_form, solve_with_snf, subgroup_from_elements
+from .abelian import Span
 from .elements import Catalog
 from .exceptions import PreconditionFailed, VerificationFailure
 from .frozen import Frozen
@@ -125,32 +125,27 @@ def suspend(x: StructureElement) -> SuspensionResult:
             )
         return SuspensionResult(x, (out,), out)
 
+    def completion(v: int) -> StructureElement:
+        coords = NormalCoords(x.coords.t4 + (v,), x.coords.t4m2 + (0,))
+        return StructureElement(target, rho, coords)
+
     mod = target.t4_modulus
     tau_mult = _tau_multiplicity(x)
-    if tau_mult is not None:
+    if tau_mult is None:
+        candidates = [out for out in map(completion, range(mod)) if element_validate(out)]
+    else:
         K = p.K
         if K == 1:
             values = {tau_mult % 2}
         else:
             base = 2 ** (K - 2)
             values = {(tau_mult * base) % mod, (tau_mult * 3 * base) % mod}
-    else:
-        values = set()
-        for v in range(mod):
-            coords = NormalCoords(x.coords.t4 + (v,), x.coords.t4m2 + (0,))
-            gap = rho - _formula_or_zero(target, coords)
-            if in_lattice_4r(gap, target.sign):
-                values.add(v)
-
-    candidates = []
-    for v in sorted(values):
-        coords = NormalCoords(x.coords.t4 + (v,), x.coords.t4m2 + (0,))
-        out = StructureElement(target, rho, coords)
-        if not element_validate(out):
-            raise VerificationFailure(
-                f"suspension candidate t4e={v} fails validation at {p}"
-            )
-        candidates.append(out)
+        candidates = [completion(v) for v in sorted(values)]
+        for out in candidates:
+            if not element_validate(out):
+                raise VerificationFailure(
+                    f"suspension candidate t4e={out.coords.t4[-1]} fails validation at {p}"
+                )
     determined = candidates[0] if len(candidates) == 1 else None
     return SuspensionResult(x, tuple(candidates), determined)
 
@@ -352,16 +347,16 @@ class TorsionBasis(Frozen):
     """Basis mu_{4i}, mu_{4i-2} (i = 1..c) of the torsion subgroup.
 
     ``orders`` are the cyclic orders 2^min(K,2i) of the mu_{4i}; every
-    mu_{4i-2} has order 2.  ``snf`` is the Smith normal form (D, U, V) of
-    the integer matrix [generator columns | diag(moduli)] over the
-    flattened coordinates (t4 mod 2^K, then t4m2 mod 2), from which
-    :func:`torsion_coordinates` reads each expansion by one integer solve.
-    It is derived from the other fields, so equality, hash and repr
-    ignore it.
+    mu_{4i-2} has order 2.  ``span`` is the :class:`~rho_lattice.abelian.Span`
+    of the generators over the flattened coordinates (t4 mod 2^K, then
+    t4m2 mod 2): its order verified the basis, and
+    :func:`torsion_coordinates` reads each expansion from it by one
+    integer solve.  It is derived from the other fields, so equality, hash
+    and repr ignore it.
     """
 
     _fields = ("params", "mu4", "mu4m2", "orders", "choice_log")
-    __slots__ = _fields + ("snf",)
+    __slots__ = _fields + ("span",)
 
     def __init__(
         self,
@@ -370,15 +365,15 @@ class TorsionBasis(Frozen):
         mu4m2: tuple[StructureElement, ...],
         orders: tuple[int, ...],
         choice_log: tuple[ChoiceRecord, ...],
-        snf: tuple,
+        span: Span,
     ):
         self._assign(
-            params=params, mu4=mu4, mu4m2=mu4m2, orders=orders, choice_log=choice_log, snf=snf
+            params=params, mu4=mu4, mu4m2=mu4m2, orders=orders, choice_log=choice_log, span=span
         )
 
     def __reduce__(self):
         cls, args = super().__reduce__()
-        return cls, args + (self.snf,)
+        return cls, args + (self.span,)
 
     def to_json(self) -> dict:
         return {
@@ -412,20 +407,21 @@ def _mu4_choice(
 
     The lexicographically smallest kernel member of order exactly
     2^min(K,2) that is independent of the already-built higher blocks
-    (adjoining it multiplies the span by its full order).  Any two such
+    (adjoining it multiplies the span by its full order).  A cyclic group
+    of order 2^a meets the span trivially exactly when its one element of
+    order 2, 2^(a-1) times the member, lies outside it.  Any two such
     choices differ by an automorphism of the block.
     """
     target_order = 2 ** min(params.K, 2)
     mods = [params.t4_modulus] * params.c + [params.t4m2_modulus] * params.c
-    base = [x.coords.t4 + x.coords.t4m2 for x in higher]
-    base_size = subgroup_from_elements(mods, base).order()
+    span = Span(mods, [x.coords.t4 + x.coords.t4m2 for x in higher])
+    half = target_order // 2
     for t4 in members:
         coords = NormalCoords(t4, (0,) * params.c)
         x = StructureElement(params, ring.zero(params.modulus()), coords)
         if _element_order(x) != target_order:
             continue
-        span = subgroup_from_elements(mods, base + [t4 + coords.t4m2])
-        if span.order() == base_size * target_order:
+        if span.solve([half * t for t in t4] + [0] * params.c) is None:
             return x
     raise VerificationFailure(
         f"no independent generator of order {target_order} for the lowest "
@@ -483,23 +479,16 @@ def torsion_basis(params: LensParams) -> TorsionBasis:
     # (+) Z_orders (+) Z_2^c onto the span is a bijection exactly when the
     # span has the product order, and that must be the whole torsion
     mods = [params.t4_modulus] * c + [params.t4m2_modulus] * c
-    gens = [x.coords.t4 + x.coords.t4m2 for x in mu4 + mu4m2]
-    span_size = subgroup_from_elements(mods, gens).order()
+    span = Span(mods, [x.coords.t4 + x.coords.t4m2 for x in mu4 + mu4m2])
     basis_size = prod(expected_orders) * 2**c
     torsion_size = kernel.torsion.order()
-    if span_size != basis_size or basis_size != torsion_size:
+    if span.order != basis_size or basis_size != torsion_size:
         raise VerificationFailure(
-            f"basis spans {span_size} elements, expected {basis_size} "
+            f"basis spans {span.order} elements, expected {basis_size} "
             f"of {torsion_size} torsion elements at {params}"
         )
-    # torsion_coordinates solves [generators | diag(mods)] z = coords
-    matrix = [
-        [g[i] for g in gens] + [mods[i] if j == i else 0 for j in range(2 * c)]
-        for i in range(2 * c)
-    ]
-    snf = smith_normal_form(matrix)
     return TorsionBasis(
-        params, tuple(mu4), tuple(mu4m2), expected_orders, tuple(log), snf
+        params, tuple(mu4), tuple(mu4m2), expected_orders, tuple(log), span
     )
 
 
@@ -518,7 +507,7 @@ def torsion_coordinates(x: StructureElement, basis: TorsionBasis) -> tuple[int, 
         raise PreconditionFailed("torsion coordinates are defined for rho = 0")
     if not element_validate(x):
         raise PreconditionFailed("element fails validation")
-    z = solve_with_snf(basis.snf, x.coords.t4 + x.coords.t4m2)
+    z = basis.span.solve(x.coords.t4 + x.coords.t4m2)
     if z is None:
         raise VerificationFailure(
             "torsion element outside the span of a verified basis"

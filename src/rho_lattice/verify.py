@@ -372,7 +372,7 @@ def _check_lem_2_3_converse(N: int) -> str | None:
 
 def _check_decomposition_lem(N: int, seed: int) -> str | None:
     K, M = ring.split_two_power(N)
-    rng = _rng(seed, "decomposition-lem", {"N": N})
+    rng = _rng(seed, "lemma-decomposition", {"N": N})
     m = truncated(N)
     g_two = {e: 1 for e in range(2**K)}  # 1 + x + ... + x^(2^K - 1)
     g_odd = {e * 2**K: 1 for e in range(M)}  # 1 + x^(2^K) + ... + x^(2^K(M-1))
@@ -412,7 +412,7 @@ def _check_decomposition_lem(N: int, seed: int) -> str | None:
 
 
 def _check_m_factor_lem(N: int, k: int, seed: int) -> str | None:
-    rng = _rng(seed, "m-factor-lem", {"N": N, "k": k})
+    rng = _rng(seed, "lemma-m-factor", {"N": N, "k": k})
     m_odd = ring.odd_truncated(N)
     K, M = ring.split_two_power(N)
     raw_f = f_element(N)

@@ -1,5 +1,5 @@
-"""Fraction-free elimination, Smith normal form, invariant factors and
-subgroup presentations."""
+"""Fraction-free elimination, Smith normal form, invariant factors,
+subgroup spans and presentations."""
 
 import random
 from fractions import Fraction
@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from rho_lattice.abelian import (
     FinAb,
     TRIVIAL,
+    Span,
     fraction_free_rref,
-    kernel_basis,
     smith_normal_form,
     solve_rational,
     solve_with_snf,
@@ -208,12 +208,6 @@ class TestSmithNormalForm:
                 if i != j:
                     assert entry == 0
 
-    def test_kernel_basis(self):
-        basis = kernel_basis([[2, 8]])
-        assert len(basis) == 1
-        z = basis[0]
-        assert 2 * z[0] + 8 * z[1] == 0 and any(z)
-
     def test_solve_integer(self):
         sol = solve_with_snf(smith_normal_form([[2, 4], [1, 3]]), [2, 2])
         assert sol is not None
@@ -251,7 +245,7 @@ class TestFinAb:
             FinAb((4, 2))
 
 
-def brute_closure_size(mods, gens):
+def brute_closure(mods, gens):
     seen = {tuple([0] * len(mods))}
     frontier = [tuple(v[i] % mods[i] for i in range(len(mods))) for v in gens]
     while frontier:
@@ -263,7 +257,7 @@ def brute_closure_size(mods, gens):
                     seen.add(s)
                     fresh.append(s)
         frontier = fresh
-    return len(seen)
+    return seen
 
 
 class TestSubgroup:
@@ -274,6 +268,7 @@ class TestSubgroup:
 
     def test_against_closure_oracle(self):
         rng = random.Random(42)
+        probe = random.Random(43)
         for _ in range(80):
             k = rng.randint(1, 3)
             mods = [rng.choice([2, 3, 4, 6, 8, 9, 12]) for _ in range(k)]
@@ -281,13 +276,27 @@ class TestSubgroup:
                 [rng.randrange(64) for _ in range(k)]
                 for _ in range(rng.randint(0, 3))
             ]
+            closure = brute_closure(mods, gens)
             sub = subgroup_from_elements(mods, gens)
-            assert sub.order() == brute_closure_size(mods, gens)
+            assert sub.order() == len(closure)
             total = 1
             for m in mods:
                 total *= m
             assert total % sub.order() == 0  # Lagrange
+            span = Span(mods, gens)
+            assert span.order == len(closure)
+            for _ in range(12):
+                vec = [probe.randrange(-40, 40) for _ in range(k)]
+                z = span.solve(vec)
+                inside = tuple(v % m for v, m in zip(vec, mods)) in closure
+                assert (z is not None) == inside
+                if inside:
+                    assert len(z) == len(gens)
+                    for i, m in enumerate(mods):
+                        assert (sum(c * g[i] for c, g in zip(z, gens)) - vec[i]) % m == 0
 
     def test_infinite_ambient_rejected(self):
         with pytest.raises(ValueError):
             subgroup_from_elements([0, 2], [[1, 1]])
+        with pytest.raises(ValueError):
+            Span([4, 2], [[1]])

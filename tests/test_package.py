@@ -63,6 +63,22 @@ def test_elements_are_built_only_inside_ring():
     assert offenders == []
 
 
+def test_only_abelian_takes_smith_forms():
+    # every subgroup question goes through abelian.Span; a module that
+    # builds its own Smith form re-encodes the span matrix by hand
+    names = {"smith_normal_form", "solve_with_snf"}
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "abelian.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Name) and node.id in names)
+        or (isinstance(node, ast.Attribute) and node.attr in names)
+        or (isinstance(node, ast.ImportFrom) and names & {a.name for a in node.names})
+    ]
+    assert offenders == []
+
+
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 

@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 
 from rho_lattice import ring, suspension
+from rho_lattice.abelian import subgroup_from_elements
 from rho_lattice.exceptions import PreconditionFailed, VerificationFailure
 from rho_lattice.ring import eval_minus_one
 from rho_lattice.surgery import (
@@ -213,6 +214,60 @@ ORACLE_PARAMS = [
     for k in (1, 3)
     if gcd(k, N) == 1
 ]
+
+
+# N in {2, 4, 6, 8, 12, 16, 24, 32}, d in 3..9, the first three k, and at
+# most 2^20 coordinate tuples: 140 parameter sets
+GRID = [
+    p
+    for N in (2, 4, 6, 8, 12, 16, 24, 32)
+    for d in range(3, 10)
+    for k in [k for k in range(1, N) if gcd(k, N) == 1][:3]
+    for p in [LensParams(N, d, k)]
+    if 2 ** (p.K * p.c) <= 2**20
+]
+
+
+def independent_by_presentations(params, t4, higher):
+    """The two-presentation criterion: adjoining the member multiplies the
+    span of the higher blocks by the member's full order 2^min(K,2)."""
+    mods = [params.t4_modulus] * params.c + [params.t4m2_modulus] * params.c
+    base = [x.coords.t4 + x.coords.t4m2 for x in higher]
+    grown = subgroup_from_elements(mods, base + [t4 + (0,) * params.c])
+    return grown.order() == subgroup_from_elements(mods, base).order() * 2 ** min(params.K, 2)
+
+
+def mu4_candidates(params):
+    """The kernel members of the lowest block's order 2^min(K,2)."""
+    for t4 in kernel_rho_bar(params).members:
+        coords = NormalCoords(t4, (0,) * params.c)
+        x = StructureElement(params, ring.zero(params.modulus()), coords)
+        if suspension._element_order(x) == 2 ** min(params.K, 2):
+            yield t4, x
+
+
+class TestMu4Choice:
+    def test_choice_matches_two_presentations(self):
+        for params in GRID:
+            higher = list(torsion_basis(params).mu4[1:])
+            expected = next(
+                x for t4, x in mu4_candidates(params)
+                if independent_by_presentations(params, t4, higher)
+            )
+            members = kernel_rho_bar(params).members
+            assert suspension._mu4_choice(params, members, higher) == expected, params
+
+    def test_criterion_matches_two_presentations_per_member(self):
+        # a one-member list isolates the criterion: the choice returns the
+        # member when it is independent and raises otherwise
+        for params in [p for p in GRID if 2 ** (p.K * p.c) <= 2**6]:
+            higher = list(torsion_basis(params).mu4[1:])
+            for t4, x in mu4_candidates(params):
+                try:
+                    chosen = suspension._mu4_choice(params, (t4,), higher) == x
+                except VerificationFailure:
+                    chosen = False
+                assert chosen == independent_by_presentations(params, t4, higher), (params, t4)
 
 
 class TestTorsionBasis:

@@ -5,7 +5,7 @@ import pickle
 import pytest
 
 from rho_lattice import ring, surgery, suspension, verify
-from rho_lattice.abelian import FinAb
+from rho_lattice.abelian import FinAb, Span
 from rho_lattice.elements import Catalog, f_element, f_k_element, f_prime_k_element, g_element
 from rho_lattice.surgery import LensParams, NormalCoords
 
@@ -36,6 +36,7 @@ VALUES = {
         True,
     ),
     "FinAb": (lambda: FinAb((2, 4)), "FinAb(factors=(2, 4))", "factors", True),
+    "Span": (lambda: Span([4, 2], [[5, 1]]), "Span(mods=(4, 2), gens=((1, 1),))", "gens", True),
     "Catalog": (
         lambda: Catalog(
             3, 1, f_element(3), f_k_element(3, 1), f_prime_k_element(3, 1), g_element(3)
@@ -84,7 +85,7 @@ VALUES = {
         lambda: suspension.torsion_basis(P),
         f"TorsionBasis(params=LensParams(N=2, d=3, k=1), mu4=({_unit(1, 0)},), "
         f"mu4m2=({_unit(0, 1)},), orders=(2,), choice_log=())",
-        "snf",
+        "span",
         True,
     ),
     "Check": (
@@ -127,12 +128,15 @@ def test_value_class(name):
 
 
 def test_torsion_basis_snf_is_outside_eq_hash_and_repr():
+    # the span (with its Smith form) is derived, like a Span's own snf and order
     basis = suspension.torsion_basis(LensParams(4, 4))
     other = suspension.TorsionBasis(
-        basis.params, basis.mu4, basis.mu4m2, basis.orders, basis.choice_log, ()
+        basis.params, basis.mu4, basis.mu4m2, basis.orders, basis.choice_log, Span([2], [])
     )
     assert other == basis and hash(other) == hash(basis) and repr(other) == repr(basis)
-    assert pickle.loads(pickle.dumps(basis)).snf == basis.snf
+    copy = pickle.loads(pickle.dumps(basis))
+    assert copy.span == basis.span and copy.span.snf == basis.span.snf
+    assert copy.span.order == basis.span.order == 8
 
 
 def test_modulus_dim_per_kind():

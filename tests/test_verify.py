@@ -46,6 +46,28 @@ def test_each_statement_has_one_registry_entry():
     assert len(names) == len(set(names))
 
 
+def test_seeded_checks_draw_from_their_statement_id(monkeypatch):
+    # the module docstring promises randomness seeded from the statement id,
+    # which is the registry name that reports and reproduce commands carry
+    keys = []
+    real = verify._rng
+
+    def spy(seed, statement, params):
+        keys.append(statement)
+        return real(seed, statement, params)
+
+    monkeypatch.setattr(verify, "_rng", spy)
+    seeded = [s for s in verify._registry() if s.seeded]
+    assert len(seeded) == 13
+    for s in seeded:
+        for params, args in s.rows:  # the first row that draws at all
+            keys.clear()
+            s.fn(*args, 0)
+            if keys:
+                break
+        assert keys and set(keys) == {s.name}, (s.name, keys)
+
+
 def test_checks_survive_pickling():
     checks = verify.build_checks(verify.SUITES, seed=3)
     copies = pickle.loads(pickle.dumps(checks))
