@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import prod
+from operator import mul
 from typing import Sequence
 
 from .exceptions import VerificationFailure
@@ -324,20 +325,27 @@ class Span(Frozen):
         z = solve_with_snf(self.snf, vec)
         return None if z is None else z[: len(self.gens)]
 
+    def contains(self, vec: Sequence[int]) -> bool:
+        """Whether ``vec`` lies in the span: U * vec is divisible by the
+        diagonal, entry by entry (Cohen, section 2.4).  The matrix has full
+        row rank, so no entry lies past the rank; unlike :meth:`solve` this
+        does not back-substitute through V."""
+        d, u, _ = self.snf
+        return all(
+            sum(map(mul, row, vec)) % d[i][i] == 0 for i, row in enumerate(u)
+        )
 
-def subgroup_from_elements(
-    mods: Sequence[int], elements: Sequence[Sequence[int]]
-) -> FinAb:
-    """Presentation of the subgroup generated by ``elements`` of the finite
-    group Z/mods[0] + Z/mods[1] + ...
+
+def subgroup_from_elements(span: Span) -> FinAb:
+    """Presentation of the subgroup ``span`` of the finite group
+    Z/mods[0] + Z/mods[1] + ..., generated by its gens.
 
     The relations among the m generators are the kernel of Z^m -> ambient,
-    e_j -> elements[j]: the first m entries of the integer kernel of
+    e_j -> gens[j]: the first m entries of the integer kernel of
     [gens | diag(mods)], which the span's Smith form gives as the columns
     of V past the rank.  Their Smith form presents the subgroup; output is
     canonical.
     """
-    span = Span(mods, elements)
     n, m = len(span.mods), len(span.gens)
     v = span.snf[2]
     relations = [[v[i][j] for i in range(m)] for j in range(n, n + m)]

@@ -30,7 +30,8 @@ Exit codes:
     1  ``verify`` ran and at least one check failed
     2  bad input (parse error, invalid parameters, input nested too deeply,
        unreadable JSON, an --element-json whose N, d, k differ from the
-       command line, a ``verify`` selection that matches no check)
+       command line, a ``verify`` selection that matches no check, a
+       RHO_LATTICE_CAP that is not a positive integer)
     3  not invertible
     4  work cap exceeded (WorkCapExceeded): a kernel enumeration past its
        candidate cap, or a power whose coefficients would pass it in bits
@@ -49,7 +50,7 @@ import sys
 import time
 
 from . import SCHEMA, SUITES, ring
-from .exceptions import NotInvertible, VerificationFailure, WorkCapExceeded
+from .exceptions import NotInvertible, VerificationFailure, WorkCapExceeded, work_cap
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +500,7 @@ def main(argv=None) -> int:
 
         args.workers = os.cpu_count() or 1
     try:
+        work_cap()  # a malformed cap is refused before any work, not mid-run
         return args.func(args)
     except NotInvertible as exc:
         print(f"not invertible: {exc}", file=sys.stderr)

@@ -33,11 +33,17 @@ from .frozen import Frozen
 from .ring import Element, split_two_power
 
 
+# f, f_k, f'_k and g are each derived once per (N, k) or per N, by their own
+# closed form and check, and shared: elements are immutable.
+
+
+@lru_cache(maxsize=None)
 def f_element(N: int) -> Element:
     """f = (1+x)/(1-x) in the rational truncated ring of order N."""
     return f_k_element(N, 1)
 
 
+@lru_cache(maxsize=None)
 def f_k_element(N: int, k: int) -> Element:
     """f_k = (1+x^k)/(1-x^k); requires gcd(k, N) = 1.
 
@@ -51,6 +57,7 @@ def f_k_element(N: int, k: int) -> Element:
     return num * ring.inverse(den)
 
 
+@lru_cache(maxsize=None)
 def f_prime_k_element(N: int, k: int) -> Element:
     """The integral cofactor f'_k with f_k = f * f'_k.
 
@@ -99,6 +106,7 @@ def h_element(N: int) -> Element:
     return (a_k * series).scale(Fraction(-1, M))
 
 
+@lru_cache(maxsize=None)
 def g_element(N: int) -> Element:
     """The quasi-inverse of f: g*f*v = v for all v in the (-1)-eigenspace.
 

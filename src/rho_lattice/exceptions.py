@@ -47,9 +47,19 @@ CAP_ENV_VAR = "RHO_LATTICE_CAP"
 
 def work_cap() -> int:
     """The one work cap, read from ``RHO_LATTICE_CAP`` on each call: the
-    kernel enumeration's candidate count and a power's coefficient bits."""
+    kernel enumeration's candidate count and a power's coefficient bits.
+    A set value that is not a positive integer raises ValueError."""
     value = os.environ.get(CAP_ENV_VAR)
-    return int(value) if value else DEFAULT_WORK_CAP
+    if not value:
+        return DEFAULT_WORK_CAP
+    message = f"{CAP_ENV_VAR} must be a positive integer, got {value!r}"
+    try:
+        cap = int(value)
+    except ValueError:
+        raise ValueError(message) from None
+    if cap < 1:
+        raise ValueError(message)
+    return cap
 
 
 class VerificationFailure(AssertionError):

@@ -65,7 +65,9 @@ BINOMIAL_PLUS = "binomial_plus"
 ODD_TRUNCATED = "odd_truncated"
 
 # Modulus and Element store their fields through this directly rather than
-# Frozen._assign: one or both are built on every ring operation.
+# Frozen._assign: one or both are built on every ring operation.  surgery's
+# NormalCoords and StructureElement do the same: verify builds one or two
+# per kernel candidate it checks.
 _set = object.__setattr__
 _new = object.__new__
 
@@ -155,6 +157,9 @@ def odd_truncated(N: int) -> Modulus:
     return Modulus(N, ODD_TRUNCATED)
 
 
+_INT_ONLY = frozenset({int})
+
+
 def _check_exact(q: Rational) -> Rational:
     if isinstance(q, (int, Fraction)):
         return q
@@ -163,7 +168,10 @@ def _check_exact(q: Rational) -> Rational:
 
 def _over_common_den(values: Sequence[Rational]) -> tuple[list[int], int]:
     """(nums, den) with values == [n / den for n in nums], den the least
-    common denominator."""
+    common denominator.  Values whose class is exactly ``int`` are already
+    over 1; a bool, float or Fraction among them takes the checked path."""
+    if set(map(type, values)) <= _INT_ONLY:
+        return list(values), 1
     for q in values:
         _check_exact(q)
     den = lcm(*(q.denominator for q in values))
@@ -433,11 +441,17 @@ class Element(Frozen):
         fa, fb = den // da, den // db
         return [fa * c for c in self.num], [fb * c for c in other.num], den
 
+    # A foreign operand returns NotImplemented, so Python raises TypeError.
+
     def __add__(self, other: Element) -> Element:
+        if other.__class__ is not Element:
+            return NotImplemented
         va, vb, den = self._aligned(other)
         return _make(self.modulus, [a + b for a, b in zip(va, vb)], den)
 
     def __sub__(self, other: Element) -> Element:
+        if other.__class__ is not Element:
+            return NotImplemented
         va, vb, den = self._aligned(other)
         return _make(self.modulus, [a - b for a, b in zip(va, vb)], den)
 
@@ -450,8 +464,10 @@ class Element(Frozen):
         return _make(self.modulus, [p * c for c in self.num], self.den * q.denominator)
 
     def __mul__(self, other) -> Element:
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+        if other.__class__ is not Element:
+            if isinstance(other, (int, Fraction)):
+                return self.scale(other)
+            return NotImplemented
         m = self.modulus
         if other.modulus is not m:
             self._check(other)
@@ -544,10 +560,13 @@ def from_numerators(m: Modulus, num: Sequence[int], den: int = 1) -> Element:
     return _make(m, num, den)
 
 
+# Elements are immutable, so each ring shares one zero and one one.
+@lru_cache(maxsize=None)
 def zero(m: Modulus) -> Element:
     return _make(m, [0] * m.dim)
 
 
+@lru_cache(maxsize=None)
 def one(m: Modulus) -> Element:
     return reduce_poly({0: 1}, m)
 
@@ -579,6 +598,13 @@ def alternating_sum(m: Modulus, length: int) -> Element:
 # involution and eigenspaces
 
 
+def _require_conjugable(m: Modulus, what: str) -> None:
+    """Raise UnsupportedModulus unless ``m`` is a group or truncated ring,
+    the rings stable under x -> x^(N-1)."""
+    if m.kind not in (GROUP, TRUNCATED):
+        raise UnsupportedModulus(f"{what} not defined on {m.describe()}")
+
+
 def involution(a: Element) -> Element:
     """The conjugation automorphism x -> x^(N-1).
 
@@ -586,8 +612,7 @@ def involution(a: Element) -> Element:
     stable under it).  It is a ring automorphism of order at most 2.
     """
     m = a.modulus
-    if m.kind not in (GROUP, TRUNCATED):
-        raise UnsupportedModulus(f"involution not defined on {m.describe()}")
+    _require_conjugable(m, "involution")
     # x^e -> x^(N-e): reverse all but the constant term; in the truncated
     # ring x^1 lands on x^(N-1), which reduces
     num = a.num
@@ -611,10 +636,16 @@ def eigen_project(a: Element, sign: int) -> Element:
 
 
 def eigen_test(a: Element, sign: int) -> bool:
-    """True when involution(a) == sign * a."""
+    """True when involution(a) == sign * a.
+
+    Compared on numerators alone: the involution's integer matrix squares
+    to the identity, so it keeps the content of a.num and involution(a)
+    has the canonical denominator a.den.
+    """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    return involution(a) == (a if sign == 1 else -a)
+    conj = involution(a).num
+    return conj == (a.num if sign == 1 else tuple([-c for c in a.num]))
 
 
 def eval_minus_one(a: Element) -> Fraction:
@@ -625,8 +656,7 @@ def eval_minus_one(a: Element) -> Fraction:
     :class:`OddOrderEvaluation`.
     """
     m = a.modulus
-    if m.kind not in (GROUP, TRUNCATED):
-        raise UnsupportedModulus(f"evaluation at -1 not defined on {m.describe()}")
+    _require_conjugable(m, "evaluation at -1")
     if m.N % 2 != 0:
         raise OddOrderEvaluation(f"x -> -1 is not well defined for odd N = {m.N}")
     return Fraction(sum(a.num[::2]) - sum(a.num[1::2]), a.den)
@@ -640,8 +670,7 @@ def restrict(a: Element, n_prime: int) -> Element:
     in N', and commuting with the involution.
     """
     m = a.modulus
-    if m.kind not in (GROUP, TRUNCATED):
-        raise UnsupportedModulus(f"restriction not defined on {m.describe()}")
+    _require_conjugable(m, "restriction")
     if n_prime < 2 or m.N % n_prime != 0:
         raise ValueError(f"{n_prime} does not divide N = {m.N}")
     target = (group_ring if m.kind == GROUP else truncated)(n_prime)
@@ -658,9 +687,13 @@ def in_lattice_4r(a: Element, sign: int) -> bool:
 
     True iff involution(a) == sign*a and a/4 has all-integer canonical
     coefficients.  Because the canonical monomials are a Z-basis of the
-    integral lattice, this is an exact coefficient test.
+    integral lattice, this is an exact coefficient test; the cheaper
+    4-integrality runs first.
     """
-    return eigen_test(a, sign) and is_4_integral(a)
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    _require_conjugable(a.modulus, "involution")
+    return is_4_integral(a) and eigen_test(a, sign)
 
 
 def _mul_matrix(a: Element) -> list[list[int]]:

@@ -41,6 +41,11 @@ from .exceptions import (
 from .frozen import Frozen
 from .ring import Element, eigen_test, in_lattice_4r, restrict, split_two_power
 
+# NormalCoords and StructureElement store their fields directly, as ring's
+# Element does (see ring._set).
+_set = object.__setattr__
+
+
 class LensParams(Frozen):
     """Parameters (N, d, k) of a lens space L^(2d-1) with k coprime to N.
 
@@ -98,7 +103,8 @@ class NormalCoords(Frozen):
     __slots__ = _fields
 
     def __init__(self, t4: tuple[int, ...], t4m2: tuple[int, ...]):
-        self._assign(t4=t4, t4m2=t4m2)
+        _set(self, "t4", t4)
+        _set(self, "t4m2", t4m2)
 
     @staticmethod
     def zero(params: LensParams) -> NormalCoords:
@@ -113,15 +119,16 @@ class NormalCoords(Frozen):
             raise ValueError("t4m2 entries out of range")
 
     def add(self, other: NormalCoords, params: LensParams) -> NormalCoords:
+        q4, q2 = params.t4_modulus, params.t4m2_modulus
         return NormalCoords(
-            tuple((a + b) % params.t4_modulus for a, b in zip(self.t4, other.t4)),
-            tuple((a + b) % params.t4m2_modulus for a, b in zip(self.t4m2, other.t4m2)),
+            tuple([(a + b) % q4 for a, b in zip(self.t4, other.t4)]),
+            tuple([(a + b) % q2 for a, b in zip(self.t4m2, other.t4m2)]),
         )
 
     def scale(self, n: int, params: LensParams) -> NormalCoords:
+        q4, q2 = params.t4_modulus, params.t4m2_modulus
         return NormalCoords(
-            tuple((n * a) % params.t4_modulus for a in self.t4),
-            tuple((n * a) % params.t4m2_modulus for a in self.t4m2),
+            tuple([n * a % q4 for a in self.t4]), tuple([n * a % q2 for a in self.t4m2])
         )
 
     def is_zero(self) -> bool:
@@ -329,18 +336,21 @@ def kernel_rho_bar(params: LensParams) -> KernelResult:
         for head, value in _residue_sums(multiples[:split], mod, dim)
         for tail in tails.get(value, ())
     ]
-    # greedy generating subset: a member joins when it lies outside the
-    # span so far, which is rebuilt only then
-    mods, gens = [2**K] * c, []
+    # greedy generating subset, started from the first nonzero member: a
+    # member joins when it lies outside the span so far, which is rebuilt
+    # only then; the torsion is read off the final span
+    mods = [2**K] * c
+    nonzero = (t4 for t4 in members if any(t4))
+    first = next(nonzero, None)
+    gens = [] if first is None else [first]
     span = Span(mods, gens)
-    for t4 in members:
-        if span.solve(t4) is not None:
-            continue
-        gens.append(t4)
-        span = Span(mods, gens)
+    for t4 in nonzero:
         if span.order == len(members):
             break
-    torsion = subgroup_from_elements(mods, gens)
+        if not span.contains(t4):
+            gens.append(t4)
+            span = Span(mods, gens)
+    torsion = subgroup_from_elements(span)
     if torsion.order() != len(members):
         raise VerificationFailure(
             f"{len(members)} kernel members span a subgroup of order "
@@ -419,7 +429,9 @@ class StructureElement(Frozen):
     __slots__ = _fields
 
     def __init__(self, params: LensParams, rho: Element, coords: NormalCoords):
-        self._assign(params=params, rho=rho, coords=coords)
+        _set(self, "params", params)
+        _set(self, "rho", rho)
+        _set(self, "coords", coords)
 
     def is_torsion(self) -> bool:
         return self.rho.is_zero()

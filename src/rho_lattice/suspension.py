@@ -421,7 +421,7 @@ def _mu4_choice(
         x = StructureElement(params, ring.zero(params.modulus()), coords)
         if _element_order(x) != target_order:
             continue
-        if span.solve([half * t for t in t4] + [0] * params.c) is None:
+        if not span.contains([half * t for t in t4] + [0] * params.c):
             return x
     raise VerificationFailure(
         f"no independent generator of order {target_order} for the lowest "

@@ -262,9 +262,9 @@ def brute_closure(mods, gens):
 
 class TestSubgroup:
     def test_examples(self):
-        assert subgroup_from_elements([8], [[2]]).factors == (4,)
-        assert subgroup_from_elements([4, 2], [[2, 0], [0, 1]]).factors == (2, 2)
-        assert subgroup_from_elements([8], []) == TRIVIAL
+        assert subgroup_from_elements(Span([8], [[2]])).factors == (4,)
+        assert subgroup_from_elements(Span([4, 2], [[2, 0], [0, 1]])).factors == (2, 2)
+        assert subgroup_from_elements(Span([8], [])) == TRIVIAL
 
     def test_against_closure_oracle(self):
         rng = random.Random(42)
@@ -277,19 +277,20 @@ class TestSubgroup:
                 for _ in range(rng.randint(0, 3))
             ]
             closure = brute_closure(mods, gens)
-            sub = subgroup_from_elements(mods, gens)
+            span = Span(mods, gens)
+            sub = subgroup_from_elements(span)
             assert sub.order() == len(closure)
             total = 1
             for m in mods:
                 total *= m
             assert total % sub.order() == 0  # Lagrange
-            span = Span(mods, gens)
             assert span.order == len(closure)
             for _ in range(12):
                 vec = [probe.randrange(-40, 40) for _ in range(k)]
                 z = span.solve(vec)
                 inside = tuple(v % m for v, m in zip(vec, mods)) in closure
                 assert (z is not None) == inside
+                assert span.contains(vec) == (z is not None)
                 if inside:
                     assert len(z) == len(gens)
                     for i, m in enumerate(mods):
@@ -297,6 +298,6 @@ class TestSubgroup:
 
     def test_infinite_ambient_rejected(self):
         with pytest.raises(ValueError):
-            subgroup_from_elements([0, 2], [[1, 1]])
+            Span([0, 2], [[1, 1]])
         with pytest.raises(ValueError):
             Span([4, 2], [[1]])

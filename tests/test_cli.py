@@ -240,6 +240,20 @@ class TestSubcommands:
         assert main(["ring", "x^1000000000000", "--N", "4", "--format", "tsv"]) == 0
         assert capsys.readouterr().out.startswith("x^0\t1/1\n")
 
+    @pytest.mark.parametrize("value", ["abc", "-5", "0"])
+    def test_invalid_work_cap_exit_code(self, monkeypatch, capsys, value):
+        # once refused every query ("exceed the cap -5") or leaked int()'s message
+        monkeypatch.setenv("RHO_LATTICE_CAP", value)
+        assert main(["kernel", "--N", "8", "--d", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: RHO_LATTICE_CAP must be a positive integer, got {value!r}\n"
+        # refused before any work, also where no cap would be consulted
+        for argv in (["ring", "x+1", "--N", "4"], ["verify", "--suite", "kernel", "--max-N", "4"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert "RHO_LATTICE_CAP must be a positive integer" in captured.err
+            assert captured.out == ""
+
     def test_verification_failure_exit_code(self, monkeypatch, capsys):
         def broken(params):
             raise VerificationFailure("basis spans 3 of 4 torsion elements")

@@ -92,7 +92,7 @@ class TestG:
         real = elements.f_element
         monkeypatch.setattr(elements, "f_element", lambda N: real(N).scale(2))
         with pytest.raises(VerificationFailure):
-            g_element(9)
+            g_element.__wrapped__(9)  # a fresh build, past the cache
 
     def test_minus_eigen(self):
         for N in (4, 6, 8, 12):
@@ -115,6 +115,23 @@ class TestG:
             m = truncated(N)
             lhs = reduce_poly({0: 1, 1: 1}, m) * ring.alternating_sum(m, 2**l)
             assert lhs == reduce_poly({0: 1, 2**l: -1}, m)
+
+    def test_shared_units_equal_fresh_builds(self):
+        # each unit is built once per (N, k) or N and shared; a fresh build
+        # past the cache gives the same element
+        for N in range(2, 49):
+            assert f_element(N) is f_element(N) == f_element.__wrapped__(N)
+            assert g_element(N) is g_element(N) == g_element.__wrapped__(N)
+            for k in range(1, N):
+                if gcd(k, N) != 1:
+                    continue
+                assert f_k_element(N, k) is f_k_element(N, k) == f_k_element.__wrapped__(N, k)
+                if k % 2 == 0 and N % 2 == 0:
+                    continue
+                fpk = f_prime_k_element(N, k)
+                assert fpk is f_prime_k_element(N, k) == f_prime_k_element.__wrapped__(N, k)
+            cat = Catalog.get(N, 1)
+            assert cat.f is f_element(N) and cat.g is g_element(N)
 
     def test_catalog_caches(self):
         assert Catalog.get(8, 3) is Catalog.get(8, 3)

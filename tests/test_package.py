@@ -47,20 +47,40 @@ def _imported_modules(node) -> set:
     return set()
 
 
-def test_elements_are_built_only_inside_ring():
-    # Element's canonical form is kept by ring's one normalizing helper.
-    offenders = [
-        f"{path.name}:{node.lineno}"
+def _allocates_element(call: ast.Call) -> bool:
+    """Whether a call builds an Element: ``Element(...)``, or a ``__new__``
+    (or ring's alias ``_new``) applied to Element."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name == "Element":
+        return True
+    if name not in ("__new__", "_new"):
+        return False
+    owner = [func.value] if isinstance(func, ast.Attribute) else []
+    return any(isinstance(n, ast.Name) and n.id == "Element" for n in owner + call.args[:1])
+
+
+def _calls_by_function(node, function=None):
+    """(name of the innermost enclosing function or None, call) for every
+    call under ``node``."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    if isinstance(node, ast.Call):
+        yield function, node
+    for child in ast.iter_child_nodes(node):
+        yield from _calls_by_function(child, function)
+
+
+def test_only_ring_make_allocates_elements():
+    # ring._make is the one place that puts an Element in canonical form;
+    # a fast path that allocated elements itself could skip it
+    sites = [
+        f"{path.stem}.{function}"
         for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "ring.py"
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Call)
-        and (
-            (isinstance(node.func, ast.Name) and node.func.id == "Element")
-            or (isinstance(node.func, ast.Attribute) and node.func.attr == "Element")
-        )
+        for function, call in _calls_by_function(ast.parse(path.read_text()))
+        if _allocates_element(call)
     ]
-    assert offenders == []
+    assert sites == ["ring._make"]
 
 
 def test_only_abelian_takes_smith_forms():

@@ -2,8 +2,10 @@
 
 import copy
 import math
+import operator
 import pickle
 import random
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -102,6 +104,34 @@ class TestReduce:
                 prod[e1 + e2] = prod.get(e1 + e2, 0) + c1 * c2
         assert reduce_poly(s, m) == reduce_poly(p, m) + reduce_poly(q, m)
         assert reduce_poly(prod, m) == reduce_poly(p, m) * reduce_poly(q, m)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_int_coefficients_match_their_fractions(self, data):
+        # plain ints skip the common-denominator pass
+        m = data.draw(MODULI)
+        exps = st.integers(min_value=-2 * m.N, max_value=3 * m.N)
+        p = data.draw(st.dictionaries(exps, st.integers(-9, 9), max_size=6))
+        a = reduce_poly(p, m)
+        assert a == reduce_poly({e: Fraction(c) for e, c in p.items()}, m)
+        assert a.den == 1 and all(type(c) is int for c in a.num)
+
+    def test_inexact_and_bool_coefficients_take_the_checked_path(self):
+        m = truncated(4)
+        with pytest.raises(TypeError, match="float"):
+            reduce_poly({0: 1, 1: 0.5}, m)
+        with pytest.raises(TypeError, match="float"):
+            from_coeffs(m, [1, 2, 3.0])
+        a = reduce_poly({0: True, 1: 2}, m)
+        assert a == reduce_poly({0: 1, 1: 2}, m) and all(type(c) is int for c in a.num)
+
+    def test_shared_one_and_zero_equal_fresh_builds(self):
+        for N in range(2, 49):
+            moduli = [group_ring(N), truncated(N)] + list(crt_factors(N) if N % 2 == 0 else ())
+            for m in moduli:
+                for build in (one, zero):
+                    assert build(m) is build(m)
+                    assert build(m) == build.__wrapped__(m)
 
 
 def _odd_long_division(out, N):
@@ -220,6 +250,13 @@ class TestInverse:
 
 
 class TestPowerCap:
+    @pytest.mark.parametrize("value", ["abc", "-5", "0", "2.5"])
+    def test_cap_that_is_not_a_positive_integer_is_refused(self, monkeypatch, value):
+        monkeypatch.setenv("RHO_LATTICE_CAP", value)
+        message = f"RHO_LATTICE_CAP must be a positive integer, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            const(truncated(4), 2) ** 3
+
     def test_growing_power_refused_past_the_cap(self, monkeypatch):
         m = truncated(4)
         monkeypatch.setenv("RHO_LATTICE_CAP", "64")
@@ -241,6 +278,32 @@ class TestPowerCap:
         # coefficients of about 200,000 bits, well under the default 2^22
         a = reduce_poly({0: 1, 1: 1}, m)
         assert (a**200000) * a == a**200001
+
+
+class TestForeignOperands:
+    """A non-Element operand other than an int or Fraction scalar is a TypeError."""
+
+    @pytest.mark.parametrize("other", [2.5, "x", None, 1, Fraction(1, 2)])
+    @pytest.mark.parametrize("op", [operator.add, operator.sub])
+    def test_sum_and_difference(self, op, other):
+        a = x_power(truncated(4))
+        with pytest.raises(TypeError):
+            op(a, other)
+        with pytest.raises(TypeError):
+            op(other, a)
+
+    @pytest.mark.parametrize("other", [2.5, "x", None])
+    def test_product(self, other):
+        a = x_power(truncated(4))
+        with pytest.raises(TypeError):
+            a * other
+        with pytest.raises(TypeError):
+            other * a
+
+    def test_int_and_fraction_still_scale(self):
+        a = x_power(truncated(4))
+        assert a * 2 == 2 * a == a + a
+        assert a * Fraction(1, 2) + Fraction(1, 2) * a == a
 
 
 class TestInvolution:
@@ -413,6 +476,23 @@ class TestCrt:
             assert crt_combine(crt_split(a), N) == a
 
 
+@st.composite
+def lattice_candidates(draw):
+    """Elements around the 4-lattice, in group and truncated rings: an
+    integer vector, made (+1)- or (-1)-symmetric or left alone, then scaled
+    so that it may be zero, 4-integral, 2 mod 4 or not integral at all."""
+    m = draw(
+        st.sampled_from(
+            [truncated(n) for n in (2, 3, 4, 6, 8, 9)] + [group_ring(n) for n in (2, 4, 5, 6)]
+        )
+    )
+    v = from_coeffs(m, draw(st.lists(st.integers(-3, 3), min_size=m.dim, max_size=m.dim)))
+    symmetry = draw(st.sampled_from([0, 1, -1]))
+    if symmetry:
+        v = v + involution(v).scale(symmetry)
+    return v.scale(draw(st.sampled_from([0, 1, 2, 4, 8, Fraction(1, 2), Fraction(4, 3)])))
+
+
 class TestLattice:
     def test_examples(self):
         m = truncated(6)
@@ -428,6 +508,26 @@ class TestLattice:
         v = (x_power(m, 1) - x_power(m, 5)) * 4
         assert in_lattice_4r(v, -1)
         assert not in_lattice_4r(v, 1)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(lattice_candidates(), st.sampled_from([1, -1]))
+    def test_numerator_tests_match_the_definitions(self, a, sign):
+        conj = involution(a)
+        assert conj.den == a.den
+        eigen = conj == a.scale(sign)
+        four_integral = all((c / 4).denominator == 1 for c in a.coeffs)
+        assert eigen_test(a, sign) == eigen
+        assert in_lattice_4r(a, sign) == (eigen and four_integral)
+
+    def test_zero_and_refusals(self):
+        for m in (truncated(6), group_ring(5)):
+            assert eigen_test(zero(m), 1) and eigen_test(zero(m), -1)
+            assert in_lattice_4r(zero(m), 1) and in_lattice_4r(zero(m), -1)
+        m = truncated(6)
+        with pytest.raises(ValueError, match="sign"):
+            in_lattice_4r(const(m, Fraction(1, 3)), 0)
+        with pytest.raises(UnsupportedModulus):  # refused before any coefficient test
+            in_lattice_4r(const(ring.binomial_plus(8, 1), Fraction(1, 3)), 1)
 
 
 class TestSerialization:

@@ -6,7 +6,7 @@ from math import gcd, lcm
 
 import pytest
 
-from rho_lattice import ring
+from rho_lattice import abelian, ring
 from rho_lattice.abelian import TRIVIAL, FinAb
 from rho_lattice.elements import f_element, f_prime_k_element
 from rho_lattice.exceptions import PreconditionFailed, WorkCapExceeded
@@ -30,6 +30,7 @@ from rho_lattice.surgery import (
     zero_element,
 )
 from rho_lattice.ring import in_lattice_4r, reduce_poly, restrict, truncated
+from rho_lattice.suspension import torsion_basis
 
 
 class TestParams:
@@ -180,6 +181,25 @@ class TestKernel:
             kernel_rho_bar(LensParams(16, 8))
         monkeypatch.setenv("RHO_LATTICE_CAP", "100000")
         kernel_rho_bar(LensParams(16, 8))
+
+    def test_smith_forms_per_kernel(self, monkeypatch):
+        # the greedy span starts at the first nonzero member and the torsion
+        # is read off the final span: one Smith form per generator, plus
+        # one for the relations
+        calls = []
+        real = abelian.smith_normal_form
+
+        def spy(a):
+            calls.append(a)
+            return real(a)
+
+        monkeypatch.setattr(abelian, "smith_normal_form", spy)
+        kr = kernel_rho_bar(LensParams(8, 7))
+        assert len(calls) == 4
+        assert kr.torsion == kernel_closed_form(LensParams(8, 7))
+        calls.clear()
+        torsion_basis(LensParams(8, 7))
+        assert len(calls) == 6
 
     @pytest.mark.parametrize("N", (2, 3, 4, 5, 6, 8, 9, 12))
     @pytest.mark.parametrize("d", (3, 4, 5, 6))

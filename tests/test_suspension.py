@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 from rho_lattice import ring, suspension
-from rho_lattice.abelian import subgroup_from_elements
+from rho_lattice.abelian import Span, subgroup_from_elements
 from rho_lattice.exceptions import PreconditionFailed, VerificationFailure
 from rho_lattice.ring import eval_minus_one
 from rho_lattice.surgery import (
@@ -233,8 +233,8 @@ def independent_by_presentations(params, t4, higher):
     span of the higher blocks by the member's full order 2^min(K,2)."""
     mods = [params.t4_modulus] * params.c + [params.t4m2_modulus] * params.c
     base = [x.coords.t4 + x.coords.t4m2 for x in higher]
-    grown = subgroup_from_elements(mods, base + [t4 + (0,) * params.c])
-    return grown.order() == subgroup_from_elements(mods, base).order() * 2 ** min(params.K, 2)
+    grown = subgroup_from_elements(Span(mods, base + [t4 + (0,) * params.c])).order()
+    return grown == subgroup_from_elements(Span(mods, base)).order() * 2 ** min(params.K, 2)
 
 
 def mu4_candidates(params):
