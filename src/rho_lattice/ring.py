@@ -84,15 +84,16 @@ def split_two_power(n: int) -> tuple[int, int]:
 class Modulus(Frozen):
     """Identifies one of the four quotient rings over a fixed N.
 
-    ``param`` is the exponent l for binomial_plus and unused otherwise.
-    ``dim``, the length of the canonical coefficient vector, is computed
-    once here; it takes no part in equality, hashing or the repr.
+    ``param`` is the exponent l for binomial_plus and 0 otherwise.  ``dim``,
+    the length of the canonical coefficient vector, is computed once here.
+    Only :func:`modulus` builds one, once per ring (unpickling and copying
+    go through it too), so moduli compare and hash by identity.
     """
 
     _fields = ("N", "kind", "param")
     __slots__ = _fields + ("dim",)
 
-    def __init__(self, N: int, kind: str, param: int = 0):
+    def __init__(self, N: int, kind: str, param: int):
         if N < 2:
             raise ValueError(f"N must be >= 2, got {N}")
         if kind == GROUP:
@@ -100,8 +101,8 @@ class Modulus(Frozen):
         elif kind == TRUNCATED:
             dim = N - 1
         elif kind == BINOMIAL_PLUS:
-            if N % (2 ** (param + 1)) != 0:
-                raise ValueError(f"binomial_plus({param}) requires 2^{param + 1} | N")
+            if not 0 <= param < split_two_power(N)[0]:  # 2^(l+1) | N, no power taken
+                raise ValueError(f"binomial_plus({param}) requires 2^{param + 1} | N, l >= 0")
             dim = 2**param
         elif kind == ODD_TRUNCATED:
             k, m = split_two_power(N)
@@ -110,18 +111,18 @@ class Modulus(Frozen):
             dim = 2**k * (m - 1)
         else:
             raise ValueError(f"unknown ring kind {kind!r}")
+        if kind != BINOMIAL_PLUS and param != 0:
+            raise ValueError(f"{kind} takes no parameter l, got {param}")
         _set(self, "N", N)
         _set(self, "kind", kind)
         _set(self, "param", param)
         _set(self, "dim", dim)
 
-    def __eq__(self, other):
-        if other.__class__ is not Modulus:
-            return NotImplemented
-        return self.N == other.N and self.kind == other.kind and self.param == other.param
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __hash__(self) -> int:
-        return hash((self.N, self.kind, self.param))
+    def __reduce__(self):
+        return modulus, (self.N, self.kind, self.param)
 
     def describe(self) -> str:
         n = self.N
@@ -135,26 +136,27 @@ class Modulus(Frozen):
         return f"Q[x]/<1 + x^{2 ** k} + ... + x^{2 ** k * (m - 1)}>"
 
 
-# The factories hand out one shared Modulus per ring, so comparing the
-# moduli of two elements is nearly always an identity check.
 @lru_cache(maxsize=None)
+def modulus(N: int, kind: str, param: int) -> Modulus:
+    """The one Modulus of a ring.  The cache keys on the arguments as
+    passed, so every caller passes all three."""
+    return Modulus(N, kind, param)
+
+
 def group_ring(N: int) -> Modulus:
-    return Modulus(N, GROUP)
+    return modulus(N, GROUP, 0)
 
 
-@lru_cache(maxsize=None)
 def truncated(N: int) -> Modulus:
-    return Modulus(N, TRUNCATED)
+    return modulus(N, TRUNCATED, 0)
 
 
-@lru_cache(maxsize=None)
 def binomial_plus(N: int, l: int) -> Modulus:
-    return Modulus(N, BINOMIAL_PLUS, l)
+    return modulus(N, BINOMIAL_PLUS, l)
 
 
-@lru_cache(maxsize=None)
 def odd_truncated(N: int) -> Modulus:
-    return Modulus(N, ODD_TRUNCATED)
+    return modulus(N, ODD_TRUNCATED, 0)
 
 
 _INT_ONLY = frozenset({int})
@@ -400,11 +402,7 @@ class Element(Frozen):
     def __eq__(self, other):
         if other.__class__ is not Element:
             return NotImplemented
-        return (
-            self.den == other.den
-            and self.num == other.num
-            and (self.modulus is other.modulus or self.modulus == other.modulus)
-        )
+        return self.den == other.den and self.num == other.num and self.modulus is other.modulus
 
     def __hash__(self) -> int:
         return hash((self.modulus, self.num, self.den))
@@ -426,7 +424,7 @@ class Element(Frozen):
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: Element) -> None:
-        if self.modulus is not other.modulus and self.modulus != other.modulus:
+        if self.modulus is not other.modulus:
             raise ModulusMismatch(
                 f"cannot combine elements over {self.modulus} and {other.modulus}"
             )
@@ -532,7 +530,7 @@ class Element(Frozen):
 
 
 def element_from_json(obj: Mapping) -> Element:
-    m = Modulus(int(obj["N"]), str(obj["kind"]), int(obj.get("l", 0)))
+    m = modulus(int(obj["N"]), str(obj["kind"]), int(obj.get("l", 0)))
     return from_coeffs(m, [Fraction(int(num), int(den)) for num, den in obj["coeffs"]])
 
 
@@ -704,23 +702,36 @@ def _mul_matrix(a: Element) -> list[list[int]]:
     return [[cols[j][i] for j in range(m.dim)] for i in range(m.dim)]
 
 
-@lru_cache(maxsize=None)
-def _closed_form_index(m: Modulus) -> tuple[dict[tuple[int, ...], int], ...]:
-    """Canonical numerators of 1 - x^k and of 1 + x + ... + x^(k-1) in a
-    truncated ring, each mapped to its least k in 1..N-1."""
-    one_minus: dict[tuple[int, ...], int] = {}
-    geometric: dict[tuple[int, ...], int] = {}
-    for k in range(1, m.N):
-        one_minus.setdefault(reduce_poly({0: 1, k: -1}, m).num, k)
-        geometric.setdefault(geometric_sum(m, k).num, k)
-    return one_minus, geometric
+def _closed_form_inverse(a: Element) -> Element | None:
+    """:func:`inverse`'s closed form when ``a`` has one of its two shapes
+    with gcd(k, N) = 1, read off the canonical numerators in O(N), else
+    None.  1 - x^k is 1 at x^0 and -1 at x^k for k <= N - 2, and
+    2 + x + ... + x^(N-2) for k = N - 1; 1 + ... + x^(k-1) is k ones."""
+    m = a.modulus
+    if m.kind != TRUNCATED or a.den != 1:
+        return None
+    n, num = m.N, a.num
+    k = num.count(1)
+    if num[0] == 2 and k == n - 2:
+        k, geometric = n - 1, False
+    elif num[0] == 1 and num.count(0) == n - 3 and -1 in num:
+        k, geometric = num.index(-1), False
+    elif not any(num[k:]):
+        geometric = True
+    else:
+        return None
+    if gcd(k, n) != 1:
+        return None
+    if geometric:
+        return reduce_poly({j * k: 1 for j in range(pow(k, -1, n))}, m)
+    return reduce_poly({j * k: -(j + 1) for j in range(n)}, m).scale(Fraction(1, n))
 
 
 def inverse(a: Element) -> Element:
     """Multiplicative inverse of ``a``: mul(a, inverse(a)) == 1.
 
-    Two closed forms are used when the input matches them in the truncated
-    ring of order N:
+    Two closed forms are used when the input has their shape in the
+    truncated ring of order N (:func:`_closed_form_inverse`):
 
       (1 - x^k)^(-1)              = -(1/N) * (1 + 2x^k + 3x^(2k) + ... + N x^((N-1)k))
       (1 + x + ... + x^(k-1))^(-1) = 1 + x^k + x^(2k) + ... + x^((r-1)k),
@@ -735,23 +746,11 @@ def inverse(a: Element) -> Element:
     m = a.modulus
     if a.is_zero():
         raise NotInvertible("zero is not invertible", witness=one(m))
-    if m.kind == TRUNCATED and a.den == 1:
-        n = m.N
-        one_minus, geometric = _closed_form_index(m)
-        inv = None
-        k = one_minus.get(a.num)
-        if k is not None and gcd(k, n) == 1:
-            inv = reduce_poly({(j * k) % n: -(j + 1) for j in range(n)}, m).scale(
-                Fraction(1, n)
-            )
-        else:
-            k = geometric.get(a.num)
-            if k is not None and gcd(k, n) == 1:
-                inv = geometric_sum(m, pow(k, -1, n), step=k)
-        if inv is not None:
-            if a * inv != one(m):
-                raise VerificationFailure(f"closed-form inverse of {a!r} fails its check")
-            return inv
+    inv = _closed_form_inverse(a)
+    if inv is not None:
+        if a * inv != one(m):
+            raise VerificationFailure(f"closed-form inverse of {a!r} fails its check")
+        return inv
     sol, null = solve_rational(_mul_matrix(a), [a.den] + [0] * (m.dim - 1))
     if sol is None:
         witness = from_coeffs(m, null)
@@ -836,9 +835,7 @@ def crt_combine(parts: Sequence[Element], N: int) -> Element:
     x^N - 1), so reducing it is one subtraction of the top coefficient.
     """
     factors = crt_factors(N)
-    if len(parts) != len(factors) or any(
-        p.modulus != f for p, f in zip(parts, factors)
-    ):
+    if tuple(p.modulus for p in parts) != factors:
         raise ValueError("parts do not match the CRT factors of N")
     den = lcm(*(p.den for p in parts))
     u: list[int] = []

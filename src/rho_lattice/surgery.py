@@ -458,7 +458,7 @@ def element_validate(x: StructureElement) -> bool:
     beyond the congruence.
     """
     p = x.params
-    if x.rho.modulus != p.modulus():
+    if x.rho.modulus is not p.modulus():
         raise ModulusMismatch("rho lives over the wrong modulus")
     x.coords.check(p)
     if not eigen_test(x.rho, p.sign):

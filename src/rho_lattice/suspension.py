@@ -34,7 +34,7 @@ from math import gcd, prod
 
 from . import ring
 from .abelian import Span
-from .elements import Catalog
+from .elements import f_element
 from .exceptions import PreconditionFailed, VerificationFailure
 from .frozen import Frozen
 from .surgery import (
@@ -114,7 +114,7 @@ def suspend(x: StructureElement) -> SuspensionResult:
     """
     p = x.params
     target = LensParams(p.N, p.d + 1, p.k)
-    f = Catalog.get(p.N, p.k).f
+    f = f_element(p.N)
     rho = f * x.rho
 
     if p.d % 2 == 1:

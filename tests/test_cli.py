@@ -167,8 +167,16 @@ class TestSubcommands:
             ({}, "'params'"),
             ([], "list"),
             ({"params": {"N": 8, "d": 5, "k": 1, "bogus": 1}}, "'params'"),
+            (
+                {
+                    "params": {"N": 8, "d": 5, "k": 1},
+                    "rho": {**ring.zero(truncated(8)).to_json(), "l": 3},
+                    "coords": {"t4": [0, 0], "t4m2": [0, 0]},
+                },
+                "truncated takes no parameter l, got 3",
+            ),
         ),
-        ids=("empty-object", "list", "unknown-param"),
+        ids=("empty-object", "list", "unknown-param", "l-on-truncated"),
     )
     def test_malformed_element_json_is_bad_input(self, payload, field):
         out = run_cli(

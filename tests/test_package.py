@@ -47,11 +47,17 @@ def _imported_modules(node) -> set:
     return set()
 
 
+def _called_name(call: ast.Call):
+    """The name a call is made through: ``f`` in ``f(...)`` and ``m.f(...)``."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def _allocates_element(call: ast.Call) -> bool:
     """Whether a call builds an Element: ``Element(...)``, or a ``__new__``
     (or ring's alias ``_new``) applied to Element."""
     func = call.func
-    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    name = _called_name(call)
     if name == "Element":
         return True
     if name not in ("__new__", "_new"):
@@ -81,6 +87,18 @@ def test_only_ring_make_allocates_elements():
         if _allocates_element(call)
     ]
     assert sites == ["ring._make"]
+
+
+def test_only_ring_modulus_builds_moduli():
+    # ring.modulus hands out one Modulus per ring, and moduli compare by
+    # identity; a Modulus built anywhere else would equal none of them
+    sites = [
+        f"{path.stem}.{function}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function, call in _calls_by_function(ast.parse(path.read_text()))
+        if _called_name(call) == "Modulus"
+    ]
+    assert sites == ["ring.modulus"]
 
 
 def test_only_abelian_takes_smith_forms():

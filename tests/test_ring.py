@@ -222,20 +222,22 @@ class TestInverse:
     def test_failed_closed_form_raises(self, monkeypatch):
         m = truncated(8)
         a = reduce_poly({0: 1, 1: -1}, m)
-        monkeypatch.setattr(ring, "_closed_form_index", lambda _m: ({a.num: 3}, {}))
+        monkeypatch.setattr(ring, "_closed_form_inverse", lambda _a: x_power(m, 3))
         with pytest.raises(VerificationFailure):
             inverse(a)
 
     def test_group_ring_skips_closed_forms(self, monkeypatch):
-        def no_index(_m):
-            raise AssertionError("closed-form index built for a group ring")
-
-        monkeypatch.setattr(ring, "_closed_form_index", no_index)
+        seen = []
+        helper = ring._closed_form_inverse
+        monkeypatch.setattr(ring, "_closed_form_inverse", lambda a: seen.append(helper(a)))
         m = group_ring(9)
         a = reduce_poly({0: 2, 1: 1}, m)
         assert a * inverse(a) == one(m)
         with pytest.raises(NotInvertible):
             inverse(reduce_poly({0: 1, 1: -1}, m))
+        with pytest.raises(NotInvertible):
+            inverse(geometric_sum(m, 3))
+        assert seen == [None, None, None]
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(st.data())
@@ -247,6 +249,99 @@ class TestInverse:
         except NotInvertible:
             return
         assert a * inv == one(m)
+
+
+def _dense_inverse(a, monkeypatch):
+    """inverse(a) by the dense solve alone, or the NotInvertible it raises."""
+    with monkeypatch.context() as patch:
+        patch.setattr(ring, "_closed_form_inverse", lambda _a: None)
+        try:
+            return inverse(a)
+        except NotInvertible as exc:
+            return exc
+
+
+class TestClosedFormShapes:
+    """1 - x^k and 1 + ... + x^(k-1) are recognised by their numerators."""
+
+    def test_every_shape_up_to_64(self, monkeypatch):
+        # the dense comparison costs about 9 s up to N = 64, so it stops at
+        # N = 32; above, a * inv == 1 pins the (unique) inverse
+        for N in range(2, 65):
+            m = truncated(N)
+            for k in range(1, N):
+                for a in (reduce_poly({0: 1, k: -1}, m), geometric_sum(m, k)):
+                    inv = ring._closed_form_inverse(a)
+                    assert (inv is not None) == (gcd(k, N) == 1), (N, k, a)
+                    if inv is None:
+                        continue
+                    assert a * inv == one(m)
+                    if N <= 32:
+                        assert inv == _dense_inverse(a, monkeypatch)
+
+    @pytest.mark.parametrize(
+        "N, terms",
+        [
+            (8, {0: 1, 3: 1}),  # 1 + x^k
+            (9, {0: 1, 2: 1}),
+            (8, {0: 1, 3: -2}),  # 1 - 2x^k
+            (8, {0: 2, 3: -1}),
+            (8, {0: -1, 3: 1}),  # -(1 - x^k)
+            (8, {0: 1, 1: 1, 3: 1}),  # a run of ones with a gap
+            (9, {1: 1, 2: 1}),  # a run that does not start at 1
+            (8, {0: 2, **{j: 1 for j in range(1, 6)}}),  # (2, 1, ..., 1, 0)
+            (8, {0: Fraction(1, 3), 3: Fraction(-1, 3)}),  # (1 - x^k) / 3
+            (8, {0: 1, 1: -1, 2: 1}),
+            (2, {0: 3}),
+            (2, {0: -1}),
+            (3, {0: 1, 1: 2}),
+            (3, {0: 2, 1: -1}),
+            (3, {1: 1}),
+        ],
+    )
+    def test_near_misses_take_the_dense_path(self, N, terms, monkeypatch):
+        m = truncated(N)
+        a = reduce_poly(terms, m)
+        assert ring._closed_form_inverse(a) is None
+        dense = _dense_inverse(a, monkeypatch)
+        if isinstance(dense, NotInvertible):
+            with pytest.raises(NotInvertible) as err:
+                inverse(a)
+            assert err.value.witness == dense.witness
+        else:
+            assert inverse(a) == dense and a * dense == one(m)
+
+    def test_small_rings(self):
+        # N = 2: 1 - x = 2 and the geometric sum of length 1 is 1
+        m = truncated(2)
+        assert ring._closed_form_inverse(const(m, 2)) == const(m, Fraction(1, 2))
+        assert ring._closed_form_inverse(one(m)) == one(m)
+        assert ring._closed_form_inverse(zero(m)) is None
+        # N = 3: 1 - x^2 = 2 + x and 1 + x
+        m = truncated(3)
+        for k in (1, 2):
+            a = reduce_poly({0: 1, k: -1}, m)
+            assert a * ring._closed_form_inverse(a) == one(m)
+        assert ring._closed_form_inverse(geometric_sum(m, 2)) == -x_power(m, 1)
+
+    def test_no_per_ring_table(self, monkeypatch):
+        # a large ring pays for one reduction per closed-form inverse, not for
+        # a table of every shape
+        m = truncated(1024)
+        inputs = [reduce_poly({0: 1, 3: -1}, m), geometric_sum(m, 3)]
+        one(m)
+        calls = []
+        for name in ("reduce_poly", "geometric_sum"):
+            real = getattr(ring, name)
+
+            def spy(*args, real=real, **kwargs):
+                calls.append(real)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(ring, name, spy)
+        for a in inputs:
+            assert a * inverse(a) == one(m)
+        assert len(calls) <= 2
 
 
 class TestPowerCap:
@@ -537,6 +632,24 @@ class TestSerialization:
         m = data.draw(MODULI)
         a = data.draw(elements(m))
         assert element_from_json(a.to_json()) == a
+
+    @pytest.mark.parametrize(
+        "m",
+        [truncated(8), group_ring(6), ring.binomial_plus(8, 2), ring.odd_truncated(12)],
+        ids=lambda m: m.kind,
+    )
+    def test_every_route_returns_the_shared_modulus(self, m):
+        assert ring.modulus(m.N, m.kind, m.param) is m
+        assert pickle.loads(pickle.dumps(m)) is m
+        assert copy.copy(m) is m and copy.deepcopy(m) is m
+        a = reduce_poly({0: Fraction(1, 3), 1: -2}, m)
+        for b in (
+            pickle.loads(pickle.dumps(a)),
+            copy.copy(a),
+            copy.deepcopy(a),
+            element_from_json(a.to_json()),
+        ):
+            assert b.modulus is m and b == a
 
     def test_schema_shape(self):
         a = reduce_poly({1: Fraction(-3, 7)}, truncated(5))

@@ -147,13 +147,18 @@ def test_modulus_dim_per_kind():
 @pytest.mark.parametrize(
     "args, message",
     (
-        ((1, "truncated"), "N must be >= 2"),
-        ((8, "cyclic"), "unknown ring kind 'cyclic'"),
+        ((1, "truncated", 0), "N must be >= 2"),
+        ((8, "cyclic", 0), "unknown ring kind 'cyclic'"),
         ((8, "binomial_plus", 3), r"binomial_plus\(3\) requires 2\^4 \| N"),
-        ((8, "odd_truncated"), "odd_truncated requires"),
-        ((9, "odd_truncated"), "odd_truncated requires"),
+        ((8, "odd_truncated", 0), "odd_truncated requires"),
+        ((9, "odd_truncated", 0), "odd_truncated requires"),
+        ((8, "binomial_plus", -1), r"binomial_plus\(-1\) requires .*l >= 0"),
+        ((8, "binomial_plus", 10**18), r"binomial_plus\(1000000000000000000\) requires"),
+        ((8, "truncated", 3), "truncated takes no parameter l, got 3"),
+        ((8, "group", 1), "group takes no parameter l, got 1"),
+        ((12, "odd_truncated", -1), "odd_truncated takes no parameter l, got -1"),
     ),
 )
 def test_modulus_validation(args, message):
     with pytest.raises(ValueError, match=message):
-        ring.Modulus(*args)
+        ring.modulus(*args)
