@@ -8,19 +8,20 @@ exactly when their canonical factor lists coincide, so ``==`` on
 The workhorse is an exact Smith normal form over Z with unimodular
 transforms, using a smallest-magnitude pivot rule so the transforms are
 reproducible across platforms.  Every subgroup question of the package
-(its order, membership, the coefficients of a member, its presentation)
-goes through one value, :class:`Span`, which holds that Smith form; no
-other module takes a Smith form.  Linear algebra over Q (ranks,
-solutions, kernel vectors) goes through one fraction-free Gauss-Jordan
-eliminator on integer matrices.
+(its order, membership, the coefficients of a member, its presentation,
+its members in order) goes through one value, :class:`Span`, which holds
+that Smith form, and the solutions of a linear congruence come from
+:func:`annihilator`; no other module takes a Smith form.  Linear algebra
+over Q (ranks, solutions, kernel vectors) goes through one fraction-free
+Gauss-Jordan eliminator on integer matrices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .exceptions import VerificationFailure
 from .frozen import Frozen
@@ -222,6 +223,61 @@ def solve_with_snf(
     return [sum(v[i][j] * y[j] for j in range(m)) for i in range(m)]
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with x*a + y*b = g = gcd(a, b), for a, b > 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
+
+
+def _hermite_basis(mods: Sequence[int], vecs: Iterable[Sequence[int]]) -> IntMatrix:
+    """An upper-triangular basis of the lattice of Z^n spanned by ``vecs``
+    and the mods[i] * e_i: row i is zero before column i and h_ii > 0.
+
+    Each vector is merged into the rows from the left, one unimodular 2x2
+    step (extended gcd) per column where it is not yet a multiple of the
+    row.  The lattice contains every mods[j] * e_j, and a lattice vector
+    that is zero before column j is a combination of rows j, j+1, ...; so
+    entries past the current column may be reduced modulo mods (Domich,
+    Kannan and Trotter, Math. Oper. Res. 12, 1987), and they stay below
+    them.  The rows need not be reduced above the diagonal.
+    """
+    h = [[d if i == j else 0 for j in range(len(mods))] for i, d in enumerate(mods)]
+    for vec in vecs:
+        v = [x % d for x, d in zip(vec, mods)]
+        for i, row in enumerate(h):
+            a, b = row[i], v[i]
+            if b % a:
+                g, x, y = _xgcd(a, b)
+                # [[x, y], [-b/g, a/g]] has determinant 1; g < a <= mods[i]
+                h[i] = [(x * r + y * s) % d for r, s, d in zip(row, v, mods)]
+                v = [(a // g * s - b // g * r) % d for r, s, d in zip(row, v, mods)]
+            elif b:
+                q = b // a
+                v = [(x - q * y) % d for x, y, d in zip(v, row, mods)]
+    return h
+
+
+def annihilator(rows: Sequence[Sequence[int]], m: int) -> IntMatrix:
+    """Generators of {t in Z^c : sum_i t_i * rows[i] = 0 mod m}.
+
+    The condition asks t . w = 0 mod m for every column w of ``rows``, so
+    for every w in the lattice L they span with m*Z^c.  L is compressed
+    first to its c x c Hermite basis, whose columns form a matrix A.  With
+    U * A * V = diag(d) its Smith form, s = t * U^-1 must satisfy
+    s_i * d_i = 0 mod m, so the rows (m / gcd(m, d_i)) * U_i generate the
+    solutions (Cohen, A Course in Computational Algebraic Number Theory,
+    section 2.4).
+    """
+    c = len(rows)
+    h = _hermite_basis([m] * c, zip(*rows))
+    d, u, _ = smith_normal_form([list(col) for col in zip(*h)])
+    return [[m // gcd(m, d[i][i]) * x for x in u[i]] for i in range(c)]
+
+
 # ---------------------------------------------------------------------------
 # presentations
 
@@ -334,6 +390,43 @@ class Span(Frozen):
         return all(
             sum(map(mul, row, vec)) % d[i][i] == 0 for i, row in enumerate(u)
         )
+
+    def elements(self) -> Iterator[tuple[int, ...]]:
+        """The members of the span, lazily, in lexicographic order.
+
+        They are the vectors of the lattice spanned by the gens and the
+        mods[i] * e_i that lie in the box [0, mods).  Row i of that
+        lattice's Hermite basis h is zero before column i, so once the
+        first i coordinates are fixed, coordinate i runs through one
+        residue class modulo h_ii, and each value extends to members.  The
+        last two coordinates are listed together, one block per prefix.
+        """
+        mods, n = self.mods, len(self.mods)
+        h = _hermite_basis(mods, self.gens)
+        if n < 2:
+            yield from [(x,) for x in range(0, mods[0], h[0][0])] if n else [()]
+            return
+        a, b = n - 2, n - 1
+        step_a, step_b, cross = h[a][a], h[b][b], h[a][b]
+
+        def walk(i: int, prefix: tuple[int, ...], v: list[int]):
+            # v: a lattice vector that agrees with prefix, reduced modulo mods
+            if i == a:
+                va, vb = v[a], v[b]
+                yield from [
+                    prefix + (x, y)
+                    for x in range(va % step_a, mods[a], step_a)
+                    for y in range((vb + (x - va) // step_a * cross) % step_b, mods[b], step_b)
+                ]
+                return
+            row, step = h[i], h[i][i]
+            for x in range(v[i] % step, mods[i], step):
+                q = (x - v[i]) // step
+                yield from walk(
+                    i + 1, prefix + (x,), [(s + q * t) % d for s, t, d in zip(v, row, mods)]
+                )
+
+        yield from walk(0, (), [0] * n)
 
 
 def subgroup_from_elements(span: Span) -> FinAb:

@@ -6,7 +6,7 @@ harness:
     ring          evaluate a ring expression in x over a chosen quotient
     special       the named elements f, f_k, f'_k, g for (N, k)
     structure-set free rank + torsion of the structure-set model
-    kernel        brute-force kernel of the coordinate-class map
+    kernel        kernel of the coordinate-class map, with its members
     suspend       suspension of an element (with candidate sets)
     torsion-basis the inductive torsion basis with its choice log
     invariants    expansion of a torsion element over the basis
@@ -34,8 +34,9 @@ Exit codes:
        command line, a ``verify`` selection that matches no check, a
        RHO_LATTICE_CAP that is not a positive integer)
     3  not invertible
-    4  work cap exceeded (WorkCapExceeded): a kernel enumeration past its
-       candidate cap, or a power whose coefficients would pass it in bits
+    4  work cap exceeded (WorkCapExceeded): a kernel with more members to
+       list than the cap, or a power whose coefficients would pass it in
+       bits
     5  internal verification failure (VerificationFailure), including a
        closed-form inverse that fails its check and a ``verify`` worker
        pool that failed; rerun with ``--workers 1``
@@ -295,7 +296,7 @@ def cmd_structure_set(args) -> int:
     from .surgery import LensParams, structure_set
 
     params = LensParams(args.N, args.d, args.k)
-    desc = structure_set(params, method=args.method)
+    desc = structure_set(params)
     _emit(desc.to_json(include_members=args.members), args.format)
     return 0
 
@@ -309,7 +310,6 @@ def cmd_kernel(args) -> int:
         {
             "params": params.to_json(),
             "torsion": kr.torsion.to_json(),
-            "method": kr.method,
             "members": [list(mm) for mm in kr.members],
         },
         args.format,
@@ -439,11 +439,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("structure-set", help="free rank and torsion presentation")
     common(p)
-    p.add_argument("--method", choices=("auto", "brute", "closed"), default="auto")
     p.add_argument("--members", action="store_true", help="include kernel members")
     p.set_defaults(func=cmd_structure_set)
 
-    p = sub.add_parser("kernel", help="brute-force kernel of the class map")
+    p = sub.add_parser("kernel", help="kernel of the class map with its members")
     common(p)
     p.set_defaults(func=cmd_kernel)
 

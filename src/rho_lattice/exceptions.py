@@ -37,8 +37,9 @@ class PreconditionFailed(ValueError):
 
 
 class WorkCapExceeded(RuntimeError):
-    """Work would exceed the configured cap: an enumeration's candidates,
-    or the bits of a power's coefficients."""
+    """Work would exceed the configured cap: the members a kernel lists,
+    the candidates of the brute-force kernel, or the bits of a power's
+    coefficients."""
 
 
 DEFAULT_WORK_CAP = 2**22
@@ -47,7 +48,8 @@ CAP_ENV_VAR = "RHO_LATTICE_CAP"
 
 def work_cap() -> int:
     """The one work cap, read from ``RHO_LATTICE_CAP`` on each call: the
-    kernel enumeration's candidate count and a power's coefficient bits.
+    kernel members listed, the brute-force kernel's candidate count and a
+    power's coefficient bits.
     A set value that is not a positive integer raises ValueError."""
     value = os.environ.get(CAP_ENV_VAR)
     if not value:

@@ -529,9 +529,36 @@ class Element(Frozen):
         return obj
 
 
+def strict_int(value, name: str) -> int:
+    """``value`` when it is an int; anything else, a bool, a float or a
+    string included, raises ValueError naming ``name``."""
+    if type(value) is int:
+        return value
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _coefficient_from_json(value) -> int:
+    """A numerator or denominator: an integer, or the decimal-integer
+    string :meth:`Element.to_json` writes."""
+    if isinstance(value, str):
+        digits = value.removeprefix("-")
+        if digits.isascii() and digits.isdigit():
+            return int(value)
+        raise ValueError(f"a coefficient must be a decimal integer, got {value!r}")
+    return strict_int(value, "a coefficient")
+
+
 def element_from_json(obj: Mapping) -> Element:
-    m = modulus(int(obj["N"]), str(obj["kind"]), int(obj.get("l", 0)))
-    return from_coeffs(m, [Fraction(int(num), int(den)) for num, den in obj["coeffs"]])
+    """Read :meth:`Element.to_json` output back.  Malformed input raises
+    ValueError, KeyError or TypeError."""
+    m = modulus(strict_int(obj["N"], "N"), str(obj["kind"]), strict_int(obj.get("l", 0), "l"))
+    return from_coeffs(
+        m,
+        [
+            Fraction(_coefficient_from_json(num), _coefficient_from_json(den))
+            for num, den in obj["coeffs"]
+        ],
+    )
 
 
 def reduce_poly(raw: Mapping[int, Rational], m: Modulus) -> Element:

@@ -11,10 +11,10 @@ resulting manifold is assembled here from two invariants:
 
 The coordinates map to eigenspace classes modulo the 4-integral lattice
 through an explicit polynomial in f (``rho_bar_formula``); the kernel of
-that map is the torsion of the structure set.  The kernel is computed here
-twice: by exhaustive enumeration of all coordinate tuples (the oracle),
-which meets in the middle, and by the closed form (+) Z_{2^min(K,1)} (+)
-Z_{2^min(K,2i)}, and the two presentations are compared exactly.
+that map is the torsion of the structure set.  The map is Z-linear, so
+its kernel is a lattice (``kernel_rho_bar``).  ``verify`` compares it with
+the closed form (+) Z_{2^min(K,1)} (+) Z_{2^min(K,2i)} and, member by
+member, with an enumeration of every coordinate tuple (the oracle).
 
 The odd-order sector contributes no torsion and only the order M^c of its
 normal-invariant group is exposed; its internal coordinates are not part
@@ -28,7 +28,7 @@ from itertools import product
 from math import gcd, lcm
 
 from . import ring
-from .abelian import TRIVIAL, FinAb, Span, fraction_free_rref, subgroup_from_elements
+from .abelian import TRIVIAL, FinAb, Span, annihilator, fraction_free_rref, subgroup_from_elements
 from .elements import Catalog
 from .exceptions import (
     CAP_ENV_VAR,
@@ -39,7 +39,7 @@ from .exceptions import (
     work_cap,
 )
 from .frozen import Frozen
-from .ring import Element, eigen_test, in_lattice_4r, restrict, split_two_power
+from .ring import Element, eigen_test, in_lattice_4r, restrict, split_two_power, strict_int
 
 # NormalCoords and StructureElement store their fields directly, as ring's
 # Element does (see ring._set).
@@ -59,6 +59,8 @@ class LensParams(Frozen):
     __slots__ = _fields + ("K", "M")
 
     def __init__(self, N: int, d: int, k: int = 1):
+        for name, value in (("N", N), ("d", d), ("k", k)):
+            strict_int(value, name)
         if N < 2:
             raise ValueError("N must be >= 2")
         if d < 3:
@@ -257,15 +259,25 @@ def _formula_or_zero(params: LensParams, coords: NormalCoords) -> Element:
 
 
 class KernelResult(Frozen):
-    """The kernel's torsion, its member t4-vectors in lexicographic order,
-    and ``method``, always "brute": kernel_rho_bar decides every candidate
-    tuple, by meeting in the middle."""
+    """The kernel's torsion, and ``span``, its t4-part as a subgroup of
+    (Z/2^K)^c."""
 
-    _fields = ("torsion", "members", "method")
+    _fields = ("torsion", "span")
     __slots__ = _fields
 
-    def __init__(self, torsion: FinAb, members: tuple[tuple[int, ...], ...], method: str):
-        self._assign(torsion=torsion, members=members, method=method)
+    def __init__(self, torsion: FinAb, span: Span):
+        self._assign(torsion=torsion, span=span)
+
+    @property
+    def members(self) -> tuple[tuple[int, ...], ...]:
+        """The member t4-vectors in lexicographic order; more than the cap
+        (default 2^22, env ``RHO_LATTICE_CAP``) raise WorkCapExceeded."""
+        cap = work_cap()
+        if self.span.order > cap:
+            raise WorkCapExceeded(
+                f"{self.span.order} kernel members exceed the cap {cap}; raise {CAP_ENV_VAR}"
+            )
+        return tuple(self.span.elements())
 
 
 def kernel_closed_form(params: LensParams) -> FinAb:
@@ -273,6 +285,39 @@ def kernel_closed_form(params: LensParams) -> FinAb:
     K, c = params.K, params.c
     orders = [2 ** min(K, 1)] * c + [2 ** min(K, 2 * i) for i in range(1, c + 1)]
     return FinAb.from_orders(orders)
+
+
+def _formula_rows(params: LensParams) -> tuple[list[list[int]], int]:
+    """(rows, 4D): the formula values F_i = rows[i] / D over one common
+    denominator D.  A class is zero iff its numerator vector is divisible
+    by 4D, so the rows and their multiples only matter modulo 4D."""
+    basis = _formula_basis(params.N, params.d, params.k)
+    D = lcm(*(b.den for b in basis))
+    mod = 4 * D
+    return [[x * (D // b.den) % mod for x in b.num] for b in basis], mod
+
+
+def kernel_rho_bar(params: LensParams) -> KernelResult:
+    """Kernel of the coordinate-class map, as a lattice.
+
+    Read each lift as t_i times the odd-lift unit u = lift(1); then the
+    t4-part is {t : sum_i t_i * u * rows[i] = 0 mod 4D} (see
+    :func:`_formula_rows`), one :func:`annihilator`, read modulo 2^K, which
+    needs (and checks) 2^K * u * rows[i] = 0 mod 4D.  Every t_{4i-2}
+    coordinate is adjoined freely since the formula ignores it; the odd
+    sector contributes nothing.  Nothing is enumerated.
+    """
+    K, c = params.K, params.c
+    if K == 0:
+        return KernelResult(TRIVIAL, Span([1] * c, []))
+    rows, mod = _formula_rows(params)
+    unit = lift_tbar((1,), params)[0]
+    rows = [[unit * x % mod for x in row] for row in rows]
+    if any(x * 2**K % mod for row in rows for x in row):
+        raise VerificationFailure(f"the class map is not 2^K-periodic at {params}")
+    span = Span([2**K] * c, annihilator(rows, mod))
+    free_part = FinAb.from_orders([2] * c)
+    return KernelResult(subgroup_from_elements(span).direct_sum(free_part), span)
 
 
 def _residue_sums(tables: list[list[list[int]]], mod: int, dim: int):
@@ -292,38 +337,26 @@ def _residue_sums(tables: list[list[list[int]]], mod: int, dim: int):
             yield head + (t,), tuple([(a + b) % mod for a, b in zip(base, row)])
 
 
-def kernel_rho_bar(params: LensParams) -> KernelResult:
-    """Exhaustive kernel of the coordinate-class map, by meeting in the middle.
+def kernel_members_brute(params: LensParams) -> tuple[tuple[int, ...], ...]:
+    """The kernel's member t4-vectors in lexicographic order, each
+    candidate decided with its own lifts: the oracle for
+    :func:`kernel_rho_bar`, free of its linearity.
 
-    A t4-tuple is in the kernel when its formula value is 4-integral, that
-    is when the residues of its first ceil(c/2) and its last floor(c/2)
-    coordinates cancel.  The tails' residues go in a table (at most 2^11
-    under the default cap); the heads stream in lexicographic order and
-    each looks up the negation of its residue.  So every one of the
-    2^(K*c) tuples is decided in about 2^(K*ceil(c/2)) steps, and the
-    members come out in lexicographic order.  The subgroup they generate
-    is presented, and every t_{4i-2} coordinate is adjoined freely since
-    the formula ignores it.  The odd sector contributes nothing.  Raises
-    :class:`WorkCapExceeded` when the 2^(K*c) candidates pass the cap
-    (default 2^22, env ``RHO_LATTICE_CAP``).
+    A t4-tuple is in the kernel when the residues of its first ceil(c/2)
+    and its last floor(c/2) coordinates cancel.  The tails' residues go in
+    a table; the heads stream in lexicographic order and each looks up the
+    negation of its residue, so the 2^(K*c) tuples take about
+    2^(K*ceil(c/2)) steps (Horowitz and Sahni, J. ACM 21, 1974).  Raises
+    :class:`WorkCapExceeded` when the candidates pass the cap.
     """
     cap = work_cap()
     K, c = params.K, params.c
     if K == 0:
-        return KernelResult(TRIVIAL, ((0,) * c,), "brute")
+        return ((0,) * c,)
     total = (2**K) ** c
     if total > cap:
-        raise WorkCapExceeded(
-            f"{total} candidates exceed the cap {cap}; "
-            f"use the closed form or raise {CAP_ENV_VAR}"
-        )
-    # the formula values F_i = rows[i] / D over one common denominator D;
-    # a class is zero iff its numerator vector is divisible by 4*D, so
-    # the rows and their multiples only matter modulo 4*D
-    basis = _formula_basis(params.N, params.d, params.k)
-    D = lcm(*(b.den for b in basis))
-    mod = 4 * D
-    rows = [[x * (D // b.den) % mod for x in b.num] for b in basis]
+        raise WorkCapExceeded(f"{total} candidates exceed the cap {cap}; raise {CAP_ENV_VAR}")
+    rows, mod = _formula_rows(params)
     dim = params.modulus().dim
     lifts = [lift_tbar((t,), params)[0] for t in range(2**K)]
     multiples = [[[t * x % mod for x in row] for t in lifts] for row in rows]
@@ -331,86 +364,46 @@ def kernel_rho_bar(params: LensParams) -> KernelResult:
     tails: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for tail, value in _residue_sums(multiples[split:], mod, dim):
         tails.setdefault(tuple([-v % mod for v in value]), []).append(tail)
-    members = [
+    return tuple(
         head + tail
         for head, value in _residue_sums(multiples[:split], mod, dim)
         for tail in tails.get(value, ())
-    ]
-    # greedy generating subset, started from the first nonzero member: a
-    # member joins when it lies outside the span so far, which is rebuilt
-    # only then; the torsion is read off the final span
-    mods = [2**K] * c
-    nonzero = (t4 for t4 in members if any(t4))
-    first = next(nonzero, None)
-    gens = [] if first is None else [first]
-    span = Span(mods, gens)
-    for t4 in nonzero:
-        if span.order == len(members):
-            break
-        if not span.contains(t4):
-            gens.append(t4)
-            span = Span(mods, gens)
-    torsion = subgroup_from_elements(span)
-    if torsion.order() != len(members):
-        raise VerificationFailure(
-            f"{len(members)} kernel members span a subgroup of order "
-            f"{torsion.order()} at {params}"
-        )
-    free_part = FinAb.from_orders([2] * c)
-    return KernelResult(torsion.direct_sum(free_part), tuple(members), "brute")
+    )
 
 
 class StructureSetDescriptor(Frozen):
-    """Free rank plus torsion presentation of the structure-set model."""
+    """Free rank plus the kernel, whose torsion is the structure set's."""
 
-    _fields = ("params", "free_rank", "torsion", "method", "members")
+    _fields = ("params", "free_rank", "kernel")
     __slots__ = _fields
 
-    def __init__(
-        self,
-        params: LensParams,
-        free_rank: int,
-        torsion: FinAb,
-        method: str,
-        members: tuple[tuple[int, ...], ...] | None = None,
-    ):
-        self._assign(
-            params=params, free_rank=free_rank, torsion=torsion, method=method, members=members
-        )
+    def __init__(self, params: LensParams, free_rank: int, kernel: KernelResult):
+        self._assign(params=params, free_rank=free_rank, kernel=kernel)
+
+    @property
+    def torsion(self) -> FinAb:
+        return self.kernel.torsion
 
     def to_json(self, include_members: bool = False) -> dict:
         obj = {
             "params": self.params.to_json(),
             "free_rank": self.free_rank,
             "torsion": self.torsion.to_json(),
-            "method": self.method,
         }
-        if include_members and self.members is not None:
-            obj["members"] = [list(m) for m in self.members]
+        if include_members:
+            obj["members"] = [list(m) for m in self.kernel.members]
         return obj
 
 
-def structure_set(params: LensParams, method: str = "auto") -> StructureSetDescriptor:
+def structure_set(params: LensParams) -> StructureSetDescriptor:
     """Assemble the structure-set descriptor for the given parameters.
 
     The free rank comes from the eigenlattice computation (cross-checked
-    against the closed rank clauses inside :func:`l_group_reduced_rank`).
-    Torsion comes from the brute-force kernel, falling back to the closed
-    form when the cap is exceeded and ``method`` is "auto"; the chosen path
-    is recorded in the output.
+    against the closed rank clauses inside :func:`l_group_reduced_rank`),
+    the torsion from the kernel lattice (:func:`kernel_rho_bar`).
     """
-    if method not in ("auto", "brute", "closed"):
-        raise ValueError("method must be auto, brute or closed")
     rank = l_group_reduced_rank(params.N, params.sign)
-    if method == "closed":
-        return StructureSetDescriptor(params, rank, kernel_closed_form(params), "closed")
-    try:
-        kr = kernel_rho_bar(params)
-        return StructureSetDescriptor(params, rank, kr.torsion, "brute", kr.members)
-    except WorkCapExceeded:
-        if method == "brute":
-            raise
-        return StructureSetDescriptor(params, rank, kernel_closed_form(params), "closed")
+    return StructureSetDescriptor(params, rank, kernel_rho_bar(params))
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +485,9 @@ def element_from_json(obj) -> StructureElement:
     parsers = {
         "params": lambda v: LensParams(**v),
         "rho": ring.element_from_json,
-        "coords": lambda v: NormalCoords(tuple(v["t4"]), tuple(v["t4m2"])),
+        "coords": lambda v: NormalCoords(
+            *[tuple([strict_int(t, key) for t in v[key]]) for key in ("t4", "t4m2")]
+        ),
     }
     fields = {}
     for name, parse in parsers.items():

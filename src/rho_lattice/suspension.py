@@ -31,6 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import gcd, prod
+from typing import Iterable
 
 from . import ring
 from .abelian import Span
@@ -400,7 +401,7 @@ def _element_order(x: StructureElement) -> int:
 
 def _mu4_choice(
     params: LensParams,
-    members: tuple[tuple[int, ...], ...],
+    members: Iterable[tuple[int, ...]],
     higher: list[StructureElement],
 ) -> StructureElement:
     """The ad-hoc generator of the lowest torsion block.
@@ -457,7 +458,7 @@ def torsion_basis(params: LensParams) -> TorsionBasis:
         if not x.is_torsion():
             raise VerificationFailure(f"tower for mu_{4 * i} failed to become torsion")
         mu4.append(x)
-    mu4.insert(0, _mu4_choice(params, kernel.members, mu4))
+    mu4.insert(0, _mu4_choice(params, kernel.span.elements(), mu4))
 
     mu4m2: list[StructureElement] = []
     for i in range(1, c + 1):

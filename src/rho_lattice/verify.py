@@ -43,6 +43,7 @@ from .surgery import (
     element_scale,
     element_validate,
     kernel_closed_form,
+    kernel_members_brute,
     kernel_rho_bar,
     l_group_reduced_rank,
     reduced_normal_group,
@@ -481,7 +482,11 @@ def _check_kernel_vs_closed(N: int, d: int, k: int) -> str | None:
     kr = kernel_rho_bar(p)
     cf = kernel_closed_form(p)
     if kr.torsion != cf:
-        return f"brute {kr.torsion.factors} vs closed {cf.factors}"
+        return f"lattice {kr.torsion.factors} vs closed {cf.factors}"
+    members, brute = kr.members, kernel_members_brute(p)
+    if members != brute:
+        only = sorted(set(members).symmetric_difference(brute))[:1]
+        return f"lattice lists {len(members)} members, brute force {len(brute)}; {only}"
     return None
 
 
@@ -489,7 +494,7 @@ def _check_rank_clause(N: int, d: int) -> str | None:
     p = LensParams(N, d)
     # l_group_reduced_rank raises VerificationFailure when lattice and clause disagree
     rank = l_group_reduced_rank(N, p.sign)
-    ss = structure_set(p, method="closed")
+    ss = structure_set(p)
     if ss.free_rank != rank:
         return f"descriptor rank {ss.free_rank} != lattice rank {rank}"
     return None

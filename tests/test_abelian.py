@@ -1,6 +1,7 @@
 """Fraction-free elimination, Smith normal form, invariant factors,
 subgroup spans and presentations."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from rho_lattice.abelian import (
     FinAb,
     TRIVIAL,
     Span,
+    annihilator,
     fraction_free_rref,
     smith_normal_form,
     solve_rational,
@@ -295,6 +297,52 @@ class TestSubgroup:
                     assert len(z) == len(gens)
                     for i, m in enumerate(mods):
                         assert (sum(c * g[i] for c, g in zip(z, gens)) - vec[i]) % m == 0
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12]), min_size=1, max_size=3).flatmap(
+            lambda mods: st.tuples(
+                st.just(mods),
+                st.lists(
+                    st.lists(st.integers(-40, 40), min_size=len(mods), max_size=len(mods)),
+                    max_size=3,
+                ),
+            )
+        )
+    )
+    def test_elements_in_lexicographic_order(self, mods_gens):
+        mods, gens = mods_gens
+        span = Span(mods, gens)
+        members = list(span.elements())
+        assert members == sorted(set(members))
+        assert len(members) == span.order
+        assert all(span.contains(v) for v in members)
+        assert all(0 <= x < m for v in members for x, m in zip(v, mods))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda c: st.tuples(
+                st.lists(
+                    st.lists(st.integers(-30, 30), min_size=4, max_size=4),
+                    min_size=c,
+                    max_size=c,
+                ),
+                st.sampled_from([1, 2, 6, 8, 12]),
+            )
+        )
+    )
+    def test_annihilator_against_every_residue(self, rows_m):
+        # {t : sum_i t_i * rows[i] = 0 mod m} is invariant under m*Z^c, so
+        # its residues mod m are exactly the span of the generators
+        rows, m = rows_m
+        c = len(rows)
+        solutions = [
+            t
+            for t in itertools.product(range(m), repeat=c)
+            if all(sum(ti * row[j] for ti, row in zip(t, rows)) % m == 0 for j in range(4))
+        ]
+        assert list(Span([m] * c, annihilator(rows, m)).elements()) == solutions
 
     def test_infinite_ambient_rejected(self):
         with pytest.raises(ValueError):

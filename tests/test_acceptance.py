@@ -36,6 +36,7 @@ from rho_lattice.surgery import (
     element_scale,
     element_validate,
     kernel_closed_form,
+    kernel_members_brute,
     kernel_rho_bar,
     l_group_reduced_rank,
     transfer,
@@ -90,16 +91,15 @@ def test_criterion_1_kernel_oracle_vs_closed_form():
         for d in SWEEP_D:
             for k in _ks(N):
                 p = LensParams(N, d, k)
-                assert kernel_rho_bar(p).torsion == kernel_closed_form(p), (
-                    N,
-                    d,
-                    k,
-                )
+                kr = kernel_rho_bar(p)
+                assert kr.torsion == kernel_closed_form(p), (N, d, k)
+                assert kr.members == kernel_members_brute(p), (N, d, k)
     elapsed = time.time() - started
     _report(
         1,
         elapsed < 120,
-        "brute-force kernel matches the closed form over the full sweep",
+        "lattice kernel matches the closed form and the brute-force members "
+        "over the full sweep",
         elapsed,
     )
 

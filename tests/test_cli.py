@@ -14,6 +14,19 @@ from rho_lattice.ring import element_from_json, one, reduce_poly, truncated
 from rho_lattice.surgery import LensParams, zero_element
 
 
+# the zero element at N = 8, d = 5 as --element-json reads it
+ZERO_N8_D5 = {
+    "params": {"N": 8, "d": 5, "k": 1},
+    "rho": ring.zero(truncated(8)).to_json(),
+    "coords": {"t4": [0, 0], "t4m2": [0, 0]},
+}
+
+
+def _with(field, **changes):
+    """ZERO_N8_D5 with some entries of one field replaced."""
+    return {**ZERO_N8_D5, field: {**ZERO_N8_D5[field], **changes}}
+
+
 def run_cli(*argv, stdin=None):
     proc = subprocess.run(
         [sys.executable, "-m", "rho_lattice.cli", *argv],
@@ -127,7 +140,7 @@ class TestSubcommands:
         out = run_cli("kernel", "--N", "8", "--d", "4")
         obj = json.loads(out.stdout)
         assert obj["members"] == [[0], [2], [4], [6]]
-        assert obj["method"] == "brute"
+        assert "method" not in obj
 
     def test_suspend_tau(self):
         out = run_cli("suspend", "--N", "8", "--d", "4", "--element", "tau")
@@ -175,8 +188,22 @@ class TestSubcommands:
                 },
                 "truncated takes no parameter l, got 3",
             ),
+            # once read through int(): 8.9 as 8 (exit 0), True as 1; the
+            # rest raised outside the parser (a traceback, exit 1)
+            (
+                _with("rho", coeffs=[[8.9, 1]] + ZERO_N8_D5["rho"]["coeffs"][1:]),
+                "a coefficient must be an integer, got 8.9",
+            ),
+            (_with("rho", N=True), "N must be an integer, got True"),
+            (_with("coords", t4=[1.5, 0]), "t4 must be an integer, got 1.5"),
+            (_with("coords", t4=["1", 0]), "t4 must be an integer, got '1'"),
+            (_with("params", d=7.0), "d must be an integer, got 7.0"),
+            (_with("params", k=True), "k must be an integer, got True"),
         ),
-        ids=("empty-object", "list", "unknown-param", "l-on-truncated"),
+        ids=(
+            "empty-object", "list", "unknown-param", "l-on-truncated", "float-coefficient",
+            "bool-N", "float-t4", "string-t4", "float-d", "bool-k",
+        ),
     )
     def test_malformed_element_json_is_bad_input(self, payload, field):
         out = run_cli(
@@ -235,7 +262,8 @@ class TestSubcommands:
         assert el.modulus.N == 2
 
     def test_work_cap_exit_code(self):
-        out = run_cli("kernel", "--N", "1024", "--d", "8")
+        # 2^30 members to list
+        out = run_cli("kernel", "--N", "1024", "--d", "12")
         assert out.returncode == 4
         assert out.stderr.startswith("error: WorkCapExceeded: ")
         assert "Traceback" not in out.stderr

@@ -117,6 +117,23 @@ def test_only_abelian_takes_smith_forms():
     assert offenders == []
 
 
+def test_itertools_product_only_at_known_enumerations():
+    # the kernel is a lattice and is never enumerated; what is left are
+    # the brute-force kernel oracle, the minimal-coordinates search (which
+    # a lattice coset search could replace) and verify's torsion oracle
+    sites = [
+        f"{path.stem}.{function}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function, call in _calls_by_function(ast.parse(path.read_text()))
+        if _called_name(call) == "product"
+    ]
+    assert sites == [
+        "surgery._residue_sums",
+        "suspension._coords_matching_rho",
+        "verify._torsion_elements",
+    ]
+
+
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 

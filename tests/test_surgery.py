@@ -20,6 +20,7 @@ from rho_lattice.surgery import (
     element_scale,
     element_validate,
     kernel_closed_form,
+    kernel_members_brute,
     kernel_rho_bar,
     l_group_reduced_rank,
     lift_tbar,
@@ -171,21 +172,27 @@ class TestKernel:
         assert kernel_closed_form(LensParams(16, 7)).factors == (2, 2, 2, 4, 16, 16)
 
     def test_cap(self, monkeypatch):
+        # the cap counts the members listed, 1,024 at (16, 8); the kernel
+        # itself is found without listing any
+        kr = kernel_rho_bar(LensParams(16, 8))
         monkeypatch.setenv("RHO_LATTICE_CAP", "10")
-        with pytest.raises(WorkCapExceeded, match="RHO_LATTICE_CAP"):
-            kernel_rho_bar(LensParams(16, 8))
+        with pytest.raises(WorkCapExceeded, match="1024 kernel members .*RHO_LATTICE_CAP"):
+            kr.members
+        # the oracle's cap still counts its 2^12 candidates
+        with pytest.raises(WorkCapExceeded, match="4096 candidates .*RHO_LATTICE_CAP"):
+            kernel_members_brute(LensParams(16, 8))
 
     def test_cap_env_override(self, monkeypatch):
-        monkeypatch.setenv("RHO_LATTICE_CAP", "10")
+        kr = kernel_rho_bar(LensParams(16, 8))
+        monkeypatch.setenv("RHO_LATTICE_CAP", "1023")
         with pytest.raises(WorkCapExceeded):
-            kernel_rho_bar(LensParams(16, 8))
-        monkeypatch.setenv("RHO_LATTICE_CAP", "100000")
-        kernel_rho_bar(LensParams(16, 8))
+            kr.members
+        monkeypatch.setenv("RHO_LATTICE_CAP", "1024")
+        assert len(kr.members) == 1024
 
     def test_smith_forms_per_kernel(self, monkeypatch):
-        # the greedy span starts at the first nonzero member and the torsion
-        # is read off the final span: one Smith form per generator, plus
-        # one for the relations
+        # one for the annihilator, one for the span and one for the
+        # relations among its generators; listing members takes none
         calls = []
         real = abelian.smith_normal_form
 
@@ -195,11 +202,12 @@ class TestKernel:
 
         monkeypatch.setattr(abelian, "smith_normal_form", spy)
         kr = kernel_rho_bar(LensParams(8, 7))
-        assert len(calls) == 4
+        assert len(calls) == 3
         assert kr.torsion == kernel_closed_form(LensParams(8, 7))
+        assert len(kr.members) == 256 and len(calls) == 3
         calls.clear()
         torsion_basis(LensParams(8, 7))
-        assert len(calls) == 6
+        assert len(calls) == 5
 
     @pytest.mark.parametrize("N", (2, 3, 4, 5, 6, 8, 9, 12))
     @pytest.mark.parametrize("d", (3, 4, 5, 6))
@@ -246,8 +254,9 @@ def product_kernel(params):
 
 class TestKernelOracle:
     # every (N, d, k) of the grid with at most 2^16 candidates, k among the
-    # first three units mod N: meeting in the middle finds exactly the
-    # product loop's members, in the same order, and the same torsion
+    # first three units mod N: the lattice and the meeting in the middle
+    # find exactly the product loop's members, in the same order, and the
+    # lattice the same torsion
     @pytest.mark.parametrize("N", (2, 3, 4, 5, 6, 8, 9, 10, 12, 16, 20, 24, 32))
     def test_matches_product_loop(self, N):
         for d in range(3, 10):
@@ -256,18 +265,32 @@ class TestKernelOracle:
                 if (2**p.K) ** p.c > 2**16:
                     continue
                 kr = kernel_rho_bar(p)
-                assert (kr.torsion, kr.members) == product_kernel(p), p
+                torsion, members = product_kernel(p)
+                assert (kr.torsion, kr.members) == (torsion, members), p
+                assert kernel_members_brute(p) == members, p
 
-    @pytest.mark.parametrize("N", (32, 96))
-    def test_members_past_the_product_loop(self, N):
+    @pytest.mark.parametrize(
+        "N, d",
+        (
+            pytest.param(32, 9, id="32"),
+            pytest.param(96, 9, id="96"),
+            pytest.param(256, 8, id="256"),
+            pytest.param(1024, 8, id="1024"),
+        ),
+    )
+    def test_members_past_the_product_loop(self, N, d):
         # K = 5, c = 4: 2^20 candidates, past the product loop's grid; the
         # first sizes where matching a head with the tail of equal residue,
-        # not of opposite residue, gives a different member set
-        p = LensParams(N, 9)
+        # not of opposite residue, gives a different member set.  At d = 8
+        # and K = 8 or 10, 2^24 and 2^30 candidates pass the cap: only the
+        # lattice lists the members
+        p = LensParams(N, d)
         kr = kernel_rho_bar(p)
         assert kr.torsion == kernel_closed_form(p)
         assert len(kr.members) * 2**p.c == kr.torsion.order()
         assert list(kr.members) == sorted(set(kr.members))
+        if (2**p.K) ** p.c <= 2**22:
+            assert kr.members == kernel_members_brute(p)
         for t4 in kr.members[::127]:
             assert in_lattice_4r(rho_bar_formula(p, t4), p.sign), t4
 
@@ -281,21 +304,20 @@ class TestStructureSet:
         ss = structure_set(LensParams(2, 3))
         assert ss.free_rank == 0 and ss.torsion.factors == (2, 2)
 
-    def test_method_fallback(self, monkeypatch):
-        monkeypatch.setenv("RHO_LATTICE_CAP", "10")
-        big = LensParams(16, 8)
-        ss = structure_set(big, method="auto")
-        assert ss.method == "closed"
-        with pytest.raises(WorkCapExceeded):
-            structure_set(big, method="brute")
+    @pytest.mark.parametrize("N, d", ((64, 9), (1024, 12)))
+    def test_past_the_brute_force_cap(self, N, d):
+        # 2^24 and 2^50 candidates; (1024, 12) has 2^30 members, so only
+        # the torsion is asked for
+        p = LensParams(N, d)
+        assert structure_set(p).torsion == kernel_closed_form(p)
 
     def test_descriptor_json(self):
         ss = structure_set(LensParams(6, 3))
         obj = ss.to_json(include_members=True)
         assert obj["free_rank"] == 2
         assert obj["torsion"] == {"factors": [2, 2]}
-        assert obj["method"] == "brute"
         assert obj["members"] == [[0], [1]]
+        assert "members" not in ss.to_json()
 
 
 class TestCpFormula:

@@ -56,14 +56,14 @@ VALUES = {
     ),
     "KernelResult": (
         lambda: surgery.kernel_rho_bar(P),
-        "KernelResult(torsion=FinAb(factors=(2, 2)), members=((0,), (1,)), method='brute')",
-        "method",
+        "KernelResult(torsion=FinAb(factors=(2, 2)), span=Span(mods=(2,), gens=((1,),)))",
+        "span",
         True,
     ),
     "StructureSetDescriptor": (
         lambda: surgery.structure_set(P),
         "StructureSetDescriptor(params=LensParams(N=2, d=3, k=1), free_rank=0, "
-        "torsion=FinAb(factors=(2, 2)), method='brute', members=((0,), (1,)))",
+        "kernel=KernelResult(torsion=FinAb(factors=(2, 2)), span=Span(mods=(2,), gens=((1,),))))",
         "free_rank",
         True,
     ),
