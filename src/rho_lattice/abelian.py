@@ -8,12 +8,12 @@ exactly when their canonical factor lists coincide, so ``==`` on
 The workhorse is an exact Smith normal form over Z with unimodular
 transforms, using a smallest-magnitude pivot rule so the transforms are
 reproducible across platforms.  Every subgroup question of the package
-(its order, membership, the coefficients of a member, its presentation,
-its members in order) goes through one value, :class:`Span`, which holds
-that Smith form, and the solutions of a linear congruence come from
+(its order, membership, the coefficients of a member, its members in
+order) goes through one value, :class:`Span`, which holds that Smith
+form, and the solutions of a linear congruence come from
 :func:`annihilator`; no other module takes a Smith form.  Linear algebra
-over Q (ranks, solutions, kernel vectors) goes through one fraction-free
-Gauss-Jordan eliminator on integer matrices.
+over Q (the solution or a kernel vector of a square system) goes through
+one fraction-free Gauss-Jordan eliminator on integer matrices.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from math import gcd, prod
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from .exceptions import VerificationFailure
 from .frozen import Frozen
 
 IntMatrix = list[list[int]]
@@ -427,23 +426,3 @@ class Span(Frozen):
                 )
 
         yield from walk(0, (), [0] * n)
-
-
-def subgroup_from_elements(span: Span) -> FinAb:
-    """Presentation of the subgroup ``span`` of the finite group
-    Z/mods[0] + Z/mods[1] + ..., generated by its gens.
-
-    The relations among the m generators are the kernel of Z^m -> ambient,
-    e_j -> gens[j]: the first m entries of the integer kernel of
-    [gens | diag(mods)], which the span's Smith form gives as the columns
-    of V past the rank.  Their Smith form presents the subgroup; output is
-    canonical.
-    """
-    n, m = len(span.mods), len(span.gens)
-    v = span.snf[2]
-    relations = [[v[i][j] for i in range(m)] for j in range(n, n + m)]
-    d, _, _ = smith_normal_form(relations)
-    diag = [d[i][i] for i in range(m)]
-    if any(x == 0 for x in diag):
-        raise VerificationFailure("subgroup of a finite group must be finite")
-    return FinAb.from_orders(diag)

@@ -28,7 +28,7 @@ from itertools import product
 from math import gcd, lcm
 
 from . import ring
-from .abelian import TRIVIAL, FinAb, Span, annihilator, fraction_free_rref, subgroup_from_elements
+from .abelian import TRIVIAL, FinAb, Span, annihilator
 from .elements import Catalog
 from .exceptions import (
     CAP_ENV_VAR,
@@ -147,38 +147,38 @@ class NormalCoords(Frozen):
 def l_group_reduced_rank(N: int, parity: int) -> int:
     """Rank of the sign-eigenspace lattice of the truncated ring.
 
-    Computed as the dimension of the eigenspace of the involution on the
-    rational ring (the number of non-pivot columns of the integer matrix of
-    involution - parity), then cross-checked against the closed clauses
+    The lattice's rank is the dimension over Q of the parity-eigenspace of
+    the involution s on the rational ring, of dimension n = N - 1.  When
+    s^2 = 1, s is diagonalizable with eigenvalues +-1, so the two
+    eigenspaces have dimensions (n + tr s) / 2 and (n - tr s) / 2.  The
+    trace identity needs s^2 = 1, so s(s(x^j)) = x^j is checked for every
+    basis monomial, and s(x^j) must be integral, as s maps the group ring
+    to itself; the diagonal entry of s at x^j is the x^j-coefficient of
+    s(x^j).  The result is cross-checked against the closed clauses
     (N even: N/2 for +, N/2 - 1 for -; N odd: (N-1)/2 for both).
-
-    The columns of x^2, ..., x^(N-2) come first and those of x^0 and x^1
-    last; the rank does not depend on the column order.  The involution
-    sends x^j to x^(N-j) for 2 <= j <= N-2, so those columns hold two
-    entries of +-1 each and Bareiss elimination meets +-1 pivots that leave
-    most rows untouched.  The constant column (pivot 2 for parity -1) and
-    the dense column of x^1 -> x^(N-1) = -(1 + ... + x^(N-2)) would
-    otherwise rescale nearly every row at every later step.
     """
     if parity not in (1, -1):
         raise ValueError("parity must be +1 or -1")
     m = ring.truncated(N)
-    dim = m.dim
-    # rank of (I - parity*id), I the integer involution matrix
-    cols = []
-    for j in [*range(2, dim), *range(min(dim, 2))]:
-        col = list(ring.involution(ring.x_power(m, j)).num)
-        col[j] -= parity
-        cols.append(col)
-    _, pivots, _ = fraction_free_rref(list(zip(*cols)))
-    computed = dim - len(pivots)
+    n = m.dim
+    trace = 0
+    unit = [0] * n
+    for j in range(n):
+        unit[j] = 1
+        monomial = ring.from_numerators(m, unit)
+        unit[j] = 0
+        image = ring.involution(monomial)
+        if image.den != 1 or ring.involution(image) != monomial:
+            raise VerificationFailure(f"the involution does not square to 1 on Z at x^{j}")
+        trace += image.num[j]
+    twice = n + parity * trace
     if N % 2 == 1:
         expected = (N - 1) // 2
     else:
         expected = N // 2 if parity == 1 else N // 2 - 1
-    if computed != expected:
-        raise VerificationFailure(f"eigenlattice rank {computed} != clause {expected}")
-    return computed
+    if twice != 2 * expected:
+        raise VerificationFailure(f"eigenlattice rank {twice}/2 != clause {expected}")
+    return expected
 
 
 def reduced_normal_group(params: LensParams) -> tuple[FinAb, int]:
@@ -227,25 +227,36 @@ def _formula_basis(N: int, d: int, k: int) -> tuple[Element, ...]:
     return tuple(basis)
 
 
+@lru_cache(maxsize=None)
+def _formula_numerators(N: int, d: int, k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(rows, D): the formula values F_i = rows[i] / D of
+    :func:`_formula_basis` over one common denominator D."""
+    basis = _formula_basis(N, d, k)
+    D = lcm(*(b.den for b in basis))
+    return tuple(tuple(x * (D // b.den) for x in b.num) for b in basis), D
+
+
 def rho_bar_formula(params: LensParams, coords: NormalCoords | tuple[int, ...]) -> Element:
     """A representative of the coordinate class in the rational ring.
 
     Only the t_{4i} coordinates enter; t_{4i-2} are invisible to the map.
     Defined for K >= 1 (for K = 0 the kernel is trivial and the map unused).
     The class modulo the 4-integral lattice does not depend on the choice
-    of integer lifts.
+    of integer lifts.  The sum of lift(t_i) * F_i is formed on the
+    numerators over their common denominator and built as one element.
     """
     if params.K < 1:
         raise PreconditionFailed("the 2-local formula requires K >= 1")
     t4 = coords.t4 if isinstance(coords, NormalCoords) else tuple(coords)
     if len(t4) != params.c:
         raise ValueError(f"expected {params.c} t4-coordinates")
-    basis = _formula_basis(params.N, params.d, params.k)
-    value = ring.zero(params.modulus())
-    for tbar, base in zip(lift_tbar(t4, params), basis):
+    rows, D = _formula_numerators(params.N, params.d, params.k)
+    m = params.modulus()
+    num = [0] * m.dim
+    for tbar, row in zip(lift_tbar(t4, params), rows):
         if tbar:
-            value = value + base * tbar
-    return value
+            num = [a + tbar * x for a, x in zip(num, row)]
+    return ring.from_numerators(m, num, D)
 
 
 def _formula_or_zero(params: LensParams, coords: NormalCoords) -> Element:
@@ -288,13 +299,12 @@ def kernel_closed_form(params: LensParams) -> FinAb:
 
 
 def _formula_rows(params: LensParams) -> tuple[list[list[int]], int]:
-    """(rows, 4D): the formula values F_i = rows[i] / D over one common
-    denominator D.  A class is zero iff its numerator vector is divisible
-    by 4D, so the rows and their multiples only matter modulo 4D."""
-    basis = _formula_basis(params.N, params.d, params.k)
-    D = lcm(*(b.den for b in basis))
+    """(rows, 4D): the numerators of :func:`_formula_numerators` modulo 4D.
+    A class is zero iff its numerator vector is divisible by 4D, so the
+    rows and their multiples only matter modulo 4D."""
+    rows, D = _formula_numerators(params.N, params.d, params.k)
     mod = 4 * D
-    return [[x * (D // b.den) % mod for x in b.num] for b in basis], mod
+    return [[x % mod for x in row] for row in rows], mod
 
 
 def kernel_rho_bar(params: LensParams) -> KernelResult:
@@ -303,9 +313,12 @@ def kernel_rho_bar(params: LensParams) -> KernelResult:
     Read each lift as t_i times the odd-lift unit u = lift(1); then the
     t4-part is {t : sum_i t_i * u * rows[i] = 0 mod 4D} (see
     :func:`_formula_rows`), one :func:`annihilator`, read modulo 2^K, which
-    needs (and checks) 2^K * u * rows[i] = 0 mod 4D.  Every t_{4i-2}
-    coordinate is adjoined freely since the formula ignores it; the odd
-    sector contributes nothing.  Nothing is enumerated.
+    needs (and checks) 2^K * u * rows[i] = 0 mod 4D.  The annihilator's
+    rows are g_i * U_i with U unimodular, so gcd(row i) = g_i and the
+    t4-part is (+)_i Z_{2^K / gcd(2^K, g_i)}: its torsion is read off the
+    same Smith diagonal, and its order is checked against the span's.
+    Every t_{4i-2} coordinate is adjoined freely since the formula ignores
+    it; the odd sector contributes nothing.  Nothing is enumerated.
     """
     K, c = params.K, params.c
     if K == 0:
@@ -315,9 +328,12 @@ def kernel_rho_bar(params: LensParams) -> KernelResult:
     rows = [[unit * x % mod for x in row] for row in rows]
     if any(x * 2**K % mod for row in rows for x in row):
         raise VerificationFailure(f"the class map is not 2^K-periodic at {params}")
-    span = Span([2**K] * c, annihilator(rows, mod))
-    free_part = FinAb.from_orders([2] * c)
-    return KernelResult(subgroup_from_elements(span).direct_sum(free_part), span)
+    gens = annihilator(rows, mod)
+    span = Span([2**K] * c, gens)
+    t4_part = FinAb.from_orders([2**K // gcd(2**K, *row) for row in gens])
+    if t4_part.order() != span.order:
+        raise VerificationFailure(f"kernel torsion {t4_part.factors} has the wrong order")
+    return KernelResult(t4_part.direct_sum(FinAb.from_orders([2] * c)), span)
 
 
 def _residue_sums(tables: list[list[list[int]]], mod: int, dim: int):

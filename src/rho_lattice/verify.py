@@ -491,12 +491,15 @@ def _check_kernel_vs_closed(N: int, d: int, k: int) -> str | None:
 
 
 def _check_rank_clause(N: int, d: int) -> str | None:
+    # the paper's clause, written out here rather than read from surgery
     p = LensParams(N, d)
-    # l_group_reduced_rank raises VerificationFailure when lattice and clause disagree
-    rank = l_group_reduced_rank(N, p.sign)
-    ss = structure_set(p)
-    if ss.free_rank != rank:
-        return f"descriptor rank {ss.free_rank} != lattice rank {rank}"
+    if N % 2 == 1:
+        clause = (N - 1) // 2
+    else:
+        clause = N // 2 if p.sign == 1 else N // 2 - 1
+    rank = structure_set(p).free_rank
+    if rank != clause:
+        return f"descriptor rank {rank} != clause {clause}"
     return None
 
 

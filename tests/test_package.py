@@ -117,6 +117,18 @@ def test_only_abelian_takes_smith_forms():
     assert offenders == []
 
 
+def test_only_solve_rational_eliminates():
+    # ranks come from traces and subgroups from Smith forms; the dense
+    # rational solve behind ring.inverse is the one use of elimination
+    sites = [
+        f"{path.stem}.{function}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function, call in _calls_by_function(ast.parse(path.read_text()))
+        if _called_name(call) == "fraction_free_rref"
+    ]
+    assert sites == ["abelian.solve_rational"]
+
+
 def test_itertools_product_only_at_known_enumerations():
     # the kernel is a lattice and is never enumerated; what is left are
     # the brute-force kernel oracle, the minimal-coordinates search (which

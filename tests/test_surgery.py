@@ -9,7 +9,7 @@ import pytest
 from rho_lattice import abelian, ring
 from rho_lattice.abelian import TRIVIAL, FinAb
 from rho_lattice.elements import f_element, f_prime_k_element
-from rho_lattice.exceptions import PreconditionFailed, WorkCapExceeded
+from rho_lattice.exceptions import PreconditionFailed, VerificationFailure, WorkCapExceeded
 from rho_lattice.surgery import (
     LensParams,
     _formula_basis,
@@ -71,6 +71,39 @@ class TestRank:
         plus = l_group_reduced_rank(N, 1)
         minus = l_group_reduced_rank(N, -1)
         assert plus + minus == N - 1
+
+    @pytest.mark.parametrize("N", range(2, 65))
+    def test_trace_matches_elimination(self, N):
+        # the eigenspace dimension as n minus the rank of (s - parity), by
+        # elimination on the involution's columns
+        m = truncated(N)
+        for parity in (1, -1):
+            cols = []
+            for j in range(m.dim):
+                col = list(ring.involution(ring.x_power(m, j)).num)
+                col[j] -= parity
+                cols.append(col)
+            _, pivots, _ = abelian.fraction_free_rref(list(zip(*cols)))
+            assert l_group_reduced_rank(N, parity) == m.dim - len(pivots)
+
+    @pytest.mark.parametrize("N", (3, 8, 9, 24))
+    def test_identity_involution_fails(self, monkeypatch, N):
+        # s = id squares to 1 but has trace n: both ranks miss the clause
+        # (at N = 2 the ring is Q and the involution is the identity)
+        monkeypatch.setattr(ring, "involution", lambda a: a)
+        for parity in (1, -1):
+            with pytest.raises(VerificationFailure):
+                l_group_reduced_rank(N, parity)
+
+    @pytest.mark.parametrize("N, j", ((2, 0), (5, 0), (8, 1), (8, 3), (8, 4), (9, 7)))
+    def test_one_flipped_image_fails(self, monkeypatch, N, j):
+        # s(x^j) = -x^(N-j) for one j: s no longer squares to 1
+        real = ring.involution
+        flipped = ring.x_power(truncated(N), j)
+        monkeypatch.setattr(ring, "involution", lambda a: -real(a) if a == flipped else real(a))
+        for parity in (1, -1):
+            with pytest.raises(VerificationFailure, match="square"):
+                l_group_reduced_rank(N, parity)
 
 
 class TestNormalGroup:
@@ -142,6 +175,20 @@ class TestFormula:
             assert in_lattice_4r(gap, p.sign)
             assert rho_bar_formula(p, t) == fpk * rho_bar_formula(p1, t)
 
+    @pytest.mark.parametrize("N, d, k", [(2, 5, 1), (8, 7, 3), (12, 9, 5), (24, 8, 7), (64, 6, 3)])
+    def test_matches_sum_of_terms(self, N, d, k):
+        # one element built from the numerators equals the ring sum of the
+        # terms lift(t_i) * F_i
+        p = LensParams(N, d, k)
+        basis = _formula_basis(N, d, k)
+        rng = random.Random(f"sum:{N}:{d}:{k}")
+        for _ in range(10):
+            t = tuple(rng.randrange(p.t4_modulus) for _ in range(p.c))
+            expected = ring.zero(p.modulus())
+            for tbar, base in zip(lift_tbar(t, p), basis):
+                expected = expected + base * tbar
+            assert rho_bar_formula(p, t) == expected, t
+
 
 class TestClassZero:
     # a rho class is zero when rho lies in the 4-integral (-1)^d-eigenlattice
@@ -191,8 +238,8 @@ class TestKernel:
         assert len(kr.members) == 1024
 
     def test_smith_forms_per_kernel(self, monkeypatch):
-        # one for the annihilator, one for the span and one for the
-        # relations among its generators; listing members takes none
+        # one for the annihilator and one for the span; the torsion is read
+        # off the annihilator's diagonal and listing members takes none
         calls = []
         real = abelian.smith_normal_form
 
@@ -202,12 +249,12 @@ class TestKernel:
 
         monkeypatch.setattr(abelian, "smith_normal_form", spy)
         kr = kernel_rho_bar(LensParams(8, 7))
-        assert len(calls) == 3
+        assert len(calls) == 2
         assert kr.torsion == kernel_closed_form(LensParams(8, 7))
-        assert len(kr.members) == 256 and len(calls) == 3
+        assert len(kr.members) == 256 and len(calls) == 2
         calls.clear()
         torsion_basis(LensParams(8, 7))
-        assert len(calls) == 5
+        assert len(calls) == 4
 
     @pytest.mark.parametrize("N", (2, 3, 4, 5, 6, 8, 9, 12))
     @pytest.mark.parametrize("d", (3, 4, 5, 6))
@@ -293,6 +340,31 @@ class TestKernelOracle:
             assert kr.members == kernel_members_brute(p)
         for t4 in kr.members[::127]:
             assert in_lattice_4r(rho_bar_formula(p, t4), p.sign), t4
+
+
+def span_presentation(span):
+    """The invariant factors of ``span``, from the Smith form of the
+    relations among its generators: the first m entries of the integer
+    kernel of [gens | diag(mods)], the columns of V past the rank."""
+    n, m = len(span.mods), len(span.gens)
+    v = span.snf[2]
+    relations = [[v[i][j] for i in range(m)] for j in range(n, n + m)]
+    d, _, _ = abelian.smith_normal_form(relations)
+    return FinAb.from_orders([d[i][i] for i in range(m)])
+
+
+class TestKernelPresentation:
+    # the torsion read off the annihilator's rows is the presentation of
+    # the kernel's span, direct sum the free t_{4i-2} part
+    @pytest.mark.parametrize("N", (2, 4, 6, 8, 12, 16, 24, 32, 48, 64, 1024))
+    def test_matches_span_presentation(self, N):
+        for d in range(3, 11):
+            for k in [k for k in range(1, N) if gcd(k, N) == 1][:3]:
+                p = LensParams(N, d, k)
+                kr = kernel_rho_bar(p)
+                free = FinAb.from_orders([2] * p.c)
+                assert kr.torsion == span_presentation(kr.span).direct_sum(free), p
+                assert kr.torsion == kernel_closed_form(p), p
 
 
 class TestStructureSet:
