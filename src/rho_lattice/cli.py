@@ -31,8 +31,9 @@ Exit codes:
     1  ``verify`` ran and at least one check failed
     2  bad input (parse error, invalid parameters, input nested too deeply,
        unreadable JSON, an --element-json whose N, d, k differ from the
-       command line, a ``verify`` selection that matches no check, a
-       RHO_LATTICE_CAP that is not a positive integer)
+       command line or that fails ``element_validate``, a ``verify``
+       selection that matches no check, a RHO_LATTICE_CAP that is not a
+       positive integer)
     3  not invertible
     4  work cap exceeded (WorkCapExceeded): a kernel with more members to
        list than the cap, or a power whose coefficients would pass it in
@@ -221,8 +222,8 @@ ELEMENTS = ("zero", "sigma", "omega", "tau", "mu", "nu")
 
 def _element_arg(args, params):
     """Build the input element from --element or --element-json; a JSON
-    element must carry the parameters given by --N, --d and --k."""
-    from .surgery import element_from_json, zero_element
+    element must carry the --N, --d and --k given and pass element_validate."""
+    from .surgery import element_from_json, element_validate, zero_element
     from .suspension import elem_mu4m2, elem_nu, elem_omega, elem_sigma, elem_tau
 
     if args.element_json:
@@ -240,6 +241,8 @@ def _element_arg(args, params):
                 f"--element-json has parameters {x.params.to_json()}, "
                 f"but the command line gives {params.to_json()}"
             )
+        if not element_validate(x):
+            raise ValueError("--element-json is inconsistent: rho is not its coordinates' class")
         return x
     named = {
         "zero": zero_element,

@@ -28,7 +28,7 @@ from itertools import product
 from math import gcd, lcm
 
 from . import ring
-from .abelian import TRIVIAL, FinAb, Span, annihilator
+from .abelian import TRIVIAL, FinAb, Span, _hermite_basis, annihilator
 from .elements import Catalog
 from .exceptions import (
     CAP_ENV_VAR,
@@ -259,12 +259,6 @@ def rho_bar_formula(params: LensParams, coords: NormalCoords | tuple[int, ...]) 
     return ring.from_numerators(m, num, D)
 
 
-def _formula_or_zero(params: LensParams, coords: NormalCoords) -> Element:
-    if params.K < 1:
-        return ring.zero(params.modulus())
-    return rho_bar_formula(params, coords)
-
-
 # ---------------------------------------------------------------------------
 # kernel of the coordinate-class map
 
@@ -334,6 +328,33 @@ def kernel_rho_bar(params: LensParams) -> KernelResult:
     if t4_part.order() != span.order:
         raise VerificationFailure(f"kernel torsion {t4_part.factors} has the wrong order")
     return KernelResult(t4_part.direct_sum(FinAb.from_orders([2] * c)), span)
+
+
+def realizations(params: LensParams, rho: Element, fixed: tuple[int, ...] = ()):
+    """The Hermite basis h of the (s, t) that realize ``rho``, or None.
+
+    t are the t4-coordinates after ``fixed``.  Over L = lcm(D, rho.den),
+    s * (rho less the class of ``fixed``) = sum_i t_i * lift(1) * F_i holds when
+    the numerator v of the difference has 2v = 0 mod m = 8L and, at even
+    d, L times its value at x = -1 (the coordinate-free sector maps into
+    8Z there) is 0 mod m: one :func:`annihilator`, as in
+    :func:`kernel_rho_bar`, modulo (m, 2^K, ...).  rho is realized iff it
+    lies in the sign-eigenspace, as every F_i does, and h[0][0] = 1; then
+    h[0] is one realization and h[1:] spans the rest.
+    """
+    K, n = params.K, len(fixed)
+    rows, D = _formula_numerators(params.N, params.d, params.k)
+    L = lcm(D, rho.den)
+    m = 8 * L
+    lifts = lift_tbar(fixed + (1,) * (params.c - n), params)
+    vecs = [[t * (L // D) * x for x in row] for t, row in zip(lifts, rows)]
+    minus_gap = [sum(col[:n]) - x * (L // rho.den) for x, col in zip(rho.num, zip(*vecs))]
+    A = [[2 * x for x in v] + [sum(v[::2]) - sum(v[1::2])] * (params.sign == 1)
+         for v in [minus_gap] + vecs[n:]]
+    if any(x * 2**K % m for row in A[1:] for x in row):
+        raise VerificationFailure(f"the class map is not 2^K-periodic at {params}")
+    h = _hermite_basis([m] + [2**K] * (len(A) - 1), annihilator(A, m))
+    return h if h[0][0] == 1 and eigen_test(rho, params.sign) else None
 
 
 def _residue_sums(tables: list[list[list[int]]], mod: int, dim: int):
@@ -472,7 +493,7 @@ def element_validate(x: StructureElement) -> bool:
     x.coords.check(p)
     if not eigen_test(x.rho, p.sign):
         return False
-    gap = x.rho - _formula_or_zero(p, x.coords)
+    gap = x.rho - rho_bar_formula(p, x.coords) if p.K else x.rho
     return in_lattice_4r(gap, p.sign)
 
 

@@ -13,7 +13,9 @@ therefore returns a result object carrying every consistent completion:
   intrinsic to the suspension of tau_N;
 - for everything else the candidates are all values satisfying the
   consistency congruence, a coset of the subgroup
-  2^max(K-2,0) * Z_{2^K}.
+  2^max(K-2,0) * Z_{2^K}: one residue class of the lattice
+  :func:`~rho_lattice.surgery.realizations`, which also gives nu's
+  coordinates and the minimal exponent.  Nothing is enumerated.
 
 Downstream constructions resolve the ambiguity by always taking the
 smallest candidate and logging the choice, which keeps every derived
@@ -29,7 +31,6 @@ its order profile and that it generates the full torsion group.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from math import gcd, prod
 from typing import Iterable
 
@@ -42,11 +43,12 @@ from .surgery import (
     LensParams,
     NormalCoords,
     StructureElement,
-    _formula_or_zero,
+    _formula_numerators,
     element_validate,
     kernel_rho_bar,
+    realizations,
 )
-from .ring import Element, eval_minus_one, in_lattice_4r
+from .ring import Element, eval_minus_one
 
 
 def even_exponent_sum(N: int) -> Element:
@@ -114,6 +116,7 @@ def suspend(x: StructureElement) -> SuspensionResult:
     candidate set described in the module docstring.
     """
     p = x.params
+    x.coords.check(p)
     target = LensParams(p.N, p.d + 1, p.k)
     f = f_element(p.N)
     rho = f * x.rho
@@ -133,20 +136,19 @@ def suspend(x: StructureElement) -> SuspensionResult:
     mod = target.t4_modulus
     tau_mult = _tau_multiplicity(x)
     if tau_mult is None:
-        candidates = [out for out in map(completion, range(mod)) if element_validate(out)]
+        h = realizations(target, rho, x.coords.t4)
+        values = [] if h is None else range(h[0][1] % h[1][1], mod, h[1][1])
+    elif p.K == 1:
+        values = [tau_mult % 2]
     else:
-        K = p.K
-        if K == 1:
-            values = {tau_mult % 2}
-        else:
-            base = 2 ** (K - 2)
-            values = {(tau_mult * base) % mod, (tau_mult * 3 * base) % mod}
-        candidates = [completion(v) for v in sorted(values)]
-        for out in candidates:
-            if not element_validate(out):
-                raise VerificationFailure(
-                    f"suspension candidate t4e={out.coords.t4[-1]} fails validation at {p}"
-                )
+        base = 2 ** (p.K - 2)
+        values = sorted({(tau_mult * base) % mod, (tau_mult * 3 * base) % mod})
+    candidates = [completion(v) for v in values]
+    for out in candidates:
+        if not element_validate(out):
+            raise VerificationFailure(
+                f"suspension candidate t4e={out.coords.t4[-1]} fails validation at {p}"
+            )
     determined = candidates[0] if len(candidates) == 1 else None
     return SuspensionResult(x, tuple(candidates), determined)
 
@@ -237,27 +239,16 @@ def elem_mu4m2(params: LensParams) -> StructureElement:
     return StructureElement(params, ring.zero(params.modulus()), coords)
 
 
-def _gap_realizable(params: LensParams, gap: Element) -> bool:
-    """Whether ``gap`` can be the rho of a coordinate-free element.
-
-    Beyond membership in the 4-integral eigenlattice this demands the
-    evaluation at x = -1 be divisible by 8: the coordinate-free sector of
-    the real structure set maps into 8Z there (that divisibility is what
-    pins the minimal exponent to at least 4 - K).  Vacuous for odd d,
-    where the (-1)-eigenspace evaluates to 0 identically.
-    """
-    if not in_lattice_4r(gap, params.sign):
-        return False
-    return params.sign == -1 or eval_minus_one(gap) % 8 == 0
-
-
 def _coords_matching_rho(params: LensParams, rho: Element) -> NormalCoords | None:
-    """Lexicographically smallest t4-vector realizing ``rho`` as an element."""
-    for t4 in product(range(params.t4_modulus), repeat=params.c):
-        coords = NormalCoords(t4, (0,) * params.c)
-        if _gap_realizable(params, rho - _formula_or_zero(params, coords)):
-            return coords
-    return None
+    """Lexicographically smallest t4-vector realizing ``rho`` as an element:
+    h[0] of :func:`realizations`, each t_i in turn reduced below h_ii by h[i]."""
+    h = realizations(params, rho)
+    if h is None:
+        return None
+    v = h[0]
+    for i in range(1, len(v)):
+        v = [a - v[i] // h[i][i] * b for a, b in zip(v, h[i])]
+    return NormalCoords(tuple(v[1:]), (0,) * params.c)
 
 
 def elem_nu(params: LensParams) -> StructureElement:
@@ -289,8 +280,10 @@ def minimal_exponent(params: LensParams) -> int:
     coordinates in the invariant-tuple model at these parameters.
 
     Searched downward from l = 4 (consistency of l implies consistency of
-    l+1, so the set of consistent l is upward closed).  The expected value
-    is 4 - min(K, 2e); comparison against that closed form is left to the
+    l+1, so the set of consistent l is upward closed).  A realized rho is
+    an integral element off a class over the formula's D, so l >= -v2(D);
+    a consistent l below that is reported.  The expected value is
+    4 - min(K, 2e); comparison against that closed form is left to the
     caller so this stays an independent oracle.
     """
     if params.K < 1 or params.d % 2 or params.e < 2:
@@ -298,19 +291,18 @@ def minimal_exponent(params: LensParams) -> int:
     base = even_exponent_sum(params.N)
 
     def consistent(l: int) -> bool:
-        rho = base.scale(Fraction(2) ** l)
-        return _coords_matching_rho(params, rho) is not None
+        return realizations(params, base.scale(Fraction(2) ** l)) is not None
 
-    floor = -8
+    floor = -ring.split_two_power(_formula_numerators(params.N, params.d, params.k)[1])[0]
     l = 4
     if not consistent(l):
         raise VerificationFailure(
             f"2^4 * (1 + x^2 + ...) is not realizable at {params}"
         )
-    while l > floor and consistent(l - 1):
+    while consistent(l - 1):
         l -= 1
-    if l == floor:
-        raise VerificationFailure(f"minimal exponent search ran away at {params}")
+        if l < floor:
+            raise VerificationFailure(f"exponent {l} is below the bound {floor} at {params}")
     return l
 
 

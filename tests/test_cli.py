@@ -240,6 +240,26 @@ class TestSubcommands:
         assert out.stderr.startswith("error: --element-json has parameters")
         assert "Traceback" not in out.stderr and out.stdout == ""
 
+    @pytest.mark.parametrize("d", (4, 5))
+    @pytest.mark.parametrize("command", ("suspend", "invariants", "transfer"))
+    def test_inconsistent_element_json_is_bad_input(self, command, d):
+        # rho = 1 is no coordinates' class: suspend once exited 5 at d = 5
+        # and 0 with no candidates at d = 4, and transfer exited 0
+        extra = ["--to-n", "2"] if command == "transfer" else []
+        c = (d - 1) // 2
+        element = {
+            "params": {"N": 8, "d": d, "k": 1},
+            "rho": one(truncated(8)).to_json(),
+            "coords": {"t4": [0] * c, "t4m2": [0] * c},
+        }
+        out = run_cli(
+            command, "--N", "8", "--d", str(d), "--element-json", "-", *extra,
+            stdin=json.dumps(element),
+        )
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: --element-json is inconsistent")
+        assert "Traceback" not in out.stderr and out.stdout == ""
+
     def test_invariants_unit_vector(self):
         out = run_cli("invariants", "--N", "8", "--d", "5", "--element", "mu")
         obj = json.loads(out.stdout)

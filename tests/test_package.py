@@ -130,9 +130,9 @@ def test_only_solve_rational_eliminates():
 
 
 def test_itertools_product_only_at_known_enumerations():
-    # the kernel is a lattice and is never enumerated; what is left are
-    # the brute-force kernel oracle, the minimal-coordinates search (which
-    # a lattice coset search could replace) and verify's torsion oracle
+    # the kernel and the coordinates that realize a rho are lattices and
+    # are never enumerated; what is left are the brute-force kernel oracle
+    # and verify's torsion oracle
     sites = [
         f"{path.stem}.{function}"
         for path in sorted(PACKAGE.glob("*.py"))
@@ -141,7 +141,6 @@ def test_itertools_product_only_at_known_enumerations():
     ]
     assert sites == [
         "surgery._residue_sums",
-        "suspension._coords_matching_rho",
         "verify._torsion_elements",
     ]
 

@@ -1,6 +1,7 @@
 """Suspension, distinguished elements, torsion basis and invariants."""
 
 import random
+from fractions import Fraction
 from itertools import product
 from math import gcd
 
@@ -9,7 +10,8 @@ import pytest
 from rho_lattice import ring, suspension
 from rho_lattice.abelian import Span
 from rho_lattice.exceptions import PreconditionFailed, VerificationFailure
-from rho_lattice.ring import eval_minus_one
+from rho_lattice.elements import f_element
+from rho_lattice.ring import eval_minus_one, in_lattice_4r, truncated
 from rho_lattice.surgery import (
     LensParams,
     NormalCoords,
@@ -18,6 +20,7 @@ from rho_lattice.surgery import (
     element_scale,
     element_validate,
     kernel_rho_bar,
+    rho_bar_formula,
     transfer,
     zero_element,
 )
@@ -141,6 +144,14 @@ class TestSuspend:
             assert res.determined is not None
             assert res.determined.coords == x.coords
 
+    @pytest.mark.parametrize("d", (4, 5))
+    def test_coordinates_out_of_range_raise(self, d):
+        # rho = 1 has no completion, so only the source's own check sees t4
+        p = LensParams(8, d)
+        coords = NormalCoords((9,) + (0,) * (p.c - 1), (0,) * p.c)
+        with pytest.raises(ValueError, match="t4 entries"):
+            suspend(StructureElement(p, ring.one(p.modulus()), coords))
+
     def test_choice_log_records_ambiguity(self):
         res = suspend(elem_tau(LensParams(8, 4)))
         chosen, record = resolve(res)
@@ -188,6 +199,130 @@ class TestMinimalExponent:
             minimal_exponent(LensParams(8, 5))
         with pytest.raises(PreconditionFailed):
             minimal_exponent(LensParams(3, 4))
+
+    def test_reaches_below_minus_eight(self):
+        # 4 - min(12, 12) = -8 was the old search's fixed floor
+        assert minimal_exponent(LensParams(4096, 12)) == -8
+
+    def test_realizable_below_the_denominator_bound_is_reported(self, monkeypatch):
+        # every exponent "realizable": the search must stop at the bound
+        monkeypatch.setattr(suspension, "realizations", lambda params, rho: [[1]])
+        with pytest.raises(VerificationFailure, match="below the bound"):
+            minimal_exponent(LensParams(8, 4))
+
+
+def gap_realizable(p, gap):
+    """The coordinate-free sector: the 4-integral eigenlattice and, at even
+    d, a value at x = -1 divisible by 8."""
+    return in_lattice_4r(gap, p.sign) and (p.sign == -1 or eval_minus_one(gap) % 8 == 0)
+
+
+def coords_matching_rho_brute(p, rho):
+    """The lexicographically first t4-tuple whose class leaves a realizable
+    gap, by trying every tuple in order."""
+    for t4 in product(range(p.t4_modulus), repeat=p.c):
+        if gap_realizable(p, rho - rho_bar_formula(p, t4)):
+            return t4
+    return None
+
+
+def suspend_candidates_brute(x):
+    """Every new top coordinate whose completion passes element_validate."""
+    p = x.params
+    target = LensParams(p.N, p.d + 1, p.k)
+    rho = f_element(p.N) * x.rho
+    return tuple(
+        v
+        for v in range(target.t4_modulus)
+        if element_validate(
+            StructureElement(
+                target, rho, NormalCoords(x.coords.t4 + (v,), x.coords.t4m2 + (0,))
+            )
+        )
+    )
+
+
+def first_units(N, count):
+    return [k for k in range(1, N) if gcd(k, N) == 1][:count]
+
+
+def suspension_inputs(p, rng):
+    """Elements at even d: named ones, torsion, sums, and tuples that fail
+    the consistency congruence or leave the eigenspace."""
+    m = p.modulus()
+    sym = ring.x_power(m, 1) + ring.x_power(m, p.N - 1)
+    rhos = [ring.zero(m), ring.one(m), sym, sym * 4, sym.scale(Fraction(1, 2))]
+    rhos.append(ring.x_power(m, 1) * 8)  # outside the eigenspace
+    out = [zero_element(p)]
+    if p.K >= 1:
+        nu = elem_nu(p) if p.e >= 2 else elem_sigma(p)
+        out += [elem_sigma(p), elem_omega(p), elem_tau(p), nu, element_scale(nu, 3)]
+        members = list(torsion_elements(p))
+        out += [element_add(nu, rng.choice(members)) for _ in range(3)]
+        rhos.append(even_exponent_sum(p.N).scale(Fraction(2) ** rng.randrange(-3, 5)))
+    for rho in rhos:
+        for _ in range(2):
+            t4 = tuple(rng.randrange(p.t4_modulus) for _ in range(p.c))
+            t4m2 = tuple(rng.randrange(p.t4m2_modulus) for _ in range(p.c))
+            out.append(StructureElement(p, rho, NormalCoords(t4, t4m2)))
+    return out
+
+
+class TestRealizationOracles:
+    """The lattice of :func:`surgery.realizations` against the coordinate
+    enumerations it replaced."""
+
+    @pytest.mark.parametrize("N", (2, 4, 6, 8, 12, 16, 24, 32))
+    def test_coords_match_the_product_loop(self, N):
+        m = truncated(N)
+        sym = ring.x_power(m, 1) + ring.x_power(m, N - 1)
+        seen = set()
+        for e in (2, 3, 4):
+            for k in first_units(N, 3):
+                p = LensParams(N, 2 * e, k)
+                if p.K * p.c > 12:
+                    continue
+                rhos = [even_exponent_sum(N).scale(Fraction(2) ** l) for l in range(-4, 6)]
+                rhos += [sym * 4, sym * 2, ring.x_power(m, 1) * 16]
+                for rho in rhos:
+                    got = suspension._coords_matching_rho(p, rho)
+                    want = coords_matching_rho_brute(p, rho)
+                    assert (None if got is None else got.t4) == want, (p, rho)
+                    seen.add(want is None)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("N", (2, 3, 4, 5, 6, 8, 9, 12, 16, 24))
+    def test_suspend_candidates_match_the_validation_filter(self, N):
+        rng = random.Random(N)
+        sizes = set()
+        for d in (4, 6):
+            for k in first_units(N, 2):
+                p = LensParams(N, d, k)
+                if p.K * p.c > 8:
+                    continue
+                for x in suspension_inputs(p, rng):
+                    got = suspend(x).candidate_t4e()
+                    want = suspend_candidates_brute(x)
+                    if suspension._tau_multiplicity(x) is None:
+                        assert got == want, (p, x)
+                    else:
+                        assert set(got) <= set(want), (p, x)
+                    sizes.add(len(got) > 0)
+        # at N = 2, f = 0 and every suspension is the zero class
+        assert sizes == ({True} if N == 2 else {True, False})
+
+    @pytest.mark.parametrize("N", (2, 4, 6, 8, 12, 16, 24, 32))
+    def test_candidates_are_a_coset(self, N):
+        # the module docstring: away from multiples of tau the candidate
+        # set is a coset of 2^max(K-2,0) * Z_{2^K}
+        rng = random.Random(N)
+        for d in (4, 6):
+            p = LensParams(N, d)
+            step = 2 ** max(p.K - 2, 0)
+            for x in suspension_inputs(p, rng):
+                got = suspend(x).candidate_t4e()
+                if got and suspension._tau_multiplicity(x) is None:
+                    assert got == tuple(range(got[0] % step, p.t4_modulus, step)), (p, x)
 
 
 def expansion_table(tb):
