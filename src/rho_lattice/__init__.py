@@ -4,7 +4,7 @@ Subpackages:
 
 - :mod:`rho_lattice.ring` -- truncated cyclic group ring arithmetic
 - :mod:`rho_lattice.elements` -- the distinguished units f, f_k, f'_k, g
-- :mod:`rho_lattice.abelian` -- Smith normal form, subgroup spans and finite abelian groups
+- :mod:`rho_lattice.abelian` -- Hermite bases, subgroup spans and finite abelian groups
 - :mod:`rho_lattice.surgery` -- normal coordinates, rho-bar formulas, kernels
 - :mod:`rho_lattice.suspension` -- suspension map and torsion invariants
 - :mod:`rho_lattice.verify` -- the re-derivation harness behind ``rho-lattice verify``

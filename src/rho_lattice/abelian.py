@@ -5,126 +5,26 @@ Groups are presented by their invariant-factor list in divisibility order
 exactly when their canonical factor lists coincide, so ``==`` on
 :class:`FinAb` is the isomorphism test.
 
-The workhorse is an exact Smith normal form over Z with unimodular
-transforms, using a smallest-magnitude pivot rule so the transforms are
-reproducible across platforms.  Every subgroup question of the package
-(its order, membership, the coefficients of a member, its members in
-order) goes through one value, :class:`Span`, which holds that Smith
-form, and the solutions of a linear congruence come from
-:func:`annihilator`; no other module takes a Smith form.  Linear algebra
-over Q (the solution or a kernel vector of a square system) goes through
-one fraction-free Gauss-Jordan eliminator on integer matrices.
+The workhorse is a modular Hermite basis over Z (Domich, Kannan and
+Trotter, Math. Oper. Res. 12, 1987), the package's one integer normal
+form.  Every subgroup question of the package (its order, its structure,
+membership, the coefficients of a member, its members in order) goes
+through one value, :class:`Span`, which holds one such basis, and the
+solutions of a linear congruence come from :func:`annihilator`.  Linear
+algebra over Q (the solution or a kernel vector of a square system) goes
+through one fraction-free Gauss-Jordan eliminator on integer matrices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, prod
+from math import lcm, prod
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .frozen import Frozen
 
 IntMatrix = list[list[int]]
-
-
-def _identity(n: int) -> IntMatrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def smith_normal_form(A: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (D, U, V) with U*A*V = D, D diagonal with d_1 | d_2 | ... >= 0.
-
-    U and V are unimodular (determinant +-1).  The pivot rule picks the
-    smallest nonzero magnitude (ties broken by position), which fixes the
-    output deterministically.
-    """
-    n = len(A)
-    m = len(A[0]) if n else 0
-    a = [list(row) for row in A]
-    u = _identity(n)
-    v = _identity(m)
-
-    def row_sub(i: int, j: int, q: int) -> None:
-        # row_i -= q * row_j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_sub(i: int, j: int, q: int) -> None:
-        # col_i -= q * col_j
-        for row in a:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    def row_swap(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i: int, j: int) -> None:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    t = 0
-    while t < min(n, m):
-        pivot = None
-        for i in range(t, n):
-            for j in range(t, m):
-                val = abs(a[i][j])
-                if val and (pivot is None or val < pivot[0]):
-                    pivot = (val, i, j)
-        if pivot is None:
-            break
-        _, pi, pj = pivot
-        if pi != t:
-            row_swap(t, pi)
-        if pj != t:
-            col_swap(t, pj)
-
-        while True:
-            # clear the pivot column
-            dirty = False
-            for i in range(t + 1, n):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    row_sub(i, t, q)
-                    if a[i][t]:
-                        row_swap(i, t)
-                        dirty = True
-            if dirty:
-                continue
-            # clear the pivot row
-            for j in range(t + 1, m):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    col_sub(j, t, q)
-                    if a[t][j]:
-                        col_swap(j, t)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # force the pivot to divide the remaining submatrix
-            offender = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, m):
-                    if a[i][j] % a[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_i = a[offender]
-            a[t] = [x + y for x, y in zip(a[t], row_i)]
-            u[t] = [x + y for x, y in zip(u[t], u[offender])]
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    return a, u, v
 
 
 def fraction_free_rref(A: Sequence[Sequence[int]]) -> tuple[IntMatrix, list[int], int]:
@@ -201,27 +101,6 @@ def solve_rational(
     return [Fraction(r[i][m], r[i][col]) for i, col in rows], None
 
 
-def solve_with_snf(
-    snf: tuple[IntMatrix, IntMatrix, IntMatrix], b: Sequence[int]
-) -> list[int] | None:
-    """One integer solution x of A x = b, or None when none exists, given
-    the Smith normal form (D, U, V) = smith_normal_form(A)."""
-    d, u, v = snf
-    n = len(d)
-    m = len(v)
-    c = [sum(u[i][j] * b[j] for j in range(n)) for i in range(n)]
-    y = [0] * m
-    for i in range(n):
-        di = d[i][i] if i < min(n, m) else 0
-        if di:
-            if c[i] % di:
-                return None
-            y[i] = c[i] // di
-        elif c[i]:
-            return None
-    return [sum(v[i][j] * y[j] for j in range(m)) for i in range(m)]
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, x, y) with x*a + y*b = g = gcd(a, b), for a, b > 0."""
     x0, y0, x1, y1 = 1, 0, 0, 1
@@ -232,7 +111,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def _hermite_basis(mods: Sequence[int], vecs: Iterable[Sequence[int]]) -> IntMatrix:
+def hermite_basis(mods: Sequence[int], vecs: Iterable[Sequence[int]]) -> IntMatrix:
     """An upper-triangular basis of the lattice of Z^n spanned by ``vecs``
     and the mods[i] * e_i: row i is zero before column i and h_ii > 0.
 
@@ -264,17 +143,23 @@ def annihilator(rows: Sequence[Sequence[int]], m: int) -> IntMatrix:
     """Generators of {t in Z^c : sum_i t_i * rows[i] = 0 mod m}.
 
     The condition asks t . w = 0 mod m for every column w of ``rows``, so
-    for every w in the lattice L they span with m*Z^c.  L is compressed
-    first to its c x c Hermite basis, whose columns form a matrix A.  With
-    U * A * V = diag(d) its Smith form, s = t * U^-1 must satisfy
-    s_i * d_i = 0 mod m, so the rows (m / gcd(m, d_i)) * U_i generate the
-    solutions (Cohen, A Course in Computational Algebraic Number Theory,
-    section 2.4).
+    for every w in the lattice L they span with m*Z^c, that is H t = 0 mod
+    m for its c x c Hermite basis H.  The solutions are the lattice
+    X Z^c with X = m * H^-1, which is integral because m*e_i lies in L,
+    and upper triangular like H.  Its columns are the generators, from one
+    back substitution of H X = m I with exact divisions (Cohen, A Course
+    in Computational Algebraic Number Theory, section 2.4).
     """
     c = len(rows)
-    h = _hermite_basis([m] * c, zip(*rows))
-    d, u, _ = smith_normal_form([list(col) for col in zip(*h)])
-    return [[m // gcd(m, d[i][i]) * x for x in u[i]] for i in range(c)]
+    h = hermite_basis([m] * c, zip(*rows))
+    cols = []
+    for j in range(c):
+        x = [0] * c
+        x[j] = m // h[j][j]
+        for i in range(j - 1, -1, -1):
+            x[i] = -sum(map(mul, h[i][i + 1 : j + 1], x[i + 1 : j + 1])) // h[i][i]
+        cols.append(x)
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -350,58 +235,84 @@ class Span(Frozen):
 
     ``mods`` are positive cyclic orders fixing the coordinate system and
     each generator is a coordinate vector, stored reduced modulo them.  The
-    span is held as the Smith normal form ``snf`` of the integer matrix
-    [gens | diag(mods)], whose columns are the generators and the ambient
-    relations (Cohen, A Course in Computational Algebraic Number Theory,
-    section 2.4).  That matrix has full row rank, so the span has ``order``
-    prod(mods) / prod(diagonal).  Both are derived from ``mods`` and
-    ``gens``, so equality, hash and repr ignore them.
+    span is held as one Hermite basis ``h`` (:func:`hermite_basis`) of the
+    lattice of pairs (v, z) with v = sum_j z_j * gens[j] modulo mods: the
+    rows (gens[j], e_j), the relations mods[i] * e_i and E * e_j in the
+    coefficient columns, E = lcm(mods), which the pairs already contain.
+    The rows past n = len(mods) are zero in the first n columns, so the
+    first n rows, cut to those columns, are a triangular basis of the
+    span's lattice in Z^n, and the span has ``order`` prod(mods) /
+    prod(h_ii, i < n).  Both are derived from ``mods`` and ``gens``, so
+    equality, hash and repr ignore them.
     """
 
     _fields = ("mods", "gens")
-    __slots__ = _fields + ("snf", "order")
+    __slots__ = _fields + ("h", "order")
 
     def __init__(self, mods: Sequence[int], gens: Sequence[Sequence[int]]):
         if any(d <= 0 for d in mods):
             raise ValueError("ambient group must be finite")
-        n = len(mods)
+        n, k = len(mods), len(gens)
         if any(len(vec) != n for vec in gens):
             raise ValueError(f"coordinate vector of length {n} expected")
         gens = tuple(tuple(x % d for x, d in zip(vec, mods)) for vec in gens)
-        snf = smith_normal_form(
-            [[g[i] for g in gens] + [mods[i] if j == i else 0 for j in range(n)] for i in range(n)]
+        h = hermite_basis(
+            list(mods) + [lcm(*mods)] * k,
+            [g + tuple(int(i == j) for i in range(k)) for j, g in enumerate(gens)],
         )
-        order = prod(mods) // prod(snf[0][i][i] for i in range(n))
-        self._assign(mods=tuple(mods), gens=gens, snf=snf, order=order)
+        order = prod(mods) // prod(h[i][i] for i in range(n))
+        self._assign(mods=tuple(mods), gens=gens, h=h, order=order)
 
     def solve(self, vec: Sequence[int]) -> list[int] | None:
         """Integer coefficients z with sum z_j * gens[j] = vec modulo mods,
-        or None when ``vec`` lies outside the span."""
-        z = solve_with_snf(self.snf, vec)
-        return None if z is None else z[: len(self.gens)]
+        or None when ``vec`` lies outside the span.  The first n rows of h
+        reduce (vec, 0) column by column to (0, -z), or find a column that
+        no row clears."""
+        n = len(self.mods)
+        w = list(vec) + [0] * len(self.gens)
+        for i, row in enumerate(self.h[:n]):
+            q, r = divmod(w[i], row[i])
+            if r:
+                return None
+            w = [a - q * b for a, b in zip(w, row)]
+        return [-a for a in w[n:]]
 
     def contains(self, vec: Sequence[int]) -> bool:
-        """Whether ``vec`` lies in the span: U * vec is divisible by the
-        diagonal, entry by entry (Cohen, section 2.4).  The matrix has full
-        row rank, so no entry lies past the rank; unlike :meth:`solve` this
-        does not back-substitute through V."""
-        d, u, _ = self.snf
-        return all(
-            sum(map(mul, row, vec)) % d[i][i] == 0 for i, row in enumerate(u)
-        )
+        """Whether ``vec`` lies in the span."""
+        return self.solve(vec) is not None
+
+    def group(self) -> FinAb:
+        """The span as a finite abelian group.
+
+        For a prime p, |p^j S| / |p^(j+1) S| is p to the number r_j of
+        cyclic p-factors of S of order above p^j, and each |p^j S| is one
+        Hermite determinant: the lattice of p^(j+1) S is spanned by p times
+        the basis of p^j S's lattice and the mods[i] * e_i.  The i-th largest
+        p-factor then has order p to the number of j with r_j >= i.
+        """
+        mods, n = self.mods, len(self.mods)
+        orders = []
+        for p in _primary_parts(self.order):
+            ranks, size, h = [], self.order, self.h[:n]
+            while size % p == 0:
+                h = hermite_basis(mods, [[p * x for x in row[:n]] for row in h])
+                smaller = prod(mods) // prod(row[i] for i, row in enumerate(h))
+                ranks.append(_primary_parts(size // smaller)[p])
+                size = smaller
+            orders += [p ** sum(r >= i for r in ranks) for i in range(1, ranks[0] + 1)]
+        return FinAb.from_orders(orders)
 
     def elements(self) -> Iterator[tuple[int, ...]]:
         """The members of the span, lazily, in lexicographic order.
 
         They are the vectors of the lattice spanned by the gens and the
-        mods[i] * e_i that lie in the box [0, mods).  Row i of that
-        lattice's Hermite basis h is zero before column i, so once the
+        mods[i] * e_i that lie in the box [0, mods).  Row i < n of h, cut
+        to the first n columns, is zero before column i, so once the
         first i coordinates are fixed, coordinate i runs through one
         residue class modulo h_ii, and each value extends to members.  The
         last two coordinates are listed together, one block per prefix.
         """
-        mods, n = self.mods, len(self.mods)
-        h = _hermite_basis(mods, self.gens)
+        mods, n, h = self.mods, len(self.mods), self.h
         if n < 2:
             yield from [(x,) for x in range(0, mods[0], h[0][0])] if n else [()]
             return

@@ -28,7 +28,7 @@ from itertools import product
 from math import gcd, lcm
 
 from . import ring
-from .abelian import TRIVIAL, FinAb, Span, _hermite_basis, annihilator
+from .abelian import TRIVIAL, FinAb, Span, annihilator, hermite_basis
 from .elements import Catalog
 from .exceptions import (
     CAP_ENV_VAR,
@@ -307,12 +307,11 @@ def kernel_rho_bar(params: LensParams) -> KernelResult:
     Read each lift as t_i times the odd-lift unit u = lift(1); then the
     t4-part is {t : sum_i t_i * u * rows[i] = 0 mod 4D} (see
     :func:`_formula_rows`), one :func:`annihilator`, read modulo 2^K, which
-    needs (and checks) 2^K * u * rows[i] = 0 mod 4D.  The annihilator's
-    rows are g_i * U_i with U unimodular, so gcd(row i) = g_i and the
-    t4-part is (+)_i Z_{2^K / gcd(2^K, g_i)}: its torsion is read off the
-    same Smith diagonal, and its order is checked against the span's.
-    Every t_{4i-2} coordinate is adjoined freely since the formula ignores
-    it; the odd sector contributes nothing.  Nothing is enumerated.
+    needs (and checks) 2^K * u * rows[i] = 0 mod 4D.  Its torsion is the
+    span's :meth:`~rho_lattice.abelian.Span.group`, whose order is checked
+    against the span's.  Every t_{4i-2} coordinate is adjoined freely
+    since the formula ignores it; the odd sector contributes nothing.
+    Nothing is enumerated.
     """
     K, c = params.K, params.c
     if K == 0:
@@ -322,9 +321,8 @@ def kernel_rho_bar(params: LensParams) -> KernelResult:
     rows = [[unit * x % mod for x in row] for row in rows]
     if any(x * 2**K % mod for row in rows for x in row):
         raise VerificationFailure(f"the class map is not 2^K-periodic at {params}")
-    gens = annihilator(rows, mod)
-    span = Span([2**K] * c, gens)
-    t4_part = FinAb.from_orders([2**K // gcd(2**K, *row) for row in gens])
+    span = Span([2**K] * c, annihilator(rows, mod))
+    t4_part = span.group()
     if t4_part.order() != span.order:
         raise VerificationFailure(f"kernel torsion {t4_part.factors} has the wrong order")
     return KernelResult(t4_part.direct_sum(FinAb.from_orders([2] * c)), span)
@@ -353,7 +351,7 @@ def realizations(params: LensParams, rho: Element, fixed: tuple[int, ...] = ()):
          for v in [minus_gap] + vecs[n:]]
     if any(x * 2**K % m for row in A[1:] for x in row):
         raise VerificationFailure(f"the class map is not 2^K-periodic at {params}")
-    h = _hermite_basis([m] + [2**K] * (len(A) - 1), annihilator(A, m))
+    h = hermite_basis([m] + [2**K] * (len(A) - 1), annihilator(A, m))
     return h if h[0][0] == 1 and eigen_test(rho, params.sign) else None
 
 

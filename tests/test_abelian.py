@@ -1,9 +1,11 @@
-"""Fraction-free elimination, Smith normal form, invariant factors and
-subgroup spans."""
+"""Fraction-free elimination, invariant factors, subgroup spans, and the
+Smith normal form the tests use as an oracle."""
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,10 +16,9 @@ from rho_lattice.abelian import (
     Span,
     annihilator,
     fraction_free_rref,
-    smith_normal_form,
     solve_rational,
-    solve_with_snf,
 )
+from smith_oracle import smith_normal_form, solve_with_snf
 
 
 def matmul(A, B):
@@ -177,6 +178,8 @@ class TestFractionFreeElimination:
 
 
 class TestSmithNormalForm:
+    # the oracle of smith_oracle.py, which the kernel presentation and the
+    # divide-by-f tests check the package against
     def test_coprime_merge(self):
         d, _, _ = smith_normal_form([[2, 0], [0, 3]])
         assert [d[0][0], d[1][1]] == [1, 6]
@@ -261,6 +264,11 @@ def brute_closure(mods, gens):
     return seen
 
 
+def order_profile(mods, members):
+    """How many of ``members`` have each order in Z/mods[0] + Z/mods[1] + ..."""
+    return Counter(lcm(*(m // gcd(x, m) for x, m in zip(v, mods))) for v in members)
+
+
 class TestSubgroup:
     def test_examples(self):
         assert Span([8], [[2]]).order == 4
@@ -284,6 +292,11 @@ class TestSubgroup:
                 total *= m
             assert total % span.order == 0  # Lagrange
             assert span.order == len(closure)
+            # the order profile determines a finite abelian group
+            factors = span.group().factors
+            assert order_profile(mods, closure) == order_profile(
+                factors, itertools.product(*map(range, factors))
+            )
             for _ in range(12):
                 vec = [probe.randrange(-40, 40) for _ in range(k)]
                 z = span.solve(vec)

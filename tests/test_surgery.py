@@ -6,7 +6,7 @@ from math import gcd, lcm
 
 import pytest
 
-from rho_lattice import abelian, ring
+from rho_lattice import abelian, ring, surgery
 from rho_lattice.abelian import TRIVIAL, FinAb
 from rho_lattice.elements import f_element, f_prime_k_element
 from rho_lattice.exceptions import PreconditionFailed, VerificationFailure, WorkCapExceeded
@@ -32,6 +32,7 @@ from rho_lattice.surgery import (
 )
 from rho_lattice.ring import in_lattice_4r, reduce_poly, restrict, truncated
 from rho_lattice.suspension import torsion_basis
+from smith_oracle import smith_normal_form
 
 
 class TestParams:
@@ -237,27 +238,31 @@ class TestKernel:
         monkeypatch.setenv("RHO_LATTICE_CAP", "1024")
         assert len(kr.members) == 1024
 
-    def test_smith_forms_per_kernel(self, monkeypatch):
-        # one for the annihilator and one for the span; the torsion is read
-        # off the annihilator's diagonal and listing members takes none
+    def test_hermite_bases_per_kernel(self, monkeypatch):
+        # one for the annihilator, one for the span S and one each for 2S,
+        # 4S and 8S, whose orders give its torsion at K = 3; listing
+        # members walks the span's own basis and takes none
         calls = []
-        real = abelian.smith_normal_form
+        real = abelian.hermite_basis
 
-        def spy(a):
-            calls.append(a)
-            return real(a)
+        def spy(mods, vecs):
+            calls.append(mods)
+            return real(mods, vecs)
 
-        monkeypatch.setattr(abelian, "smith_normal_form", spy)
+        monkeypatch.setattr(abelian, "hermite_basis", spy)
+        monkeypatch.setattr(surgery, "hermite_basis", spy)
         kr = kernel_rho_bar(LensParams(8, 7))
-        assert len(calls) == 2
+        assert len(calls) == 5
         assert kr.torsion == kernel_closed_form(LensParams(8, 7))
-        assert len(kr.members) == 256 and len(calls) == 2
+        assert len(kr.members) == 256 and len(calls) == 5
         calls.clear()
-        # the kernel's two, one annihilator per realizability query (nu at
-        # d = 4 and 6, and the suspensions 4 -> 5, 6 -> 7 of each nu), and
-        # the spans of the first block's choice and of the basis
+        # the kernel's five, two per realizability query (its annihilator
+        # and the basis of the realizations: nu at d = 4 and 6, the
+        # suspensions 4 -> 5 and 6 -> 7 of the first and 6 -> 7 of the
+        # second), and the spans of the first block's choice and of the
+        # basis
         torsion_basis(LensParams(8, 7))
-        assert len(calls) == 9
+        assert len(calls) == 17
 
     @pytest.mark.parametrize("N", (2, 3, 4, 5, 6, 8, 9, 12))
     @pytest.mark.parametrize("d", (3, 4, 5, 6))
@@ -350,14 +355,16 @@ def span_presentation(span):
     relations among its generators: the first m entries of the integer
     kernel of [gens | diag(mods)], the columns of V past the rank."""
     n, m = len(span.mods), len(span.gens)
-    v = span.snf[2]
+    _, _, v = smith_normal_form(
+        [[g[i] for g in span.gens] + [span.mods[i] * (j == i) for j in range(n)] for i in range(n)]
+    )
     relations = [[v[i][j] for i in range(m)] for j in range(n, n + m)]
-    d, _, _ = abelian.smith_normal_form(relations)
+    d, _, _ = smith_normal_form(relations)
     return FinAb.from_orders([d[i][i] for i in range(m)])
 
 
 class TestKernelPresentation:
-    # the torsion read off the annihilator's rows is the presentation of
+    # the torsion from the span's group is the Smith-form presentation of
     # the kernel's span, direct sum the free t_{4i-2} part
     @pytest.mark.parametrize("N", (2, 4, 6, 8, 12, 16, 24, 32, 48, 64, 1024))
     def test_matches_span_presentation(self, N):

@@ -127,15 +127,15 @@ def test_value_class(name):
     assert not hasattr(a, "__dict__")
 
 
-def test_torsion_basis_snf_is_outside_eq_hash_and_repr():
-    # the span (with its Smith form) is derived, like a Span's own snf and order
+def test_torsion_basis_span_is_outside_eq_hash_and_repr():
+    # the span (with its Hermite basis) is derived, like a Span's own h and order
     basis = suspension.torsion_basis(LensParams(4, 4))
     other = suspension.TorsionBasis(
         basis.params, basis.mu4, basis.mu4m2, basis.orders, basis.choice_log, Span([2], [])
     )
     assert other == basis and hash(other) == hash(basis) and repr(other) == repr(basis)
     copy = pickle.loads(pickle.dumps(basis))
-    assert copy.span == basis.span and copy.span.snf == basis.span.snf
+    assert copy.span == basis.span and copy.span.h == basis.span.h
     assert copy.span.order == basis.span.order == 8
 
 
