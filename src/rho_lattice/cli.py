@@ -99,7 +99,8 @@ class _Parser:
         start = self.pos
         if self._peek() == "-":
             self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        # ASCII only: str.isdigit also takes '²' and other scripts' digits
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start or self.text[start:self.pos] == "-":
             raise ParseError("expected an integer", start)
@@ -166,7 +167,7 @@ class _Parser:
             value = self._expr()
             self._expect(")")
             return value
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             return ring.const(self.m, self._integer())
         start = self.pos
         name = self._ident()

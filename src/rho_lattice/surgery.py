@@ -12,9 +12,10 @@ resulting manifold is assembled here from two invariants:
 The coordinates map to eigenspace classes modulo the 4-integral lattice
 through an explicit polynomial in f (``rho_bar_formula``); the kernel of
 that map is the torsion of the structure set.  The map is Z-linear, so
-its kernel is a lattice (``kernel_rho_bar``).  ``verify`` compares it with
-the closed form (+) Z_{2^min(K,1)} (+) Z_{2^min(K,2i)} and, member by
-member, with an enumeration of every coordinate tuple (the oracle).
+the coordinates that realize a rho are a lattice (``realizations``), and
+the kernel is that lattice at rho = 0 (``kernel_rho_bar``).  ``verify``
+compares it with the closed form (+) Z_{2^min(K,1)} (+) Z_{2^min(K,2i)}
+and, member by member, with an enumeration of every coordinate tuple.
 
 The odd-order sector contributes no torsion and only the order M^c of its
 normal-invariant group is exposed; its internal coordinates are not part
@@ -90,6 +91,11 @@ class LensParams(Frozen):
     @property
     def t4m2_modulus(self) -> int:
         return 2 ** min(self.K, 1)
+
+    @property
+    def coord_mods(self) -> tuple[int, ...]:
+        """The flattened coordinates' moduli: c times 2^K, then 2^min(K,1)."""
+        return (self.t4_modulus,) * self.c + (self.t4m2_modulus,) * self.c
 
     def modulus(self) -> ring.Modulus:
         return ring.truncated(self.N)
@@ -188,8 +194,7 @@ def reduced_normal_group(params: LensParams) -> tuple[FinAb, int]:
     form; only the order M^c of the odd summand is known to this model, so
     the second component is that order, not a presentation.
     """
-    orders = [params.t4_modulus] * params.c + [params.t4m2_modulus] * params.c
-    return FinAb.from_orders(orders), params.M**params.c
+    return FinAb.from_orders(params.coord_mods), params.M**params.c
 
 
 def lift_tbar(t4: tuple[int, ...], params: LensParams) -> tuple[int, ...]:
@@ -203,9 +208,10 @@ def lift_tbar(t4: tuple[int, ...], params: LensParams) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _formula_basis(N: int, d: int, k: int) -> tuple[Element, ...]:
-    """Per-coordinate formula values F_i, so that the class of a coordinate
-    tuple t is sum_i lift(t_i) * F_i.
+def _formula_numerators(N: int, d: int, k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(rows, D): the per-coordinate formula values F_i = rows[i] / D over
+    one common denominator D, so that the class of a coordinate tuple t is
+    sum_i lift(t_i) * F_i.
 
     d = 2e:    F_i = 8 * f'_k * f^(d-2i-2) * (f^2 - 1)   for i = 1..e-1
     d = 2e+1:  the same for i = 1..e-1, and F_e = 8 * f'_k * f
@@ -224,14 +230,6 @@ def _formula_basis(N: int, d: int, k: int) -> tuple[Element, ...]:
         raise VerificationFailure(f"{len(basis)} formula terms for c = {params.c}")
     if not all(eigen_test(el, params.sign) for el in basis):
         raise VerificationFailure("formula term in wrong eigenspace")
-    return tuple(basis)
-
-
-@lru_cache(maxsize=None)
-def _formula_numerators(N: int, d: int, k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(rows, D): the formula values F_i = rows[i] / D of
-    :func:`_formula_basis` over one common denominator D."""
-    basis = _formula_basis(N, d, k)
     D = lcm(*(b.den for b in basis))
     return tuple(tuple(x * (D // b.den) for x in b.num) for b in basis), D
 
@@ -292,36 +290,23 @@ def kernel_closed_form(params: LensParams) -> FinAb:
     return FinAb.from_orders(orders)
 
 
-def _formula_rows(params: LensParams) -> tuple[list[list[int]], int]:
-    """(rows, 4D): the numerators of :func:`_formula_numerators` modulo 4D.
-    A class is zero iff its numerator vector is divisible by 4D, so the
-    rows and their multiples only matter modulo 4D."""
-    rows, D = _formula_numerators(params.N, params.d, params.k)
-    mod = 4 * D
-    return [[x % mod for x in row] for row in rows], mod
-
-
 def kernel_rho_bar(params: LensParams) -> KernelResult:
     """Kernel of the coordinate-class map, as a lattice.
 
-    Read each lift as t_i times the odd-lift unit u = lift(1); then the
-    t4-part is {t : sum_i t_i * u * rows[i] = 0 mod 4D} (see
-    :func:`_formula_rows`), one :func:`annihilator`, read modulo 2^K, which
-    needs (and checks) 2^K * u * rows[i] = 0 mod 4D.  Its torsion is the
-    span's :meth:`~rho_lattice.abelian.Span.group`, whose order is checked
-    against the span's.  Every t_{4i-2} coordinate is adjoined freely
+    Its t4-part is the lattice h of :func:`realizations` at rho = 0, where
+    s = 1, t = 0 realizes rho, so the t-parts of h[1:] span it.  There
+    2v = 0 mod 8D is v = 0 mod 4D, and v(-1) = 0 mod 8D always holds: each
+    F_i is 8 * f'_k times a multiple of f, and f(-1) = 0.  Its torsion is
+    the span's :meth:`~rho_lattice.abelian.Span.group`, whose order is
+    checked against the span's.  Every t_{4i-2} coordinate is adjoined freely
     since the formula ignores it; the odd sector contributes nothing.
     Nothing is enumerated.
     """
     K, c = params.K, params.c
     if K == 0:
         return KernelResult(TRIVIAL, Span([1] * c, []))
-    rows, mod = _formula_rows(params)
-    unit = lift_tbar((1,), params)[0]
-    rows = [[unit * x % mod for x in row] for row in rows]
-    if any(x * 2**K % mod for row in rows for x in row):
-        raise VerificationFailure(f"the class map is not 2^K-periodic at {params}")
-    span = Span([2**K] * c, annihilator(rows, mod))
+    h = realizations(params, ring.zero(params.modulus()))
+    span = Span([2**K] * c, [row[1:] for row in h[1:]])
     t4_part = span.group()
     if t4_part.order() != span.order:
         raise VerificationFailure(f"kernel torsion {t4_part.factors} has the wrong order")
@@ -335,10 +320,11 @@ def realizations(params: LensParams, rho: Element, fixed: tuple[int, ...] = ()):
     s * (rho less the class of ``fixed``) = sum_i t_i * lift(1) * F_i holds when
     the numerator v of the difference has 2v = 0 mod m = 8L and, at even
     d, L times its value at x = -1 (the coordinate-free sector maps into
-    8Z there) is 0 mod m: one :func:`annihilator`, as in
-    :func:`kernel_rho_bar`, modulo (m, 2^K, ...).  rho is realized iff it
-    lies in the sign-eigenspace, as every F_i does, and h[0][0] = 1; then
-    h[0] is one realization and h[1:] spans the rest.
+    8Z there) is 0 mod m: one :func:`annihilator`, modulo (m, 2^K, ...),
+    which needs (and checks) 2^K times each coordinate's row = 0 mod m.
+    rho is realized iff it lies in the sign-eigenspace, as every F_i
+    does, and h[0][0] = 1; then h[0] is one realization and h[1:] spans
+    the rest.
     """
     K, n = params.K, len(fixed)
     rows, D = _formula_numerators(params.N, params.d, params.k)
@@ -391,7 +377,8 @@ def kernel_members_brute(params: LensParams) -> tuple[tuple[int, ...], ...]:
     total = (2**K) ** c
     if total > cap:
         raise WorkCapExceeded(f"{total} candidates exceed the cap {cap}; raise {CAP_ENV_VAR}")
-    rows, mod = _formula_rows(params)
+    rows, D = _formula_numerators(params.N, params.d, params.k)
+    mod = 4 * D
     dim = params.modulus().dim
     lifts = [lift_tbar((t,), params)[0] for t in range(2**K)]
     multiples = [[[t * x % mod for x in row] for t in lifts] for row in rows]

@@ -31,7 +31,7 @@ its order profile and that it generates the full torsion group.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Iterable
 
 from . import ring
@@ -118,36 +118,26 @@ def suspend(x: StructureElement) -> SuspensionResult:
     p = x.params
     x.coords.check(p)
     target = LensParams(p.N, p.d + 1, p.k)
-    f = f_element(p.N)
-    rho = f * x.rho
-
-    if p.d % 2 == 1:
-        out = StructureElement(target, rho, x.coords)
-        if not element_validate(out):
-            raise VerificationFailure(
-                f"suspension from odd d produced an invalid tuple at {p}"
-            )
-        return SuspensionResult(x, (out,), out)
-
-    def completion(v: int) -> StructureElement:
-        coords = NormalCoords(x.coords.t4 + (v,), x.coords.t4m2 + (0,))
-        return StructureElement(target, rho, coords)
-
+    rho = f_element(p.N) * x.rho
     mod = target.t4_modulus
-    tau_mult = _tau_multiplicity(x)
-    if tau_mult is None:
-        h = realizations(target, rho, x.coords.t4)
-        values = [] if h is None else range(h[0][1] % h[1][1], mod, h[1][1])
-    elif p.K == 1:
-        values = [tau_mult % 2]
+    if p.d % 2 == 1:
+        completions = [x.coords]
     else:
-        base = 2 ** (p.K - 2)
-        values = sorted({(tau_mult * base) % mod, (tau_mult * 3 * base) % mod})
-    candidates = [completion(v) for v in values]
+        tau_mult = _tau_multiplicity(x)
+        if tau_mult is None:
+            h = realizations(target, rho, x.coords.t4)
+            values = [] if h is None else range(h[0][1] % h[1][1], mod, h[1][1])
+        elif p.K == 1:
+            values = [tau_mult % 2]
+        else:
+            base = 2 ** (p.K - 2)
+            values = sorted({(tau_mult * base) % mod, (tau_mult * 3 * base) % mod})
+        completions = [NormalCoords(x.coords.t4 + (v,), x.coords.t4m2 + (0,)) for v in values]
+    candidates = [StructureElement(target, rho, coords) for coords in completions]
     for out in candidates:
         if not element_validate(out):
             raise VerificationFailure(
-                f"suspension candidate t4e={out.coords.t4[-1]} fails validation at {p}"
+                f"suspension candidate {out.coords.to_json()} fails validation at {p}"
             )
     determined = candidates[0] if len(candidates) == 1 else None
     return SuspensionResult(x, tuple(candidates), determined)
@@ -380,15 +370,8 @@ class TorsionBasis(Frozen):
 
 def _element_order(x: StructureElement) -> int:
     """Order of a torsion tuple: lcm of its coordinate orders."""
-    p = x.params
-    order = 1
-    for t in x.coords.t4:
-        o = p.t4_modulus // gcd(t, p.t4_modulus)
-        order = order * o // gcd(order, o)
-    for t in x.coords.t4m2:
-        if t:
-            order = order * 2 // gcd(order, 2)
-    return order
+    coords = x.coords.t4 + x.coords.t4m2
+    return lcm(*(q // gcd(t, q) for t, q in zip(coords, x.params.coord_mods)))
 
 
 def _mu4_choice(
@@ -406,8 +389,7 @@ def _mu4_choice(
     choices differ by an automorphism of the block.
     """
     target_order = 2 ** min(params.K, 2)
-    mods = [params.t4_modulus] * params.c + [params.t4m2_modulus] * params.c
-    span = Span(mods, [x.coords.t4 + x.coords.t4m2 for x in higher])
+    span = Span(params.coord_mods, [x.coords.t4 + x.coords.t4m2 for x in higher])
     half = target_order // 2
     for t4 in members:
         coords = NormalCoords(t4, (0,) * params.c)
@@ -471,8 +453,7 @@ def torsion_basis(params: LensParams) -> TorsionBasis:
     # one span order stands in for enumerating the group: the map from
     # (+) Z_orders (+) Z_2^c onto the span is a bijection exactly when the
     # span has the product order, and that must be the whole torsion
-    mods = [params.t4_modulus] * c + [params.t4m2_modulus] * c
-    span = Span(mods, [x.coords.t4 + x.coords.t4m2 for x in mu4 + mu4m2])
+    span = Span(params.coord_mods, [x.coords.t4 + x.coords.t4m2 for x in mu4 + mu4m2])
     basis_size = prod(expected_orders) * 2**c
     torsion_size = kernel.torsion.order()
     if span.order != basis_size or basis_size != torsion_size:

@@ -51,7 +51,7 @@ from .surgery import (
     structure_set,
     transfer,
     zero_element,
-    _formula_basis,
+    _formula_numerators,
 )
 from .suspension import (
     elem_mu4m2,
@@ -543,8 +543,9 @@ def _check_lift_independence(N: int, d: int, k: int) -> str | None:
     if p.K < 1:
         return None
     shift = p.t4_modulus * p.M**p.c
-    for i, base in enumerate(_formula_basis(N, d, k)):
-        if not in_lattice_4r(base * shift, p.sign):
+    rows, D = _formula_numerators(N, d, k)
+    for i, row in enumerate(rows):
+        if not in_lattice_4r(ring.from_numerators(p.modulus(), row, D) * shift, p.sign):
             return f"changing the lift by {shift} moves the class in slot {i}"
     return None
 

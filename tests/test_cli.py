@@ -56,9 +56,12 @@ class TestParser:
         assert parse_expression("-x^2", m) == reduce_poly({2: -1}, m)
 
     def test_error_position(self):
-        with pytest.raises(ParseError) as err:
-            parse_expression("1 + ?", truncated(4))
-        assert "position" in str(err.value)
+        # only ASCII digits are numerals; str.isdigit also takes '²' and
+        # other scripts' digits, such as Arabic-Indic '12'
+        for text in ("1 + ?", "²", "x^²", "١٢"):
+            with pytest.raises(ParseError) as err:
+                parse_expression(text, truncated(8))
+            assert "position" in str(err.value), text
 
     def test_unknown_name(self):
         with pytest.raises(ParseError):
@@ -100,6 +103,11 @@ class TestSubcommands:
         out = run_cli("ring", "1 + ?", "--N", "4")
         assert out.returncode == 2
         assert "position" in out.stderr
+
+    def test_non_ascii_digit_is_a_parse_error(self):
+        out = run_cli("ring", "x^²", "--N", "8")
+        assert out.returncode == 2
+        assert out.stderr.startswith("parse error: expected an integer (at position 2)")
 
     def test_invalid_input_fails_cleanly(self):
         out = run_cli("ring", "f_k(3)", "--N", "12")

@@ -119,6 +119,19 @@ def test_only_abelian_and_realizations_take_hermite_bases():
     ]
 
 
+def test_only_realizations_solves_congruences():
+    # the kernel and every realizability question are one lattice, the
+    # realizations of a rho; an annihilator taken anywhere else derives
+    # the coordinate-class congruence a second time
+    sites = [
+        f"{path.stem}.{function}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function, call in _calls_by_function(ast.parse(path.read_text()))
+        if _called_name(call) == "annihilator"
+    ]
+    assert sites == ["surgery.realizations"]
+
+
 def test_only_solve_rational_eliminates():
     # ranks come from traces and subgroups from Hermite bases; the dense
     # rational solve behind ring.inverse is the one use of elimination

@@ -2,7 +2,7 @@
 
 import random
 from itertools import product
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 
@@ -12,7 +12,7 @@ from rho_lattice.elements import f_element, f_prime_k_element
 from rho_lattice.exceptions import PreconditionFailed, VerificationFailure, WorkCapExceeded
 from rho_lattice.surgery import (
     LensParams,
-    _formula_basis,
+    _formula_numerators,
     NormalCoords,
     StructureElement,
     element_add,
@@ -181,7 +181,8 @@ class TestFormula:
         # one element built from the numerators equals the ring sum of the
         # terms lift(t_i) * F_i
         p = LensParams(N, d, k)
-        basis = _formula_basis(N, d, k)
+        rows, D = _formula_numerators(N, d, k)
+        basis = [ring.from_numerators(p.modulus(), row, D) for row in rows]
         rng = random.Random(f"sum:{N}:{d}:{k}")
         for _ in range(10):
             t = tuple(rng.randrange(p.t4_modulus) for _ in range(p.c))
@@ -239,9 +240,10 @@ class TestKernel:
         assert len(kr.members) == 1024
 
     def test_hermite_bases_per_kernel(self, monkeypatch):
-        # one for the annihilator, one for the span S and one each for 2S,
-        # 4S and 8S, whose orders give its torsion at K = 3; listing
-        # members walks the span's own basis and takes none
+        # two for the realizations of rho = 0 (their annihilator and their
+        # basis), one for the span S and one each for 2S, 4S and 8S, whose
+        # orders give its torsion at K = 3; listing members walks the
+        # span's own basis and takes none
         calls = []
         real = abelian.hermite_basis
 
@@ -252,17 +254,17 @@ class TestKernel:
         monkeypatch.setattr(abelian, "hermite_basis", spy)
         monkeypatch.setattr(surgery, "hermite_basis", spy)
         kr = kernel_rho_bar(LensParams(8, 7))
-        assert len(calls) == 5
+        assert len(calls) == 6
         assert kr.torsion == kernel_closed_form(LensParams(8, 7))
-        assert len(kr.members) == 256 and len(calls) == 5
+        assert len(kr.members) == 256 and len(calls) == 6
         calls.clear()
-        # the kernel's five, two per realizability query (its annihilator
+        # the kernel's six, two per realizability query (its annihilator
         # and the basis of the realizations: nu at d = 4 and 6, the
         # suspensions 4 -> 5 and 6 -> 7 of the first and 6 -> 7 of the
         # second), and the spans of the first block's choice and of the
         # basis
         torsion_basis(LensParams(8, 7))
-        assert len(calls) == 17
+        assert len(calls) == 18
 
     @pytest.mark.parametrize("N", (2, 3, 4, 5, 6, 8, 9, 12))
     @pytest.mark.parametrize("d", (3, 4, 5, 6))
@@ -287,10 +289,8 @@ def product_kernel(params):
     K, c = params.K, params.c
     if K == 0:
         return TRIVIAL, ((0,) * c,)
-    basis = _formula_basis(params.N, params.d, params.k)
-    D = lcm(*(b.den for b in basis))
+    rows, D = _formula_numerators(params.N, params.d, params.k)
     mod = 4 * D
-    rows = [[x * (D // b.den) % mod for x in b.num] for b in basis]
     lifts = [lift_tbar((t,), params)[0] for t in range(2**K)]
     multiples = [[[t * x % mod for x in row] for t in lifts] for row in rows]
     members = []
@@ -363,6 +363,20 @@ def span_presentation(span):
     return FinAb.from_orders([d[i][i] for i in range(m)])
 
 
+def annihilator_kernel_span(params):
+    """The kernel's t4-part as its own lattice, apart from the realizations:
+    read each lift as t_i times the odd-lift unit u = lift(1); then the
+    t4-part is {t : sum_i t_i * u * rows[i] = 0 mod 4D}, one annihilator,
+    read modulo 2^K, which needs 2^K * u * rows[i] = 0 mod 4D."""
+    K, c = params.K, params.c
+    rows, D = _formula_numerators(params.N, params.d, params.k)
+    mod = 4 * D
+    unit = lift_tbar((1,), params)[0]
+    rows = [[unit * x % mod for x in row] for row in rows]
+    assert not any(x * 2**K % mod for row in rows for x in row), params
+    return abelian.Span([2**K] * c, abelian.annihilator(rows, mod))
+
+
 class TestKernelPresentation:
     # the torsion from the span's group is the Smith-form presentation of
     # the kernel's span, direct sum the free t_{4i-2} part
@@ -375,6 +389,21 @@ class TestKernelPresentation:
                 free = FinAb.from_orders([2] * p.c)
                 assert kr.torsion == span_presentation(kr.span).direct_sum(free), p
                 assert kr.torsion == kernel_closed_form(p), p
+
+    @pytest.mark.parametrize("N", (2, 4, 6, 8, 12, 16, 24, 32, 48, 64, 1024))
+    def test_matches_annihilator_oracle(self, N):
+        # the realizations of rho = 0 span the same t4-lattice as one
+        # annihilator of the formula rows modulo 4D; the lattice's x = -1
+        # column adds nothing there, because every F_i(-1) lies in 8Z
+        for d in range(3, 11):
+            for k in [k for k in range(1, N) if gcd(k, N) == 1][:3]:
+                p = LensParams(N, d, k)
+                rows, D = _formula_numerators(N, d, k)
+                assert all((sum(row[::2]) - sum(row[1::2])) % (8 * D) == 0 for row in rows), p
+                span, oracle = kernel_rho_bar(p).span, annihilator_kernel_span(p)
+                assert span.order == oracle.order, p
+                assert all(oracle.contains(g) for g in span.gens), p
+                assert all(span.contains(g) for g in oracle.gens), p
 
 
 class TestStructureSet:
