@@ -15,7 +15,7 @@ harness:
 
 Each subcommand imports only the layers it uses, so a ``ring`` query
 loads neither ``surgery``, ``suspension`` nor ``verify``, and a cold
-``special --N 1024`` answers in about 130 ms (median of 7 processes on a
+``special --N 1024`` answers in about 127 ms (median of 7 processes on a
 2-core Intel Xeon VM under CPython 3.11).  The value classes are
 slotted classes on :class:`rho_lattice.frozen.Frozen`, not dataclass
 decorations, so no query loads ``inspect``, ``ast``, ``dis`` or

@@ -10,10 +10,12 @@ twisted companions for every exponent k coprime to N:
 
     f_k = (1 + x^k) / (1 - x^k) = f * f'_k,
 
-where the cofactor f'_k is always integral.  f is a zero divisor whenever
-N is even, but it acts invertibly on the (-1)-eigenspace: the quasi-inverse
-g constructed here satisfies g * f * v = v for every v with
-involution(v) = -v.
+where the cofactor f'_k is always integral.  f_k is the cotangent sum
+(1 + z)/(1 - z) = sum_{j=1}^{N-1} (1 - 2j/N) z^j at z = x^k (Rademacher
+and Grosswald, Dedekind Sums, 1972).  f is a zero divisor whenever N is
+even, but it acts invertibly on the (-1)-eigenspace: the quasi-inverse g
+satisfies g * f * v = v for every v with involution(v) = -v.  For even N,
+g is the same sum at z = -x.
 
 ``divide_by_f`` solves u = f * a for a in the 4-integral
 (-1)-eigenlattice whenever u is 4-integral, (+1)-eigen and vanishes at
@@ -30,7 +32,7 @@ from math import gcd
 from . import ring
 from .exceptions import PreconditionFailed, VerificationFailure
 from .frozen import Frozen
-from .ring import Element, split_two_power
+from .ring import Element
 
 
 # f, f_k, f'_k and g are each derived once per (N, k) or per N, by their own
@@ -43,18 +45,28 @@ def f_element(N: int) -> Element:
     return f_k_element(N, 1)
 
 
+def _cotangent_sum(N: int, k: int, sign: int) -> Element:
+    """The cotangent sum (1 + z)/(1 - z) at z = sign * x^k, on integer
+    numerators over N: sum_{j=1}^{N-1} sign^j * (N - 2j)/N * x^(jk)."""
+    raw = {j * k: sign**j * (N - 2 * j) for j in range(1, N)}
+    return ring.reduce_poly(raw, ring.truncated(N)).scale(Fraction(1, N))
+
+
 @lru_cache(maxsize=None)
 def f_k_element(N: int, k: int) -> Element:
-    """f_k = (1+x^k)/(1-x^k); requires gcd(k, N) = 1.
-
-    Lies in the (-1)-eigenspace of the involution.
+    """f_k = (1+x^k)/(1-x^k) = sum_{j=1}^{N-1} (N - 2j)/N * x^(jk) for k
+    coprime to N: x^k generates the group, so (1 - x^k) times the sum is
+    1 + x^k less (2/N)(1 + x + ... + x^(N-1)) = 0.  A sum that fails that
+    identity raises :class:`VerificationFailure`.  Lies in the
+    (-1)-eigenspace of the involution.
     """
     if gcd(k, N) != 1:
         raise ValueError(f"k = {k} must be coprime to N = {N}")
     m = ring.truncated(N)
-    num = ring.reduce_poly({0: 1, k: 1}, m)
-    den = ring.reduce_poly({0: 1, k: -1}, m)
-    return num * ring.inverse(den)
+    fk = _cotangent_sum(N, k, 1)
+    if ring.reduce_poly({0: 1, k: -1}, m) * fk != ring.reduce_poly({0: 1, k: 1}, m):
+        raise VerificationFailure(f"closed-form f_k fails (1 - x^k) * f_k = 1 + x^k at N = {N}")
+    return fk
 
 
 @lru_cache(maxsize=None)
@@ -82,62 +94,34 @@ def f_prime_k_element(N: int, k: int) -> Element:
     return num * ring.inverse(den)
 
 
-def h_l_element(N: int, l: int) -> Element:
-    """(1+x)^(-1) = A_l / 2 in the CRT factor Q[x]/<1 + x^(2^l)>, l >= 1,
-    with A_l = 1 - x + x^2 - ... - x^(2^l - 1): (1 + x) * A_l = 1 - x^(2^l)."""
-    if l < 1:
-        raise ValueError("h_l is defined for l >= 1 (1+x vanishes in the l = 0 factor)")
-    m = ring.binomial_plus(N, l)
-    return ring.alternating_sum(m, 2**l).scale(Fraction(1, 2))
-
-
-def h_element(N: int) -> Element:
-    """(1+x)^(-1) in the odd CRT factor Q[x]/<1 + y + ... + y^(M-1)>, y = x^(2^K).
-
-    Closed form -(A_K / M) * (1 + 2y + 3y^2 + ... + M y^(M-1)), the product
-    of A_K = (1 - y)/(1 + x) with the standard geometric-derivative inverse
-    of 1 - y.
-    """
-    K, M = split_two_power(N)
-    m = ring.odd_truncated(N)
-    a_k = ring.alternating_sum(m, 2**K)
-    step = 2**K
-    series = ring.reduce_poly({j * step: j + 1 for j in range(M)}, m)
-    return (a_k * series).scale(Fraction(-1, M))
-
-
 @lru_cache(maxsize=None)
 def g_element(N: int) -> Element:
     """The quasi-inverse of f: g*f*v = v for all v in the (-1)-eigenspace.
 
-    For odd N (K = 0) f is invertible and g is its literal inverse, the
-    unique choice, in closed form: (1 + x) * (1 - x + x^2 - ... + x^(N-1))
-    = 1 + x^N = 2, so g = (1 - x) * (1 - x + ... + x^(N-1)) / 2; a g that
-    fails g * f = 1 raises :class:`VerificationFailure`.  For even N, g is
-    assembled by Chinese remaindering: component 0 in the l = 0 factor
-    (where 1 + x vanishes, so every (-1)-eigen element projects to 0
-    there), and the inverse of the f-component everywhere else, which is
-    (1-x) times the (1+x)-inverse h_l resp. h of that factor.  g itself
-    lies in the (-1)-eigenspace, but is not unique with that property when
-    K >= 1.
+    For odd N, f is invertible and g is its inverse
+    (1 - x) * (1 - x + ... + x^(N-1)) / 2, as (1 + x) times the alternating
+    sum is 1 + x^N = 2.  For even N, g = sum_{j=1}^{N-1} (-1)^j (N - 2j)/N
+    * x^j, the sum of f at z = -x, and (1 + x) * g = 1 - x - 2e for the
+    idempotent e = (1/N) * sum_{j<N} (-x)^j of the factor x = -1.  There f
+    and every (-1)-eigen v vanish, as the involution fixes x = -1, and g is
+    0 too (g(-1) = sum_j (N - 2j)/N = 0); elsewhere g = (1 - x)/(1 + x) =
+    1/f.  A g that fails g * f = 1, resp. that identity, raises
+    :class:`VerificationFailure`.  g lies in the (-1)-eigenspace, but is not
+    unique with that property when N is even.
     """
-    K, M = split_two_power(N)
-    if K == 0:
-        m = ring.truncated(N)
+    m = ring.truncated(N)
+    if N % 2:
         g = (ring.reduce_poly({0: 1, 1: -1}, m) * ring.alternating_sum(m, N)).scale(
             Fraction(1, 2)
         )
         if g * f_element(N) != ring.one(m):
             raise VerificationFailure(f"closed-form g fails g * f = 1 at N = {N}")
         return g
-    parts = [ring.zero(ring.binomial_plus(N, 0))]
-    for l in range(1, K):
-        m_l = ring.binomial_plus(N, l)
-        parts.append(ring.reduce_poly({0: 1, 1: -1}, m_l) * h_l_element(N, l))
-    if M > 1:
-        m_odd = ring.odd_truncated(N)
-        parts.append(ring.reduce_poly({0: 1, 1: -1}, m_odd) * h_element(N))
-    return ring.crt_combine(parts, N)
+    g = _cotangent_sum(N, 1, -1)
+    e2 = ring.alternating_sum(m, N).scale(Fraction(2, N))
+    if ring.reduce_poly({0: 1, 1: 1}, m) * g != ring.reduce_poly({0: 1, 1: -1}, m) - e2:
+        raise VerificationFailure(f"closed-form g fails (1 + x) * g = 1 - x - 2e at N = {N}")
+    return g
 
 
 class Catalog(Frozen):

@@ -208,6 +208,14 @@ def lift_tbar(t4: tuple[int, ...], params: LensParams) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def _f_ladder(N: int, k: int, j: int) -> Element:
+    """P_j = 8 * f'_k * f^j, built as f * P_(j-1): one product per rung
+    when the rungs are asked for in order, shared by every d."""
+    cat = Catalog.get(N, k)
+    return cat.f_prime_k * 8 if j == 0 else cat.f * _f_ladder(N, k, j - 1)
+
+
+@lru_cache(maxsize=None)
 def _formula_numerators(N: int, d: int, k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(rows, D): the per-coordinate formula values F_i = rows[i] / D over
     one common denominator D, so that the class of a coordinate tuple t is
@@ -215,17 +223,17 @@ def _formula_numerators(N: int, d: int, k: int) -> tuple[tuple[tuple[int, ...], 
 
     d = 2e:    F_i = 8 * f'_k * f^(d-2i-2) * (f^2 - 1)   for i = 1..e-1
     d = 2e+1:  the same for i = 1..e-1, and F_e = 8 * f'_k * f
+
+    Each term is read off the ladder P_j = 8 * f'_k * f^j of (N, k):
+    F_i = P_(j+2) - P_j with j = d - 2i - 2, and F_e = P_1.  Rungs
+    P_0 .. P_(d-2) are taken in order, so a d pays only for the rungs no
+    smaller d has built.
     """
     params = LensParams(N, d, k)
-    cat = Catalog.get(N, k)
-    f, fpk = cat.f, cat.f_prime_k
-    f2m1 = f * f - ring.one(params.modulus())
-    basis: list[Element] = []
-    e = params.e
-    for i in range(1, e):
-        basis.append(fpk * f ** (d - 2 * i - 2) * f2m1 * 8)
+    P = [_f_ladder(N, k, j) for j in range(d - 1)]
+    basis = [P[d - 2 * i] - P[d - 2 * i - 2] for i in range(1, params.e)]
     if d % 2 == 1:
-        basis.append(fpk * f * 8)
+        basis.append(P[1])
     if len(basis) != params.c:
         raise VerificationFailure(f"{len(basis)} formula terms for c = {params.c}")
     if not all(eigen_test(el, params.sign) for el in basis):

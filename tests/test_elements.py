@@ -15,11 +15,10 @@ from rho_lattice.elements import (
     f_k_element,
     f_prime_k_element,
     g_element,
-    h_element,
-    h_l_element,
 )
 from rho_lattice.exceptions import PreconditionFailed, VerificationFailure
 from rho_lattice.ring import (
+    Element,
     eigen_test,
     eval_minus_one,
     in_lattice_4r,
@@ -30,6 +29,50 @@ from rho_lattice.ring import (
     x_power,
     zero,
 )
+
+
+# The quasi-inverse g of even order assembled by Chinese remaindering from
+# the inverses of 1 + x in its factors: an oracle for the cotangent sum.
+
+
+def h_l_element(N: int, l: int) -> Element:
+    """(1+x)^(-1) = A_l / 2 in the CRT factor Q[x]/<1 + x^(2^l)>, l >= 1,
+    with A_l = 1 - x + x^2 - ... - x^(2^l - 1): (1 + x) * A_l = 1 - x^(2^l)."""
+    if l < 1:
+        raise ValueError("h_l is defined for l >= 1 (1+x vanishes in the l = 0 factor)")
+    m = ring.binomial_plus(N, l)
+    return ring.alternating_sum(m, 2**l).scale(Fraction(1, 2))
+
+
+def h_element(N: int) -> Element:
+    """(1+x)^(-1) in the odd CRT factor Q[x]/<1 + y + ... + y^(M-1)>, y = x^(2^K).
+
+    Closed form -(A_K / M) * (1 + 2y + 3y^2 + ... + M y^(M-1)), the product
+    of A_K = (1 - y)/(1 + x) with the standard geometric-derivative inverse
+    of 1 - y.
+    """
+    K, M = ring.split_two_power(N)
+    m = ring.odd_truncated(N)
+    a_k = ring.alternating_sum(m, 2**K)
+    step = 2**K
+    series = ring.reduce_poly({j * step: j + 1 for j in range(M)}, m)
+    return (a_k * series).scale(Fraction(-1, M))
+
+
+def crt_g_element(N: int) -> Element:
+    """g for even N: component 0 in the l = 0 factor (where 1 + x
+    vanishes, so every (-1)-eigen element projects to 0 there), and the
+    inverse of the f-component everywhere else, which is (1-x) times the
+    (1+x)-inverse h_l resp. h of that factor."""
+    K, M = ring.split_two_power(N)
+    parts = [ring.zero(ring.binomial_plus(N, 0))]
+    for l in range(1, K):
+        m_l = ring.binomial_plus(N, l)
+        parts.append(ring.reduce_poly({0: 1, 1: -1}, m_l) * h_l_element(N, l))
+    if M > 1:
+        m_odd = ring.odd_truncated(N)
+        parts.append(ring.reduce_poly({0: 1, 1: -1}, m_odd) * h_element(N))
+    return ring.crt_combine(parts, N)
 
 
 class TestFk:
@@ -63,6 +106,26 @@ class TestFk:
             assert fpk.is_integral()
             assert fk == f * fpk
 
+    @pytest.mark.parametrize("N", [*range(2, 65), 96, 128])
+    def test_cotangent_sums_match_the_constructions_they_replaced(self, N):
+        # even g against its CRT assembly, and f_k against the product
+        # with the inverse of 1 - x^k
+        m = truncated(N)
+        if N % 2 == 0:
+            assert g_element(N) == crt_g_element(N)
+        if N > 64:
+            return
+        for k in range(1, N):
+            if gcd(k, N) == 1:
+                den = reduce_poly({0: 1, k: -1}, m)
+                assert f_k_element(N, k) == reduce_poly({0: 1, k: 1}, m) * ring.inverse(den)
+
+    def test_closed_form_that_fails_raises(self, monkeypatch):
+        real = elements._cotangent_sum
+        monkeypatch.setattr(elements, "_cotangent_sum", lambda *a: real(*a).scale(2))
+        with pytest.raises(VerificationFailure, match="f_k"):
+            f_k_element.__wrapped__(8, 3)  # a fresh build, past the cache
+
     def test_restriction_to_two_kills_fk(self):
         for N in (4, 6, 8, 12):
             for k in (1, 3, 5, 7):
@@ -93,6 +156,12 @@ class TestG:
         monkeypatch.setattr(elements, "f_element", lambda N: real(N).scale(2))
         with pytest.raises(VerificationFailure):
             g_element.__wrapped__(9)  # a fresh build, past the cache
+
+    def test_even_closed_form_that_fails_raises(self, monkeypatch):
+        real = elements._cotangent_sum
+        monkeypatch.setattr(elements, "_cotangent_sum", lambda *a: real(*a).scale(2))
+        with pytest.raises(VerificationFailure, match="1 - x - 2e"):
+            g_element.__wrapped__(12)
 
     def test_minus_eigen(self):
         for N in (4, 6, 8, 12):

@@ -144,6 +144,17 @@ def test_only_solve_rational_eliminates():
     assert sites == ["abelian.solve_rational"]
 
 
+def test_only_the_crt_round_trip_combines():
+    # f, f_k and g are closed cotangent sums; an element assembled from
+    # its CRT components is a second construction of a closed form
+    sites = [
+        f"{path.stem}.{function}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function, call in _calls_by_function(ast.parse(path.read_text()))
+        if _called_name(call) == "crt_combine"
+    ]
+    assert sites == ["verify._check_crt"]
+
 def test_itertools_product_only_at_known_enumerations():
     # the kernel and the coordinates that realize a rho are lattices and
     # are never enumerated; what is left are the brute-force kernel oracle

@@ -8,7 +8,7 @@ import pytest
 
 from rho_lattice import abelian, ring, surgery
 from rho_lattice.abelian import TRIVIAL, FinAb
-from rho_lattice.elements import f_element, f_prime_k_element
+from rho_lattice.elements import Catalog, f_element, f_prime_k_element
 from rho_lattice.exceptions import PreconditionFailed, VerificationFailure, WorkCapExceeded
 from rho_lattice.surgery import (
     LensParams,
@@ -191,6 +191,40 @@ class TestFormula:
                 expected = expected + base * tbar
             assert rho_bar_formula(p, t) == expected, t
 
+
+    @pytest.mark.parametrize("N", (2, 3, 4, 6, 8, 12, 16, 24, 48, 64))
+    def test_ladder_matches_per_term_powers(self, N):
+        # the oracle: every term built with its own power of f
+        m = truncated(N)
+        for k in [k for k in range(1, N) if gcd(k, N) == 1][:3]:
+            cat = Catalog.get(N, k)
+            f, fpk = cat.f, cat.f_prime_k
+            f2m1 = f * f - ring.one(m)
+            for d in range(3, 13):
+                terms = [fpk * f ** (d - 2 * i - 2) * f2m1 * 8 for i in range(1, d // 2)]
+                if d % 2 == 1:
+                    terms.append(fpk * f * 8)
+                rows, D = _formula_numerators(N, d, k)
+                assert [ring.from_numerators(m, row, D) for row in rows] == terms, (N, d, k)
+
+    def test_ladder_takes_one_product_per_rung(self, monkeypatch):
+        # d = 3..12 need the rungs P_0..P_10 of one (N, k), and P_0 is
+        # 8 * f'_k: ten products in all, where a power of f per term took 120
+        Catalog.get(64, 1)
+        surgery._formula_numerators.cache_clear()
+        surgery._f_ladder.cache_clear()
+        products = []
+        real = ring.Element.__mul__
+
+        def spy(a, b):
+            if isinstance(b, ring.Element):
+                products.append(b)
+            return real(a, b)
+
+        monkeypatch.setattr(ring.Element, "__mul__", spy)
+        for d in range(3, 13):
+            _formula_numerators(64, d, 1)
+        assert len(products) == 10
 
 class TestClassZero:
     # a rho class is zero when rho lies in the 4-integral (-1)^d-eigenlattice
