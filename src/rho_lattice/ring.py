@@ -729,6 +729,69 @@ def _mul_matrix(a: Element) -> list[list[int]]:
     return [[cols[j][i] for j in range(m.dim)] for i in range(m.dim)]
 
 
+def _divmod_monic(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
+    """(q, r) with a = q * b + r and len(r) = deg b, for integer
+    polynomials (lowest coefficient first) and monic b."""
+    r, k = list(a), len(b) - 1
+    q = [0] * max(len(r) - k, 0)
+    terms = [(j, y) for j, y in enumerate(b) if y]
+    for i in reversed(range(len(q))):
+        c = q[i] = r[i + k]
+        if c:
+            for j, y in terms:
+                r[i + j] -= c * y
+    return q, r[:k]
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(n: int) -> tuple[int, ...]:
+    """The integer coefficients of Phi_n, lowest first: x^n - 1 divided
+    exactly by Phi_d for every proper divisor d of n."""
+    q = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            q, r = _divmod_monic(q, _cyclotomic(d))
+            if any(r):
+                raise VerificationFailure(f"Phi_{d} does not divide x^{n} - 1")
+    return tuple(q)
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_orders(m: Modulus) -> tuple[int, ...]:
+    """The d with Phi_d | P, P the ideal generator of ``m``: P is their
+    product, and each Phi_d is irreducible over Q."""
+    if m.kind == BINOMIAL_PLUS:
+        return (2 ** (m.param + 1),)
+    divisors = [d for d in range(1, m.N + 1) if m.N % d == 0]
+    if m.kind == GROUP:
+        return tuple(divisors)
+    if m.kind == TRUNCATED:
+        return tuple(divisors[1:])
+    top = 2 ** split_two_power(m.N)[0]
+    return tuple(d for d in divisors if top % d)
+
+
+def _cyclotomic_divides(d: int, num: Sequence[int]) -> bool:
+    """Phi_d | num: num folded modulo x^d - 1, then reduced by Phi_d."""
+    folded = [sum(num[i::d]) for i in range(d)]
+    return not any(_divmod_monic(folded, _cyclotomic(d))[1])
+
+
+def _zero_divisor_witness(a: Element) -> Element | None:
+    """P / gcd(a, P), the product of the Phi_d in P that do not divide
+    ``a``, when some Phi_d in P does; None when ``a`` is a unit."""
+    m = a.modulus
+    orders = _cyclotomic_orders(m)
+    others = [d for d in orders if not _cyclotomic_divides(d, a.num)]
+    if len(others) == len(orders):
+        return None
+    witness = one(m)
+    for d in others:  # deg witness < deg P, so no product reduces
+        phi = _cyclotomic(d)
+        witness *= _make(m, [*phi, *[0] * (m.dim - len(phi))])
+    return witness
+
+
 def _closed_form_inverse(a: Element) -> Element | None:
     """:func:`inverse`'s closed form when ``a`` has one of its two shapes
     with gcd(k, N) = 1, read off the canonical numerators in O(N), else
@@ -765,10 +828,18 @@ def inverse(a: Element) -> Element:
                                      r the least positive integer with r*k = 1 mod N
 
     (both requiring gcd(k, N) = 1); a closed form that fails its check
-    raises :class:`VerificationFailure`.  Everything else, including every
-    group-ring element, is solved as a dim-by-dim linear system over Q by
-    fraction-free elimination.  Raises :class:`NotInvertible` with a
-    zero-divisor witness when the element is not a unit.
+    raises :class:`VerificationFailure`.
+
+    Otherwise units and zero divisors are told apart before any
+    elimination.  The ideal generator P is a squarefree product of
+    cyclotomic polynomials Phi_d (:func:`_cyclotomic_orders`), each
+    irreducible over Q, so ``a`` is a zero divisor exactly when some Phi_d
+    in P divides it.  Then :class:`NotInvertible` is raised with the
+    witness P / gcd(a, P), the product of the other Phi_d, checked by
+    a * witness = 0.  A unit, including every group-ring unit, is solved as
+    a dim-by-dim linear system over Q by fraction-free elimination; a
+    system that turns out singular raises :class:`VerificationFailure`,
+    since the two derivations disagree.
     """
     m = a.modulus
     if a.is_zero():
@@ -778,12 +849,16 @@ def inverse(a: Element) -> Element:
         if a * inv != one(m):
             raise VerificationFailure(f"closed-form inverse of {a!r} fails its check")
         return inv
-    sol, null = solve_rational(_mul_matrix(a), [a.den] + [0] * (m.dim - 1))
-    if sol is None:
-        witness = from_coeffs(m, null)
+    witness = _zero_divisor_witness(a)
+    if witness is not None:
+        if not (a * witness).is_zero():
+            raise VerificationFailure(f"witness {witness!r} of {a!r} fails its check")
         raise NotInvertible(
             f"{a!r} is a zero divisor: witness {witness!r}", witness=witness
         )
+    sol, _ = solve_rational(_mul_matrix(a), [a.den] + [0] * (m.dim - 1))
+    if sol is None:
+        raise VerificationFailure(f"{a!r} has no factor Phi_d but a singular system")
     return from_coeffs(m, sol)
 
 

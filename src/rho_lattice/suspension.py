@@ -47,8 +47,9 @@ from .surgery import (
     element_validate,
     kernel_rho_bar,
     realizations,
+    rho_bar_formula,
 )
-from .ring import Element, eval_minus_one
+from .ring import Element, eval_minus_one, in_lattice_4r
 
 
 def even_exponent_sum(N: int) -> Element:
@@ -113,20 +114,26 @@ def suspend(x: StructureElement) -> SuspensionResult:
 
     From odd d the result is determined (no new free coordinate).  From
     even d = 2e the new t_{4e-2} is 0 and the new t_{4e} ranges over the
-    candidate set described in the module docstring.
+    candidate set described in the module docstring.  Every candidate of a
+    tau multiple is validated; the coset that :func:`realizations` gives
+    is validated through its first member and its step.
     """
     p = x.params
     x.coords.check(p)
     target = LensParams(p.N, p.d + 1, p.k)
     rho = f_element(p.N) * x.rho
     mod = target.t4_modulus
+    step = None  # the new coordinate's spacing, when the lattice gives it
     if p.d % 2 == 1:
         completions = [x.coords]
     else:
         tau_mult = _tau_multiplicity(x)
         if tau_mult is None:
             h = realizations(target, rho, x.coords.t4)
-            values = [] if h is None else range(h[0][1] % h[1][1], mod, h[1][1])
+            values = []
+            if h is not None:
+                step = h[1][1]
+                values = range(h[0][1] % step, mod, step)
         elif p.K == 1:
             values = [tau_mult % 2]
         else:
@@ -134,7 +141,14 @@ def suspend(x: StructureElement) -> SuspensionResult:
             values = sorted({(tau_mult * base) % mod, (tau_mult * 3 * base) % mod})
         completions = [NormalCoords(x.coords.t4 + (v,), x.coords.t4m2 + (0,)) for v in values]
     candidates = [StructureElement(target, rho, coords) for coords in completions]
-    for out in candidates:
+    checked = candidates
+    if step is not None and len(candidates) > 1:
+        # the class map is additive, so the first candidate stands for all
+        # once the class of (0, ..., 0, step) lies in the 4-lattice
+        if not in_lattice_4r(rho_bar_formula(target, (0,) * p.c + (step,)), target.sign):
+            raise VerificationFailure(f"the step {step} of t_4e is no kernel element at {p}")
+        checked = candidates[:1]
+    for out in checked:
         if not element_validate(out):
             raise VerificationFailure(
                 f"suspension candidate {out.coords.to_json()} fails validation at {p}"

@@ -19,6 +19,7 @@ from rho_lattice.elements import (
     f_prime_k_element,
     g_element,
 )
+from rho_lattice.exceptions import NotInvertible
 from rho_lattice.ring import (
     eigen_test,
     eval_minus_one,
@@ -250,3 +251,21 @@ def test_criterion_9_verify_all_green():
         " checks pass within the time budget",
         elapsed,
     )
+
+
+def test_criterion_10_zero_divisor_refused_at_large_N():
+    # the refusal is read off the cyclotomic factors of 1 + x + ... + x^255;
+    # the dense elimination it replaced took about 25 s at this size
+    m = truncated(256)
+    rng = random.Random(1000)
+    y = reduce_poly({j: rng.randint(-9, 9) for j in range(255)}, m)
+    a = reduce_poly({0: 1, 1: 1}, m) * y
+    started = time.time()
+    try:
+        ring.inverse(a)
+        refused = False
+    except NotInvertible as exc:
+        refused = (a * exc.witness).is_zero() and not exc.witness.is_zero()
+    elapsed = time.time() - started
+    _report(10, refused and elapsed < 1, "(1 + x) * y in the truncated ring of order 256 "
+            "is refused with a witness in under 1 s", elapsed)

@@ -99,6 +99,12 @@ class TestSubcommands:
         assert out.returncode == 3
         assert "not invertible" in out.stderr
 
+    def test_ring_zero_divisor_refused_at_large_N(self):
+        # Phi_4 = 1 + x^2 divides the ideal generator at N = 128
+        out = run_cli("ring", "(1+x^2)^(-1)", "--N", "128")
+        assert out.returncode == 3
+        assert "is a zero divisor: witness" in out.stderr
+
     def test_ring_parse_error_position(self):
         out = run_cli("ring", "1 + ?", "--N", "4")
         assert out.returncode == 2

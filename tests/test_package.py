@@ -134,7 +134,8 @@ def test_only_realizations_solves_congruences():
 
 def test_only_solve_rational_eliminates():
     # ranks come from traces and subgroups from Hermite bases; the dense
-    # rational solve behind ring.inverse is the one use of elimination
+    # rational solve behind ring.inverse's units and verify's witness
+    # re-derivation is the one use of elimination
     sites = [
         f"{path.stem}.{function}"
         for path in sorted(PACKAGE.glob("*.py"))
@@ -142,6 +143,19 @@ def test_only_solve_rational_eliminates():
         if _called_name(call) == "fraction_free_rref"
     ]
     assert sites == ["abelian.solve_rational"]
+
+
+def test_only_units_reach_the_dense_solve():
+    # ring.inverse refuses a zero divisor from its cyclotomic factors and
+    # solves only for units; the inverse round trip re-derives each
+    # refusal's witness as the dense solve's null vector
+    sites = [
+        f"{path.stem}.{function}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function, call in _calls_by_function(ast.parse(path.read_text()))
+        if _called_name(call) == "solve_rational"
+    ]
+    assert sites == ["ring.inverse", "verify._check_inverse_roundtrip"]
 
 
 def test_only_the_crt_round_trip_combines():

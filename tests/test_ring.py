@@ -251,6 +251,88 @@ class TestInverse:
         assert a * inv == one(m)
 
 
+def _bareiss(a):
+    """(inverse, None) for a unit and (None, witness) for a zero divisor,
+    both read off the dense solve of the multiplication matrix."""
+    m = a.modulus
+    sol, null = solve_rational(ring._mul_matrix(a), [a.den] + [0] * (m.dim - 1))
+    if sol is None:
+        return None, from_coeffs(m, null)
+    return from_coeffs(m, sol), None
+
+
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+class TestCyclotomicRefusal:
+    """inverse decides units and zero divisors from the Phi_d making up P."""
+
+    def test_cyclotomic_polynomials_multiply_to_x_n_minus_1(self):
+        for n in range(1, 65):
+            prod = [1]
+            for d in range(1, n + 1):
+                if n % d == 0:
+                    prod = _poly_mul(prod, ring._cyclotomic(d))
+            assert prod == [-1] + [0] * (n - 1) + [1], n
+
+    def test_orders_multiply_to_the_ideal_generator(self):
+        for N in range(2, 49):
+            for m in [group_ring(N), truncated(N)] + list(crt_factors(N) if N % 2 == 0 else ()):
+                prod = [1]
+                for d in ring._cyclotomic_orders(m):
+                    prod = _poly_mul(prod, ring._cyclotomic(d))
+                assert len(prod) == m.dim + 1 and prod[-1] == 1
+                assert reduce_poly(dict(enumerate(prod)), m).is_zero(), m
+
+    def test_a_wrong_divisor_fails_the_construction(self, monkeypatch):
+        real = ring._cyclotomic
+        monkeypatch.setattr(ring, "_cyclotomic", lambda d: (2, 1) if d == 2 else real(d))
+        with pytest.raises(VerificationFailure, match="Phi_2 does not divide x"):
+            real.__wrapped__(6)
+
+    def test_matches_the_dense_solve(self):
+        # a random element of every ring with N <= 48, and its product with
+        # a random Phi_d of P, against the dense solve's verdict and null vector
+        rng = random.Random(23)
+        units = refusals = 0
+        for N in range(2, 49):
+            moduli = [group_ring(N), truncated(N)] + list(crt_factors(N) if N % 2 == 0 else ())
+            for m in moduli:
+                num = [rng.randint(-3, 3) for _ in range(m.dim)]
+                a = from_numerators(m, num, rng.randint(1, 3))
+                phi = ring._cyclotomic(rng.choice(ring._cyclotomic_orders(m)))
+                for b in (a, a * reduce_poly(dict(enumerate(phi)), m)):
+                    inv, witness = _bareiss(b)
+                    if inv is not None:
+                        assert inverse(b) == inv
+                        units += 1
+                        continue
+                    with pytest.raises(NotInvertible) as err:
+                        inverse(b)
+                    assert err.value.witness == witness, (m, b)
+                    refusals += 1
+        assert units > 100 and refusals > 100
+
+    def test_wrong_witness_raises(self, monkeypatch):
+        m = truncated(24)
+        a = reduce_poly({0: 2, 1: 3, 2: 1}, m)
+        monkeypatch.setattr(ring, "_zero_divisor_witness", lambda a: x_power(m, 2))
+        with pytest.raises(VerificationFailure, match="fails its check"):
+            inverse(a)
+
+    def test_unit_verdict_on_a_zero_divisor_raises(self, monkeypatch):
+        m = group_ring(12)
+        a = reduce_poly({0: 1, 4: -1}, m)
+        monkeypatch.setattr(ring, "_zero_divisor_witness", lambda a: None)
+        with pytest.raises(VerificationFailure, match="singular"):
+            inverse(a)
+
+
 def _dense_inverse(a, monkeypatch):
     """inverse(a) by the dense solve alone, or the NotInvertible it raises."""
     with monkeypatch.context() as patch:

@@ -505,3 +505,37 @@ class TestBrowderLivesay:
     def test_odd_n_rejected(self):
         with pytest.raises(PreconditionFailed):
             browder_livesay_composite(zero_element(LensParams(5, 4)), 1)
+
+
+class TestSuspendValidation:
+    """suspend validates the realizations' coset by its first member and
+    its step, and every candidate of a tau multiple."""
+
+    @staticmethod
+    def _coset_input():
+        p = LensParams(8, 4)
+        for x in suspension_inputs(p, random.Random(8)):
+            if suspension._tau_multiplicity(x) is None and len(suspend(x).candidates) > 1:
+                return x
+        raise AssertionError("no suspension with several candidates")
+
+    def test_one_validation_per_coset(self, monkeypatch):
+        x = self._coset_input()
+        calls = []
+        real = suspension.element_validate
+        monkeypatch.setattr(suspension, "element_validate", lambda y: calls.append(y) or real(y))
+        result = suspend(x)
+        assert calls == [result.candidates[0]] and len(result.candidates) == 4
+
+    def test_wrong_step_raises(self, monkeypatch):
+        x = self._coset_input()
+        real = suspension.realizations
+
+        def halved(*args):
+            h = [list(row) for row in real(*args)]
+            h[1][1] //= 2
+            return h
+
+        monkeypatch.setattr(suspension, "realizations", halved)
+        with pytest.raises(VerificationFailure, match="no kernel element"):
+            suspend(x)

@@ -135,3 +135,22 @@ def test_random_element_draws_the_randint_stream(seed, modulus, integral):
             theirs, modulus, integral
         )
     assert ours.getstate() == theirs.getstate()
+
+
+def test_inverse_roundtrip_compares_each_witness_with_the_null_vector(monkeypatch):
+    # every draw made a zero divisor: (1 + x) divides it at even N
+    m = ring.truncated(8)
+    draw = verify._random_element
+    one_plus_x = ring.reduce_poly({0: 1, 1: 1}, m)
+    monkeypatch.setattr(verify, "_random_element", lambda rng, m: draw(rng, m) * one_plus_x)
+    assert verify._check_inverse_roundtrip(8, m, 0) is None
+    # twice the witness still annihilates, but it is not the null vector
+    witness = ring._zero_divisor_witness
+    monkeypatch.setattr(ring, "_zero_divisor_witness", lambda a: witness(a) * 2)
+    assert "is not the null vector at trial 0" in verify._check_inverse_roundtrip(8, m, 0)
+
+    def no_witness(a):
+        raise ring.NotInvertible("not invertible")
+
+    monkeypatch.setattr(ring, "inverse", no_witness)
+    assert "is not the null vector at trial 0" in verify._check_inverse_roundtrip(8, m, 0)
