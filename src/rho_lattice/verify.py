@@ -4,21 +4,21 @@ Every named statement the library relies on is re-proved here over a
 parameter sweep, at desk scale, with exact arithmetic.  A check either
 passes or fails with a witness; failures are report content, never
 crashes.  Reports are deterministic for a fixed seed and sweep: the
-checks are generated in a fixed order, any randomness is drawn from a
-seed derived from the statement id, and results are sorted before
-emission.
+checks are sorted by statement id and parameters before any of them
+runs, each line is emitted as its check finishes, and a seeded check
+draws from a stream keyed by the seed, its statement id and its
+parameters.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from collections import Counter
 from functools import cache
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import SUITES, ring
 from .abelian import FinAb, solve_rational
@@ -76,11 +76,13 @@ DEFAULT_SWEEP_D = (3, 4, 5, 6, 7, 8)
 class Check(Frozen):
     """One instance of a statement: ``fn(*args)`` over the named ``params``.
 
-    Checks hold module-level functions and plain arguments, so they pickle
-    and can be sent to worker processes as they are.
+    A ``seeded`` check also gets, as its last argument, the random stream
+    of its seed, statement and params.  Checks hold module-level functions
+    and plain arguments, so they pickle and can be sent to worker
+    processes as they are.
     """
 
-    _fields = ("statement", "params", "fn", "args", "suite", "seed")
+    _fields = ("statement", "params", "fn", "args", "suite", "seed", "seeded")
     __slots__ = _fields
 
     def __init__(
@@ -91,13 +93,22 @@ class Check(Frozen):
         args: tuple,
         suite: str,
         seed: int = 0,
+        seeded: bool = False,
     ):
         self._assign(
-            statement=statement, params=params, fn=fn, args=args, suite=suite, seed=seed
+            statement=statement,
+            params=params,
+            fn=fn,
+            args=args,
+            suite=suite,
+            seed=seed,
+            seeded=seeded,
         )
 
     def run(self) -> str | None:
         """The witness string of a failure, or None when the check passes."""
+        if self.seeded:
+            return self.fn(*self.args, _rng(self.seed, self.statement, self.params))
         return self.fn(*self.args)
 
 
@@ -160,8 +171,7 @@ def _random_t4(rng: random.Random, p: LensParams) -> tuple[int, ...]:
 # ring suite
 
 
-def _check_ring_axioms(N: int, kind_desc: str, m: ring.Modulus, seed: int) -> str | None:
-    rng = _rng(seed, "ring-axioms", {"N": N, "kind": kind_desc})
+def _check_ring_axioms(m: ring.Modulus, rng: random.Random) -> str | None:
     one = ring.one(m)
     for trial in range(200):
         a = _random_element(rng, m)
@@ -179,8 +189,7 @@ def _check_ring_axioms(N: int, kind_desc: str, m: ring.Modulus, seed: int) -> st
     return None
 
 
-def _check_reduce_hom(N: int, m: ring.Modulus, seed: int) -> str | None:
-    rng = _rng(seed, "reduce-hom", {"N": N, "kind": m.kind})
+def _check_reduce_hom(N: int, m: ring.Modulus, rng: random.Random) -> str | None:
     for trial in range(100):
         deg = rng.randint(0, 3 * N)
         p = {e: rng.randint(-6, 6) for e in rng.sample(range(-N, 3 * N), k=min(deg + 1, 8))}
@@ -196,8 +205,7 @@ def _check_reduce_hom(N: int, m: ring.Modulus, seed: int) -> str | None:
     return None
 
 
-def _check_inverse_roundtrip(N: int, m: ring.Modulus, seed: int) -> str | None:
-    rng = _rng(seed, "inverse-roundtrip", {"N": N, "kind": m.kind})
+def _check_inverse_roundtrip(m: ring.Modulus, rng: random.Random) -> str | None:
     one = ring.one(m)
     done = 0
     for trial in range(60):
@@ -219,9 +227,8 @@ def _check_inverse_roundtrip(N: int, m: ring.Modulus, seed: int) -> str | None:
     return None
 
 
-def _check_involution(N: int, seed: int) -> str | None:
+def _check_involution(N: int, rng: random.Random) -> str | None:
     m = truncated(N)
-    rng = _rng(seed, "involution", {"N": N})
     for trial in range(50):
         a = _random_element(rng, m)
         b = _random_element(rng, m)
@@ -236,9 +243,8 @@ def _check_involution(N: int, seed: int) -> str | None:
     return None
 
 
-def _check_crt(N: int, seed: int) -> str | None:
+def _check_crt(N: int, rng: random.Random) -> str | None:
     m = truncated(N)
-    rng = _rng(seed, "crt-roundtrip", {"N": N})
     for trial in range(200):
         a = _random_element(rng, m)
         b = _random_element(rng, m)
@@ -254,9 +260,8 @@ def _check_crt(N: int, seed: int) -> str | None:
     return None
 
 
-def _check_eval_minus_one(N: int, seed: int) -> str | None:
+def _check_eval_minus_one(N: int, rng: random.Random) -> str | None:
     m = truncated(N)
-    rng = _rng(seed, "eval-minus-one", {"N": N})
     for trial in range(100):
         p = {e: rng.randint(-9, 9) for e in rng.sample(range(0, 3 * N), k=6)}
         val = sum(c * (-1) ** e for e, c in p.items())
@@ -265,9 +270,8 @@ def _check_eval_minus_one(N: int, seed: int) -> str | None:
     return None
 
 
-def _check_restrict(N: int, seed: int) -> str | None:
+def _check_restrict(N: int, rng: random.Random) -> str | None:
     m = truncated(N)
-    rng = _rng(seed, "restrict", {"N": N})
     divisors = [np for np in range(2, N) if N % np == 0]
     for trial in range(40):
         a = _random_element(rng, m)
@@ -284,9 +288,8 @@ def _check_restrict(N: int, seed: int) -> str | None:
     return None
 
 
-def _check_lattice_soundness(N: int, seed: int) -> str | None:
+def _check_lattice_soundness(N: int, rng: random.Random) -> str | None:
     m = truncated(N)
-    rng = _rng(seed, "lattice-soundness", {"N": N})
     for trial in range(60):
         sign = rng.choice([1, -1])
         x = eigen_project(_random_element(rng, m, integral=True), sign)
@@ -374,9 +377,8 @@ def _check_lem_2_3_converse(N: int) -> str | None:
     return None
 
 
-def _check_decomposition_lem(N: int, seed: int) -> str | None:
+def _check_decomposition_lem(N: int, rng: random.Random) -> str | None:
     K, M = ring.split_two_power(N)
-    rng = _rng(seed, "lemma-decomposition", {"N": N})
     m = truncated(N)
     g_two = {e: 1 for e in range(2**K)}  # 1 + x + ... + x^(2^K - 1)
     g_odd = {e * 2**K: 1 for e in range(M)}  # 1 + x^(2^K) + ... + x^(2^K(M-1))
@@ -415,8 +417,7 @@ def _check_decomposition_lem(N: int, seed: int) -> str | None:
     return None
 
 
-def _check_m_factor_lem(N: int, k: int, seed: int) -> str | None:
-    rng = _rng(seed, "lemma-m-factor", {"N": N, "k": k})
+def _check_m_factor_lem(N: int, k: int, rng: random.Random) -> str | None:
     m_odd = ring.odd_truncated(N)
     K, M = ring.split_two_power(N)
     raw_f = f_element(N)
@@ -445,8 +446,7 @@ def _check_m_factor_lem(N: int, k: int, seed: int) -> str | None:
     return None
 
 
-def _check_divide_by_f(N: int, seed: int) -> str | None:
-    rng = _rng(seed, "divide-by-f", {"N": N})
+def _check_divide_by_f(N: int, rng: random.Random) -> str | None:
     m = truncated(N)
     f = f_element(N)
     for trial in range(100):
@@ -513,11 +513,10 @@ def _check_rank_lattice(N: int) -> str | None:
     return None
 
 
-def _check_formula_additivity(N: int, d: int, k: int, seed: int) -> str | None:
+def _check_formula_additivity(N: int, d: int, k: int, rng: random.Random) -> str | None:
     p = LensParams(N, d, k)
     if p.K < 1:
         return None
-    rng = _rng(seed, "formula-additive", p.to_json())
     for trial in range(20):
         t, s = _random_t4(rng, p), _random_t4(rng, p)
         ts = tuple((a + b) % p.t4_modulus for a, b in zip(t, s))
@@ -527,13 +526,12 @@ def _check_formula_additivity(N: int, d: int, k: int, seed: int) -> str | None:
     return None
 
 
-def _check_formula_twist(N: int, d: int, k: int, seed: int) -> str | None:
+def _check_formula_twist(N: int, d: int, k: int, rng: random.Random) -> str | None:
     p = LensParams(N, d, k)
     if p.K < 1:
         return None
     p1 = LensParams(N, d, 1)
     fpk = f_prime_k_element(N, p.k)
-    rng = _rng(seed, "formula-twist", p.to_json())
     for trial in range(20):
         t = _random_t4(rng, p)
         if rho_bar_formula(p, t) != fpk * rho_bar_formula(p1, t):
@@ -820,7 +818,8 @@ def _check_browder_livesay(N: int) -> str | None:
 class Statement(Frozen):
     """A statement's suite, check and default ``(params, args)`` rows.
 
-    A row's check runs ``fn(*args)``, with the seed appended when ``seeded``.
+    A row's check runs ``fn(*args)``, with its random stream appended when
+    ``seeded``.
     """
 
     _fields = ("name", "suite", "fn", "rows", "seeded")
@@ -851,8 +850,9 @@ def _registry() -> tuple[Statement, ...]:
         factors = ring.crt_factors(N) if N % 2 == 0 else ()
         for m in (truncated(N), ring.group_ring(N)) + factors:
             label = m.kind if m.kind != ring.BINOMIAL_PLUS else f"{m.kind}({m.param})"
-            ring_kinds.append(({"N": N, "kind": label}, (N, label, m)))
+            ring_kinds.append(({"N": N, "kind": label}, (m,)))
     truncated_n = tuple(({"N": N, "kind": "truncated"}, (N, truncated(N))) for N in sweep)
+    truncated_m = tuple(({"N": N, "kind": "truncated"}, (truncated(N),)) for N in sweep)
     per_n = _rows({"N": N} for N in sweep)
     per_even_n = _rows({"N": N} for N in sweep if N % 2 == 0)
     to_48 = _rows({"N": N} for N in range(2, 49))
@@ -876,7 +876,7 @@ def _registry() -> tuple[Statement, ...]:
     return (
         Statement("ring-axioms", "ring", _check_ring_axioms, tuple(ring_kinds), True),
         Statement("reduce-hom", "ring", _check_reduce_hom, truncated_n, True),
-        Statement("inverse-roundtrip", "ring", _check_inverse_roundtrip, truncated_n, True),
+        Statement("inverse-roundtrip", "ring", _check_inverse_roundtrip, truncated_m, True),
         Statement("involution", "ring", _check_involution, per_n, True),
         Statement("crt-roundtrip", "ring", _check_crt, per_even_n, True),
         Statement("eval-minus-one", "ring", _check_eval_minus_one, per_even_n, True),
@@ -922,7 +922,7 @@ def build_checks(
     if unknown := set(suites) - set(SUITES):
         raise ValueError(f"unknown suite {sorted(unknown)[0]!r}")
     return [
-        Check(s.name, dict(params), s.fn, args + (seed,) if s.seeded else args, suite, seed)
+        Check(s.name, dict(params), s.fn, args, suite, seed, s.seeded)
         for suite in suites
         for s in _registry()
         if s.suite == suite
@@ -952,18 +952,18 @@ def _run_one(check: Check) -> dict:
     return entry
 
 
-def _canonical_order(entry: dict) -> tuple[str, str]:
-    return entry["statement"], json.dumps(entry["params"], sort_keys=True)
-
-
 def run_suites(
     suites: Iterable[str],
     max_n: int | None = None,
     max_d: int | None = None,
     seed: int = 0,
     workers: int = 1,
-) -> dict:
-    """Run the requested suites; returns the deterministic report object."""
+) -> Iterator[dict]:
+    """The report line of every check of ``suites``, in canonical order, each
+    as its check finishes.
+
+    An empty selection raises ValueError before any check runs.
+    """
     suites = tuple(suites)
     checks = build_checks(suites, max_n, max_d, seed)
     if not checks:
@@ -971,29 +971,15 @@ def run_suites(
             f" --max-{key} {v}" for key, v in (("N", max_n), ("d", max_d)) if v is not None
         )
         raise ValueError(f"no check matches --suite {'+'.join(suites)}{bounds}")
+    checks.sort(key=lambda c: (c.statement, json.dumps(c.params, sort_keys=True)))
     if workers > 1 and len(checks) > 1:
-        results = _run_parallel(checks, workers)
-    else:
-        results = [_run_one(c) for c in checks]
-    results.sort(key=_canonical_order)
-    failed = sum(1 for r in results if r["status"] == "fail")
-    by_statement = Counter(r["statement"] for r in results)
-    return {
-        "schema": "rho-lattice/1",
-        "suite": "+".join(suites),
-        "seed": seed,
-        "checks": results,
-        "summary": {
-            "total": len(results),
-            "passed": len(results) - failed,
-            "failed": failed,
-            "by_statement": dict(sorted(by_statement.items())),
-        },
-    }
+        return _run_parallel(checks, workers)
+    return map(_run_one, checks)
 
 
-def _run_parallel(checks: list[Check], workers: int) -> list[dict]:
-    """Run the checks in a process pool, in about four tasks per worker.
+def _run_parallel(checks: list[Check], workers: int) -> Iterator[dict]:
+    """Run the checks in a process pool, in about four tasks per worker,
+    yielding each result in the order of ``checks``.
 
     A pool that fails raises VerificationFailure; it never falls back to serial.
     """
@@ -1002,7 +988,7 @@ def _run_parallel(checks: list[Check], workers: int) -> list[dict]:
     chunksize = max(1, -(-len(checks) // (workers * 4)))
     try:
         with cf.ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_one, checks, chunksize=chunksize))
+            yield from pool.map(_run_one, checks, chunksize=chunksize)
     except (OSError, cf.BrokenExecutor) as exc:
         raise VerificationFailure(
             f"worker pool failed ({type(exc).__name__}: {exc}); rerun with --workers 1"

@@ -63,6 +63,7 @@ from rho_lattice.verify import (
     _check_thm2_image,
     _check_thm2_omega,
     _check_tau_properties,
+    _rng,
     run_suites,
 )
 
@@ -161,9 +162,10 @@ def test_criterion_4_membership_scan():
 def test_criterion_5_randomized_lemma_instances():
     started = time.time()
     for N in (6, 12, 24):
-        assert _check_decomposition_lem(N, seed=0) is None
+        assert _check_decomposition_lem(N, _rng(0, "lemma-decomposition", {"N": N})) is None
         for k in _ks(N):
-            assert _check_m_factor_lem(N, k, seed=0) is None
+            rng = _rng(0, "lemma-m-factor", {"N": N, "k": k})
+            assert _check_m_factor_lem(N, k, rng) is None
     _report(5, True, "decomposition and odd-factor lemmas verify on 100 random "
             "instances per (N, k)", time.time() - started)
 
@@ -236,18 +238,15 @@ def test_criterion_8_divide_by_f():
 
 def test_criterion_9_verify_all_green():
     started = time.time()
-    report = run_suites(("ring", "lemmas", "kernel", "suspension", "torsion"), seed=0)
+    checks = list(run_suites(("ring", "lemmas", "kernel", "suspension", "torsion"), seed=0))
     elapsed = time.time() - started
-    failed = report["summary"]["failed"]
-    if failed:
-        for check in report["checks"]:
-            if check["status"] == "fail":
-                print("  failing:", check["statement"], check["params"],
-                      check.get("witness"))
+    failing = [c for c in checks if c["status"] == "fail"]
+    for check in failing:
+        print("  failing:", check["statement"], check["params"], check.get("witness"))
     _report(
         9,
-        failed == 0 and elapsed < 600,
-        f"verify --suite all: {report['summary']['passed']}/{report['summary']['total']}"
+        not failing and elapsed < 600,
+        f"verify --suite all: {len(checks) - len(failing)}/{len(checks)}"
         " checks pass within the time budget",
         elapsed,
     )

@@ -169,6 +169,20 @@ def test_only_the_crt_round_trip_combines():
     ]
     assert sites == ["verify._check_crt"]
 
+
+def test_only_check_run_draws_random_streams():
+    # Check.run builds a seeded check's stream from the check's own seed,
+    # statement and params; a check that built its own would re-type the
+    # registry's identity of that check
+    sites = [
+        f"{path.stem}.{function}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function, call in _calls_by_function(ast.parse(path.read_text()))
+        if _called_name(call) == "_rng"
+    ]
+    assert sites == ["verify.run"]
+
+
 def test_itertools_product_only_at_known_enumerations():
     # the kernel and the coordinates that realize a rho are lattices and
     # are never enumerated; what is left are the brute-force kernel oracle

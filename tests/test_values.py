@@ -91,7 +91,7 @@ VALUES = {
     "Check": (
         lambda: verify.Check("s", {"N": 2}, len, ((),), "ring"),
         "Check(statement='s', params={'N': 2}, fn=<built-in function len>, args=((),), "
-        "suite='ring', seed=0)",
+        "suite='ring', seed=0, seeded=False)",
         "seed",
         False,
     ),

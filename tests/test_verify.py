@@ -47,25 +47,27 @@ def test_each_statement_has_one_registry_entry():
 
 
 def test_seeded_checks_draw_from_their_statement_id(monkeypatch):
-    # the module docstring promises randomness seeded from the statement id,
-    # which is the registry name that reports and reproduce commands carry
+    # the module docstring promises randomness keyed by the statement id,
+    # which is the registry name that reports and reproduce commands carry;
+    # Check.run is the one place that builds the stream
     keys = []
     real = verify._rng
 
     def spy(seed, statement, params):
-        keys.append(statement)
+        keys.append((seed, statement, params))
         return real(seed, statement, params)
 
     monkeypatch.setattr(verify, "_rng", spy)
-    seeded = [s for s in verify._registry() if s.seeded]
-    assert len(seeded) == 13
-    for s in seeded:
-        for params, args in s.rows:  # the first row that draws at all
-            keys.clear()
-            s.fn(*args, 0)
-            if keys:
-                break
-        assert keys and set(keys) == {s.name}, (s.name, keys)
+    first = {}
+    for c in verify.build_checks(verify.SUITES, seed=3):
+        if c.seeded:
+            first.setdefault(c.statement, c)
+    assert len(first) == 13
+    assert {s.name for s in verify._registry() if s.seeded} == set(first)
+    for c in first.values():
+        keys.clear()
+        assert c.run() is None
+        assert keys == [(3, c.statement, c.params)], c.statement
 
 
 def test_checks_survive_pickling():
@@ -79,6 +81,8 @@ def test_checks_survive_pickling():
 
 
 class _BrokenPool:
+    delivered = 0  # results handed out before the worker dies
+
     def __init__(self, *args, **kwargs):
         pass
 
@@ -88,23 +92,50 @@ class _BrokenPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, *args, **kwargs):
+    def map(self, fn, items, **kwargs):
+        yield from map(fn, items[: self.delivered])
         raise concurrent.futures.process.BrokenProcessPool("a worker died")
+
+
+class _BrokenMidRun(_BrokenPool):
+    delivered = 2
 
 
 def _no_pool(*args, **kwargs):
     raise OSError("no processes left")
 
 
-@pytest.mark.parametrize("executor", [_no_pool, _BrokenPool], ids=["OSError", "broken"])
+@pytest.mark.parametrize(
+    "executor", [_no_pool, _BrokenPool, _BrokenMidRun], ids=["OSError", "broken", "mid-run"]
+)
 def test_pool_failure_exits_5_without_serial_fallback(monkeypatch, capsys, executor):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", executor)
     rc = main(["verify", "--suite", "torsion", "--max-N", "4", "--workers", "2"])
     assert rc == 5
     captured = capsys.readouterr()
-    assert captured.out == ""
+    # the lines of the checks that finished stay printed; no summary follows
+    lines = [json.loads(line) for line in captured.out.splitlines()]
+    assert [line["status"] for line in lines] == ["pass"] * getattr(executor, "delivered", 0)
     assert captured.err.startswith("error: VerificationFailure: worker pool failed (")
     assert captured.err.endswith("); rerun with --workers 1\n")
+
+
+def test_each_line_is_written_before_the_next_check_starts(monkeypatch, capsys):
+    out = []
+    lines_at_start = []
+    run = verify.Check.run
+
+    def spy(check):
+        out.append(capsys.readouterr().out)
+        lines_at_start.append("".join(out).count("\n"))
+        return run(check)
+
+    monkeypatch.setattr(verify.Check, "run", spy)
+    rc = main(["verify", "--suite", "torsion", "--max-N", "4", "--workers", "1"])
+    out.append(capsys.readouterr().out)
+    assert rc == 0
+    assert lines_at_start == list(range(len(lines_at_start)))
+    assert "".join(out).count("\n") == len(lines_at_start) + 1  # and the summary
 
 
 @pytest.mark.parametrize("N", [64, 96, 256])
@@ -143,14 +174,19 @@ def test_inverse_roundtrip_compares_each_witness_with_the_null_vector(monkeypatc
     draw = verify._random_element
     one_plus_x = ring.reduce_poly({0: 1, 1: 1}, m)
     monkeypatch.setattr(verify, "_random_element", lambda rng, m: draw(rng, m) * one_plus_x)
-    assert verify._check_inverse_roundtrip(8, m, 0) is None
+
+    def check():
+        rng = verify._rng(0, "inverse-roundtrip", {"N": 8, "kind": "truncated"})
+        return verify._check_inverse_roundtrip(m, rng)
+
+    assert check() is None
     # twice the witness still annihilates, but it is not the null vector
     witness = ring._zero_divisor_witness
     monkeypatch.setattr(ring, "_zero_divisor_witness", lambda a: witness(a) * 2)
-    assert "is not the null vector at trial 0" in verify._check_inverse_roundtrip(8, m, 0)
+    assert "is not the null vector at trial 0" in check()
 
     def no_witness(a):
         raise ring.NotInvertible("not invertible")
 
     monkeypatch.setattr(ring, "inverse", no_witness)
-    assert "is not the null vector at trial 0" in verify._check_inverse_roundtrip(8, m, 0)
+    assert "is not the null vector at trial 0" in check()
