@@ -223,9 +223,6 @@ class FinAb(Frozen):
     def direct_sum(self, other: FinAb) -> FinAb:
         return FinAb.from_orders(list(self.factors) + list(other.factors))
 
-    def to_json(self) -> dict:
-        return {"factors": list(self.factors)}
-
 
 TRIVIAL = FinAb(())
 

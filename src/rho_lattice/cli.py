@@ -37,10 +37,12 @@ Exit codes:
     3  not invertible
     4  work cap exceeded (WorkCapExceeded): a kernel with more members to
        list than the cap, or a power whose coefficients would pass it in
-       bits
+       bits; or out of memory (MemoryError)
     5  internal verification failure (VerificationFailure), including a
        closed-form inverse that fails its check and a ``verify`` worker
        pool that failed; rerun with ``--workers 1``
+  141  stdout was closed early (``verify | head -1``); nothing more is
+       printed, as a shell reports a process ended by SIGPIPE
 
 Codes 4 and 5 print ``error: <TypeName>: <message>`` on stderr.
 """
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -278,18 +281,7 @@ def cmd_ring(args) -> int:
 def cmd_special(args) -> int:
     from .elements import Catalog
 
-    cat = Catalog.get(args.N, args.k)
-    _emit(
-        {
-            "N": args.N,
-            "k": cat.k,
-            "f": cat.f.to_json(),
-            "f_k": cat.f_k.to_json(),
-            "f_prime_k": cat.f_prime_k.to_json(),
-            "g": cat.g.to_json(),
-        },
-        args.format,
-    )
+    _emit(Catalog.get(args.N, args.k).to_json(), args.format)
     return 0
 
 
@@ -494,8 +486,6 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     if getattr(args, "workers", 1) is None:
-        import os
-
         args.workers = os.cpu_count() or 1
     try:
         work_cap()  # a malformed cap is refused before any work, not mid-run
@@ -503,9 +493,14 @@ def main(argv=None) -> int:
     except NotInvertible as exc:
         print(f"not invertible: {exc}", file=sys.stderr)
         return 3
-    except (WorkCapExceeded, VerificationFailure) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4 if isinstance(exc, WorkCapExceeded) else 5
+    except BrokenPipeError:
+        # the reader closed stdout: say nothing more, and let the flush at
+        # exit write to devnull; 141 is what a shell reports for SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except (WorkCapExceeded, MemoryError, VerificationFailure) as exc:
+        print(f"error: {type(exc).__name__}: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 5 if isinstance(exc, VerificationFailure) else 4
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

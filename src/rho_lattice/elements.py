@@ -131,11 +131,6 @@ class Catalog(Frozen):
     _fields = ("N", "k", "f", "f_k", "f_prime_k", "g")
     __slots__ = _fields
 
-    def __init__(
-        self, N: int, k: int, f: Element, f_k: Element, f_prime_k: Element, g: Element
-    ):
-        self._assign(N=N, k=k, f=f, f_k=f_k, f_prime_k=f_prime_k, g=g)
-
     @staticmethod
     def get(N: int, k: int) -> Catalog:
         """The catalog for k coprime to N, with k reduced to its least

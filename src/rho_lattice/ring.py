@@ -396,6 +396,9 @@ class Element(Frozen):
     _fields = ("modulus", "num", "den")
     __slots__ = _fields
 
+    def __init__(self, *args, **kwargs):
+        raise TypeError("Element is built by ring._make, in canonical form, not directly")
+
     def __reduce__(self):
         return _make, (self.modulus, self.num, self.den)
 

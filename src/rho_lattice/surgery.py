@@ -43,7 +43,7 @@ from .frozen import Frozen
 from .ring import Element, eigen_test, in_lattice_4r, restrict, split_two_power, strict_int
 
 # NormalCoords and StructureElement store their fields directly, as ring's
-# Element does (see ring._set).
+# Element does (see ring._set), not through Frozen's generic constructor.
 _set = object.__setattr__
 
 
@@ -100,9 +100,6 @@ class LensParams(Frozen):
     def modulus(self) -> ring.Modulus:
         return ring.truncated(self.N)
 
-    def to_json(self) -> dict:
-        return {"N": self.N, "d": self.d, "k": self.k}
-
 
 class NormalCoords(Frozen):
     """Reduced 2-local normal coordinates: c entries mod 2^K and c mod 2."""
@@ -141,9 +138,6 @@ class NormalCoords(Frozen):
 
     def is_zero(self) -> bool:
         return not any(self.t4) and not any(self.t4m2)
-
-    def to_json(self) -> dict:
-        return {"t4": list(self.t4), "t4m2": list(self.t4m2)}
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +270,6 @@ class KernelResult(Frozen):
     _fields = ("torsion", "span")
     __slots__ = _fields
 
-    def __init__(self, torsion: FinAb, span: Span):
-        self._assign(torsion=torsion, span=span)
-
     @property
     def members(self) -> tuple[tuple[int, ...], ...]:
         """The member t4-vectors in lexicographic order; more than the cap
@@ -407,9 +398,6 @@ class StructureSetDescriptor(Frozen):
     _fields = ("params", "free_rank", "kernel")
     __slots__ = _fields
 
-    def __init__(self, params: LensParams, free_rank: int, kernel: KernelResult):
-        self._assign(params=params, free_rank=free_rank, kernel=kernel)
-
     @property
     def torsion(self) -> FinAb:
         return self.kernel.torsion
@@ -458,13 +446,6 @@ class StructureElement(Frozen):
 
     def is_torsion(self) -> bool:
         return self.rho.is_zero()
-
-    def to_json(self) -> dict:
-        return {
-            "params": self.params.to_json(),
-            "rho": self.rho.to_json(),
-            "coords": self.coords.to_json(),
-        }
 
 
 def zero_element(params: LensParams) -> StructureElement:

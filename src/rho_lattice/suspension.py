@@ -90,14 +90,6 @@ class SuspensionResult(Frozen):
     _fields = ("source", "candidates", "determined")
     __slots__ = _fields
 
-    def __init__(
-        self,
-        source: StructureElement,
-        candidates: tuple[StructureElement, ...],
-        determined: StructureElement | None,
-    ):
-        self._assign(source=source, candidates=candidates, determined=determined)
-
     def candidate_t4e(self) -> tuple[int, ...]:
         """The possible values of the new top t4-coordinate (even d only)."""
         return tuple(c.coords.t4[-1] for c in self.candidates)
@@ -162,11 +154,6 @@ class ChoiceRecord(Frozen):
 
     _fields = ("source_params", "candidate_t4e", "chosen_t4e")
     __slots__ = _fields
-
-    def __init__(self, source_params: dict, candidate_t4e: tuple[int, ...], chosen_t4e: int):
-        self._assign(
-            source_params=source_params, candidate_t4e=candidate_t4e, chosen_t4e=chosen_t4e
-        )
 
     def to_json(self) -> dict:
         return {
@@ -346,10 +333,10 @@ class TorsionBasis(Frozen):
     ``orders`` are the cyclic orders 2^min(K,2i) of the mu_{4i}; every
     mu_{4i-2} has order 2.  ``span`` is the :class:`~rho_lattice.abelian.Span`
     of the generators over the flattened coordinates (t4 mod 2^K, then
-    t4m2 mod 2): its order verified the basis, and
+    t4m2 mod 2): its order verifies the basis, and
     :func:`torsion_coordinates` reads each expansion from it by one
-    integer solve.  It is derived from the other fields, so equality, hash
-    and repr ignore it.
+    integer solve.  It is derived here from the other fields, so equality,
+    hash, repr and to_json ignore it.
     """
 
     _fields = ("params", "mu4", "mu4m2", "orders", "choice_log")
@@ -362,24 +349,11 @@ class TorsionBasis(Frozen):
         mu4m2: tuple[StructureElement, ...],
         orders: tuple[int, ...],
         choice_log: tuple[ChoiceRecord, ...],
-        span: Span,
     ):
+        span = Span(params.coord_mods, [x.coords.t4 + x.coords.t4m2 for x in mu4 + mu4m2])
         self._assign(
             params=params, mu4=mu4, mu4m2=mu4m2, orders=orders, choice_log=choice_log, span=span
         )
-
-    def __reduce__(self):
-        cls, args = super().__reduce__()
-        return cls, args + (self.span,)
-
-    def to_json(self) -> dict:
-        return {
-            "params": self.params.to_json(),
-            "mu4": [m.to_json() for m in self.mu4],
-            "mu4m2": [m.to_json() for m in self.mu4m2],
-            "orders": list(self.orders),
-            "choice_log": [c.to_json() for c in self.choice_log],
-        }
 
 
 def _element_order(x: StructureElement) -> int:
@@ -467,17 +441,15 @@ def torsion_basis(params: LensParams) -> TorsionBasis:
     # one span order stands in for enumerating the group: the map from
     # (+) Z_orders (+) Z_2^c onto the span is a bijection exactly when the
     # span has the product order, and that must be the whole torsion
-    span = Span(params.coord_mods, [x.coords.t4 + x.coords.t4m2 for x in mu4 + mu4m2])
+    basis = TorsionBasis(params, tuple(mu4), tuple(mu4m2), expected_orders, tuple(log))
     basis_size = prod(expected_orders) * 2**c
     torsion_size = kernel.torsion.order()
-    if span.order != basis_size or basis_size != torsion_size:
+    if basis.span.order != basis_size or basis_size != torsion_size:
         raise VerificationFailure(
-            f"basis spans {span.order} elements, expected {basis_size} "
+            f"basis spans {basis.span.order} elements, expected {basis_size} "
             f"of {torsion_size} torsion elements at {params}"
         )
-    return TorsionBasis(
-        params, tuple(mu4), tuple(mu4m2), expected_orders, tuple(log), span
-    )
+    return basis
 
 
 def torsion_coordinates(x: StructureElement, basis: TorsionBasis) -> tuple[int, ...]:

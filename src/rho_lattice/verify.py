@@ -18,7 +18,7 @@ from functools import cache
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from . import SUITES, ring
 from .abelian import FinAb, solve_rational
@@ -84,26 +84,6 @@ class Check(Frozen):
 
     _fields = ("statement", "params", "fn", "args", "suite", "seed", "seeded")
     __slots__ = _fields
-
-    def __init__(
-        self,
-        statement: str,
-        params: dict,
-        fn: Callable[..., str | None],
-        args: tuple,
-        suite: str,
-        seed: int = 0,
-        seeded: bool = False,
-    ):
-        self._assign(
-            statement=statement,
-            params=params,
-            fn=fn,
-            args=args,
-            suite=suite,
-            seed=seed,
-            seeded=seeded,
-        )
 
     def run(self) -> str | None:
         """The witness string of a failure, or None when the check passes."""
@@ -825,16 +805,6 @@ class Statement(Frozen):
     _fields = ("name", "suite", "fn", "rows", "seeded")
     __slots__ = _fields
 
-    def __init__(
-        self,
-        name: str,
-        suite: str,
-        fn: Callable[..., str | None],
-        rows: tuple[tuple[dict, tuple], ...],
-        seeded: bool = False,
-    ):
-        self._assign(name=name, suite=suite, fn=fn, rows=rows, seeded=seeded)
-
 
 def _rows(params: Iterable[dict]) -> tuple[tuple[dict, tuple], ...]:
     """Rows whose check arguments are the parameter values, in order."""
@@ -882,32 +852,32 @@ def _registry() -> tuple[Statement, ...]:
         Statement("eval-minus-one", "ring", _check_eval_minus_one, per_even_n, True),
         Statement("restrict", "ring", _check_restrict, per_n, True),
         Statement("lattice-soundness", "ring", _check_lattice_soundness, per_n, True),
-        Statement("lemma-f_k", "lemmas", _check_fk_triple, to_48),
-        Statement("lemma-f-inverse", "lemmas", _check_g_quasi_inverse, to_48),
-        Statement("lemma-8tfk", "lemmas", _check_lem_2_3, to_24),
-        Statement("lemma-8tfk-converse", "lemmas", _check_lem_2_3_converse, to_24),
+        Statement("lemma-f_k", "lemmas", _check_fk_triple, to_48, False),
+        Statement("lemma-f-inverse", "lemmas", _check_g_quasi_inverse, to_48, False),
+        Statement("lemma-8tfk", "lemmas", _check_lem_2_3, to_24, False),
+        Statement("lemma-8tfk-converse", "lemmas", _check_lem_2_3_converse, to_24, False),
         Statement("lemma-decomposition", "lemmas", _check_decomposition_lem, decomp, True),
         Statement("lemma-m-factor", "lemmas", _check_m_factor_lem, m_factor, True),
         Statement("divide-by-f", "lemmas", _check_divide_by_f, even_to_24, True),
-        Statement("f_k-restriction", "lemmas", _check_fk_restriction, fk_restriction),
-        Statement("thm-main-kernel", "kernel", _check_kernel_vs_closed, ndk),
-        Statement("thm-main-rank", "kernel", _check_rank_clause, _rows(nd)),
-        Statement("eq-normal-group", "kernel", _check_normal_group, _rows(nd)),
+        Statement("f_k-restriction", "lemmas", _check_fk_restriction, fk_restriction, False),
+        Statement("thm-main-kernel", "kernel", _check_kernel_vs_closed, ndk, False),
+        Statement("thm-main-rank", "kernel", _check_rank_clause, _rows(nd), False),
+        Statement("eq-normal-group", "kernel", _check_normal_group, _rows(nd), False),
         Statement("formula-additive", "kernel", _check_formula_additivity, formula, True),
         Statement("formula-twist", "kernel", _check_formula_twist, formula, True),
-        Statement("formula-lift-free", "kernel", _check_lift_independence, formula),
-        Statement("formula-naturality", "kernel", _check_formula_naturality, naturality),
+        Statement("formula-lift-free", "kernel", _check_lift_independence, formula, False),
+        Statement("formula-naturality", "kernel", _check_formula_naturality, naturality, False),
         # the eigenlattice rank agrees with the clause for every N up to 48
-        Statement("rank-lattice-clause", "kernel", _check_rank_lattice, to_48),
-        Statement("thm-susp-odd", "suspension", _check_thm1, _rows(susp)),
-        Statement("carrier-match", "suspension", _check_carrier_match, _rows(susp)),
-        Statement("lemma-tau", "suspension", _check_tau_properties, tau),
-        Statement("thm-susp-even-kernel", "suspension", _check_thm2_omega, _rows(susp_even)),
-        Statement("thm-susp-even-image", "suspension", _check_thm2_image, _rows(susp_even)),
-        Statement("prop-minimal-exponent", "torsion", _check_minimal_exponent, min_exponent),
-        Statement("cor-basis-roundtrip", "torsion", _check_basis_roundtrip, basis),
-        Statement("prop-torsion-split", "torsion", _check_torsion_split, torsion_split),
-        Statement("rem-browder-livesay", "torsion", _check_browder_livesay, two_powers),
+        Statement("rank-lattice-clause", "kernel", _check_rank_lattice, to_48, False),
+        Statement("thm-susp-odd", "suspension", _check_thm1, _rows(susp), False),
+        Statement("carrier-match", "suspension", _check_carrier_match, _rows(susp), False),
+        Statement("lemma-tau", "suspension", _check_tau_properties, tau, False),
+        Statement("thm-susp-even-kernel", "suspension", _check_thm2_omega, _rows(susp_even), False),
+        Statement("thm-susp-even-image", "suspension", _check_thm2_image, _rows(susp_even), False),
+        Statement("prop-minimal-exponent", "torsion", _check_minimal_exponent, min_exponent, False),
+        Statement("cor-basis-roundtrip", "torsion", _check_basis_roundtrip, basis, False),
+        Statement("prop-torsion-split", "torsion", _check_torsion_split, torsion_split, False),
+        Statement("rem-browder-livesay", "torsion", _check_browder_livesay, two_powers, False),
     )
 
 
@@ -979,7 +949,8 @@ def run_suites(
 
 def _run_parallel(checks: list[Check], workers: int) -> Iterator[dict]:
     """Run the checks in a process pool, in about four tasks per worker,
-    yielding each result in the order of ``checks``.
+    yielding each result in the order of ``checks``.  Closing the iterator
+    early cancels the chunks no worker has started.
 
     A pool that fails raises VerificationFailure; it never falls back to serial.
     """
@@ -988,7 +959,11 @@ def _run_parallel(checks: list[Check], workers: int) -> Iterator[dict]:
     chunksize = max(1, -(-len(checks) // (workers * 4)))
     try:
         with cf.ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(_run_one, checks, chunksize=chunksize)
+            try:
+                yield from pool.map(_run_one, checks, chunksize=chunksize)
+            except GeneratorExit:
+                pool.shutdown(cancel_futures=True)
+                raise
     except (OSError, cf.BrokenExecutor) as exc:
         raise VerificationFailure(
             f"worker pool failed ({type(exc).__name__}: {exc}); rerun with --workers 1"

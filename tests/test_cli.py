@@ -334,6 +334,33 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert err == "error: VerificationFailure: basis spans 3 of 4 torsion elements\n"
 
+    def test_out_of_memory_exit_code(self):
+        # 10^11 coefficients: the allocation fails at once, using no memory
+        out = run_cli("ring", "x", "--N", "100000000000")
+        assert out.returncode == 4
+        assert out.stderr == "error: MemoryError: out of memory\n"
+        assert out.stdout == ""
+
+    @pytest.mark.parametrize("workers", ("1", "2"))
+    def test_closed_stdout_exits_as_sigpipe(self, workers):
+        # ``verify | head -1``: the report (about 80 KB) overfills the pipe,
+        # so the write after the reader leaves always fails
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rho_lattice.cli", "verify", "--workers", workers],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        assert json.loads(proc.stdout.readline())["status"] == "pass"
+        proc.stdout.close()
+        try:
+            code = proc.wait(timeout=30)
+        finally:
+            proc.kill()
+        assert code == 141
+        assert proc.stderr.read() == ""
+        proc.stderr.close()
+
     def test_torsion_basis_schema(self):
         out = run_cli("torsion-basis", "--N", "4", "--d", "5")
         obj = json.loads(out.stdout)

@@ -77,41 +77,35 @@ def _calls_by_function(node, function=None):
         yield from _calls_by_function(child, function)
 
 
-def test_only_ring_make_allocates_elements():
-    # ring._make is the one place that puts an Element in canonical form;
-    # a fast path that allocated elements itself could skip it
-    sites = [
+def _call_sites(name) -> list[str]:
+    """``module.function`` of every call in the package made through
+    ``name``, or, for a callable ``name``, of every call it accepts."""
+    matches = name if callable(name) else lambda call: _called_name(call) == name
+    return [
         f"{path.stem}.{function}"
         for path in sorted(PACKAGE.glob("*.py"))
         for function, call in _calls_by_function(ast.parse(path.read_text()))
-        if _allocates_element(call)
+        if matches(call)
     ]
-    assert sites == ["ring._make"]
+
+
+def test_only_ring_make_allocates_elements():
+    # ring._make is the one place that puts an Element in canonical form;
+    # a fast path that allocated elements itself could skip it
+    assert _call_sites(_allocates_element) == ["ring._make"]
 
 
 def test_only_ring_modulus_builds_moduli():
     # ring.modulus hands out one Modulus per ring, and moduli compare by
     # identity; a Modulus built anywhere else would equal none of them
-    sites = [
-        f"{path.stem}.{function}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        for function, call in _calls_by_function(ast.parse(path.read_text()))
-        if _called_name(call) == "Modulus"
-    ]
-    assert sites == ["ring.modulus"]
+    assert _call_sites("Modulus") == ["ring.modulus"]
 
 
 def test_only_abelian_and_realizations_take_hermite_bases():
     # every subgroup question goes through abelian.Span or annihilator; a
     # module that builds its own Hermite basis re-encodes a span by hand.
     # The realizations of a rho are the one lattice read off row by row
-    sites = [
-        f"{path.stem}.{function}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        for function, call in _calls_by_function(ast.parse(path.read_text()))
-        if _called_name(call) == "hermite_basis"
-    ]
-    assert sites == [
+    assert _call_sites("hermite_basis") == [
         "abelian.annihilator",
         "abelian.__init__",
         "abelian.group",
@@ -123,79 +117,69 @@ def test_only_realizations_solves_congruences():
     # the kernel and every realizability question are one lattice, the
     # realizations of a rho; an annihilator taken anywhere else derives
     # the coordinate-class congruence a second time
-    sites = [
-        f"{path.stem}.{function}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        for function, call in _calls_by_function(ast.parse(path.read_text()))
-        if _called_name(call) == "annihilator"
-    ]
-    assert sites == ["surgery.realizations"]
+    assert _call_sites("annihilator") == ["surgery.realizations"]
 
 
 def test_only_solve_rational_eliminates():
     # ranks come from traces and subgroups from Hermite bases; the dense
     # rational solve behind ring.inverse's units and verify's witness
     # re-derivation is the one use of elimination
-    sites = [
-        f"{path.stem}.{function}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        for function, call in _calls_by_function(ast.parse(path.read_text()))
-        if _called_name(call) == "fraction_free_rref"
-    ]
-    assert sites == ["abelian.solve_rational"]
+    assert _call_sites("fraction_free_rref") == ["abelian.solve_rational"]
 
 
 def test_only_units_reach_the_dense_solve():
     # ring.inverse refuses a zero divisor from its cyclotomic factors and
     # solves only for units; the inverse round trip re-derives each
     # refusal's witness as the dense solve's null vector
-    sites = [
-        f"{path.stem}.{function}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        for function, call in _calls_by_function(ast.parse(path.read_text()))
-        if _called_name(call) == "solve_rational"
-    ]
-    assert sites == ["ring.inverse", "verify._check_inverse_roundtrip"]
+    assert _call_sites("solve_rational") == ["ring.inverse", "verify._check_inverse_roundtrip"]
 
 
 def test_only_the_crt_round_trip_combines():
     # f, f_k and g are closed cotangent sums; an element assembled from
     # its CRT components is a second construction of a closed form
-    sites = [
-        f"{path.stem}.{function}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        for function, call in _calls_by_function(ast.parse(path.read_text()))
-        if _called_name(call) == "crt_combine"
-    ]
-    assert sites == ["verify._check_crt"]
+    assert _call_sites("crt_combine") == ["verify._check_crt"]
 
 
 def test_only_check_run_draws_random_streams():
     # Check.run builds a seeded check's stream from the check's own seed,
     # statement and params; a check that built its own would re-type the
     # registry's identity of that check
-    sites = [
-        f"{path.stem}.{function}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        for function, call in _calls_by_function(ast.parse(path.read_text()))
-        if _called_name(call) == "_rng"
-    ]
-    assert sites == ["verify.run"]
+    assert _call_sites("_rng") == ["verify.run"]
 
 
 def test_itertools_product_only_at_known_enumerations():
     # the kernel and the coordinates that realize a rho are lattices and
     # are never enumerated; what is left are the brute-force kernel oracle
     # and verify's torsion oracle
-    sites = [
-        f"{path.stem}.{function}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        for function, call in _calls_by_function(ast.parse(path.read_text()))
-        if _called_name(call) == "product"
-    ]
-    assert sites == [
+    assert _call_sites("product") == [
         "surgery._residue_sums",
         "verify._torsion_elements",
+    ]
+
+
+def test_only_known_value_classes_write_a_constructor():
+    # Frozen assigns every field by position or name; a value class writes
+    # its own __init__ only to validate or derive (Modulus, FinAb, Span,
+    # LensParams, TorsionBasis), to skip the generic loop on a hot path
+    # (NormalCoords, StructureElement) or to refuse direct construction
+    # (Element, built in canonical form by ring._make)
+    owners = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(base, ast.Name) and base.id == "Frozen" for base in node.bases)
+        and any(isinstance(item, ast.FunctionDef) and item.name == "__init__" for item in node.body)
+    ]
+    assert owners == [
+        "abelian.FinAb",
+        "abelian.Span",
+        "ring.Modulus",
+        "ring.Element",
+        "surgery.LensParams",
+        "surgery.NormalCoords",
+        "surgery.StructureElement",
+        "suspension.TorsionBasis",
     ]
 
 

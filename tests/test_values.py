@@ -89,14 +89,14 @@ VALUES = {
         True,
     ),
     "Check": (
-        lambda: verify.Check("s", {"N": 2}, len, ((),), "ring"),
+        lambda: verify.Check("s", {"N": 2}, len, ((),), "ring", 0, False),
         "Check(statement='s', params={'N': 2}, fn=<built-in function len>, args=((),), "
         "suite='ring', seed=0, seeded=False)",
         "seed",
         False,
     ),
     "Statement": (
-        lambda: verify.Statement("s", "ring", len, (({"N": 2}, (2,)),)),
+        lambda: verify.Statement("s", "ring", len, (({"N": 2}, (2,)),), False),
         "Statement(name='s', suite='ring', fn=<built-in function len>, "
         "rows=(({'N': 2}, (2,)),), seeded=False)",
         "seeded",
@@ -131,12 +131,46 @@ def test_torsion_basis_span_is_outside_eq_hash_and_repr():
     # the span (with its Hermite basis) is derived, like a Span's own h and order
     basis = suspension.torsion_basis(LensParams(4, 4))
     other = suspension.TorsionBasis(
-        basis.params, basis.mu4, basis.mu4m2, basis.orders, basis.choice_log, Span([2], [])
+        basis.params, basis.mu4, basis.mu4m2, basis.orders, basis.choice_log
     )
     assert other == basis and hash(other) == hash(basis) and repr(other) == repr(basis)
     copy = pickle.loads(pickle.dumps(basis))
     assert copy.span == basis.span and copy.span.h == basis.span.h
     assert copy.span.order == basis.span.order == 8
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    (
+        ((), {"candidate_t4e": (2,), "chosen_t4e": 2}, r"missing fields \('source_params',\)"),
+        (({}, (2,), 2, 3), {}, r"takes 3 fields .*, got 4"),
+        (({}, (2,), 2), {"chosen": 2}, "has no field 'chosen'"),
+        (({}, (2,)), {"candidate_t4e": (2,), "chosen_t4e": 2}, "field 'candidate_t4e' twice"),
+    ),
+)
+def test_generic_constructor_takes_each_field_once(args, kwargs, message):
+    with pytest.raises(TypeError, match=message):
+        suspension.ChoiceRecord(*args, **kwargs)
+    by_name = suspension.ChoiceRecord(chosen_t4e=2, source_params={}, candidate_t4e=(2,))
+    assert by_name == suspension.ChoiceRecord({}, (2,), 2)
+
+
+def test_element_is_not_built_directly():
+    # only ring._make puts an element in canonical form
+    m = ring.truncated(4)
+    for args in ((m, (2, 0, 0), 2), (m, (1, 0, 0), 1), ()):
+        with pytest.raises(TypeError):
+            ring.Element(*args)
+
+
+def test_generic_to_json_writes_fields_in_order():
+    basis = suspension.torsion_basis(LensParams(8, 6))
+    obj = basis.to_json()
+    assert list(obj) == list(basis._fields)  # --format tsv prints in this order
+    assert obj["mu4"] == [x.to_json() for x in basis.mu4]
+    assert obj["choice_log"] == [c.to_json() for c in basis.choice_log] != []
+    assert obj["orders"] == list(basis.orders)
+    assert obj["params"] == {"N": 8, "d": 6, "k": 1}
 
 
 def test_modulus_dim_per_kind():

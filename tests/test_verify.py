@@ -23,7 +23,9 @@ def _check_id(check):
 def test_reproduce_command_rebuilds_its_check():
     rebuilt = {}
     for check in verify.build_checks(verify.SUITES):
-        failing = verify.Check(check.statement, check.params, _fails, (), check.suite, check.seed)
+        failing = verify.Check(
+            check.statement, check.params, _fails, (), check.suite, check.seed, False
+        )
         entry = verify._run_one(failing)
         command = entry["reproduce"]
         if command not in rebuilt:
