@@ -27,10 +27,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd
+from operator import add
 
 from . import ring
-from .exceptions import PreconditionFailed, VerificationFailure
+from .exceptions import PreconditionFailed, UnsupportedModulus, VerificationFailure
 from .frozen import Frozen
 from .ring import Element
 
@@ -43,6 +45,29 @@ from .ring import Element
 def f_element(N: int) -> Element:
     """f = (1+x)/(1-x) in the rational truncated ring of order N."""
     return f_k_element(N, 1)
+
+
+def times_f(y: Element) -> Element:
+    """f * y for y in a truncated ring, in O(N) and with no product.
+
+    (1 - x) * f * y = (1 + x) * y = w, a shift and an add of y's N - 1
+    coefficients with no wrap.  Modulo x^N - 1, v = N * w - w(1) * (1 + x +
+    ... + x^(N-1)) sums to 0, so v is (1 - x) times its prefix sums z; the
+    all-ones term vanishes in the truncated ring, so f * y = z / N.  z's
+    top entry is the sum of v, which is 0, so dropping it is the
+    truncated ring's reduction.  ``Element.__mul__`` by :func:`f_element`
+    is the oracle that verify and the tests compare this with.
+    """
+    m = y.modulus
+    if m.kind != ring.TRUNCATED:
+        raise UnsupportedModulus(f"times_f needs a truncated ring, not {m.describe()}")
+    num = y.num
+    w = [num[0], *map(add, num, num[1:]), num[-1]]
+    total = sum(w)
+    N = m.N
+    z = list(accumulate([N * c - total for c in w]))
+    z.pop()
+    return ring.from_numerators(m, z, N * y.den)
 
 
 def _cotangent_sum(N: int, k: int, sign: int) -> Element:

@@ -36,8 +36,8 @@ from typing import Iterable
 
 from . import ring
 from .abelian import Span
-from .elements import f_element
-from .exceptions import PreconditionFailed, VerificationFailure
+from .elements import times_f
+from .exceptions import ModulusMismatch, PreconditionFailed, VerificationFailure
 from .frozen import Frozen
 from .surgery import (
     LensParams,
@@ -112,8 +112,10 @@ def suspend(x: StructureElement) -> SuspensionResult:
     """
     p = x.params
     x.coords.check(p)
+    if x.rho.modulus is not p.modulus():
+        raise ModulusMismatch("rho lives over the wrong modulus")
     target = LensParams(p.N, p.d + 1, p.k)
-    rho = f_element(p.N) * x.rho
+    rho = times_f(x.rho)
     mod = target.t4_modulus
     step = None  # the new coordinate's spacing, when the lattice gives it
     if p.d % 2 == 1:

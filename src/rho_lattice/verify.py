@@ -948,19 +948,19 @@ def run_suites(
 
 
 def _run_parallel(checks: list[Check], workers: int) -> Iterator[dict]:
-    """Run the checks in a process pool, in about four tasks per worker,
-    yielding each result in the order of ``checks``.  Closing the iterator
-    early cancels the chunks no worker has started.
+    """Run the checks in a process pool, one task per check, yielding each
+    result in the order of ``checks`` as soon as it and every check before
+    it are done.  Closing the iterator early cancels the checks no worker
+    has started.
 
     A pool that fails raises VerificationFailure; it never falls back to serial.
     """
     import concurrent.futures as cf
 
-    chunksize = max(1, -(-len(checks) // (workers * 4)))
     try:
         with cf.ProcessPoolExecutor(max_workers=workers) as pool:
             try:
-                yield from pool.map(_run_one, checks, chunksize=chunksize)
+                yield from pool.map(_run_one, checks)
             except GeneratorExit:
                 pool.shutdown(cancel_futures=True)
                 raise

@@ -40,6 +40,7 @@ from rho_lattice.surgery import (
     kernel_members_brute,
     kernel_rho_bar,
     l_group_reduced_rank,
+    structure_set,
     transfer,
     zero_element,
 )
@@ -268,3 +269,21 @@ def test_criterion_10_zero_divisor_refused_at_large_N():
     elapsed = time.time() - started
     _report(10, refused and elapsed < 1, "(1 + x) * y in the truncated ring of order 256 "
             "is refused with a witness in under 1 s", elapsed)
+
+
+def test_criterion_11_large_n_structure_sets():
+    # the f-ladder and suspension's f * rho are O(N) times_f steps and the
+    # rank is read off a closed diagonal; with a dense product per rung
+    # and an involution per monomial these took 1.5 and 1.3-1.45 s
+    p = LensParams(4096, 12)
+    started = time.time()
+    desc = structure_set(p)
+    set_elapsed = time.time() - started
+    started = time.time()
+    basis = torsion_basis(p)
+    basis_elapsed = time.time() - started
+    assert desc.free_rank == 2048 and basis.span.order == desc.torsion.order()
+    _report(11, set_elapsed < 0.5 and basis_elapsed < 1,
+            f"structure_set(4096, 12) in {set_elapsed:.2f} s (< 0.5) and "
+            f"torsion_basis(4096, 12) in {basis_elapsed:.2f} s (< 1)",
+            set_elapsed + basis_elapsed)

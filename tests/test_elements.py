@@ -15,8 +15,9 @@ from rho_lattice.elements import (
     f_k_element,
     f_prime_k_element,
     g_element,
+    times_f,
 )
-from rho_lattice.exceptions import PreconditionFailed, VerificationFailure
+from rho_lattice.exceptions import PreconditionFailed, UnsupportedModulus, VerificationFailure
 from rho_lattice.ring import (
     Element,
     eigen_test,
@@ -213,6 +214,28 @@ class TestG:
         assert Catalog.get(8, 9).k == 1
         with pytest.raises(ValueError, match="coprime"):
             Catalog.get(8, -2)
+
+
+class TestTimesF:
+    # the oracle is the product with f; times_f never checks itself
+    @staticmethod
+    def _random(m, rng):
+        num = [rng.randint(-10**6, 10**6) for _ in range(m.dim)]
+        return ring.from_numerators(m, num, rng.randint(1, 720))
+
+    @pytest.mark.parametrize("N", list(range(2, 65)) + [1024])
+    def test_matches_product_with_f(self, N):
+        rng = random.Random(N)
+        m = truncated(N)
+        f = f_element(N)
+        for y in [zero(m), one(m), x_power(m, N - 1)] + [self._random(m, rng) for _ in range(4)]:
+            assert times_f(y) == f * y
+
+    @pytest.mark.parametrize("m", [ring.group_ring(8), ring.binomial_plus(8, 2),
+                                   ring.odd_truncated(12)], ids=lambda m: m.kind)
+    def test_other_rings_refused(self, m):
+        with pytest.raises(UnsupportedModulus):
+            times_f(one(m))
 
 
 def random_valid_u(rng, N):

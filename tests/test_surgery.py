@@ -96,12 +96,27 @@ class TestRank:
             with pytest.raises(VerificationFailure):
                 l_group_reduced_rank(N, parity)
 
-    @pytest.mark.parametrize("N, j", ((2, 0), (5, 0), (8, 1), (8, 3), (8, 4), (9, 7)))
+    @pytest.mark.parametrize("N, j", ((2, 1), (5, 1), (5, 4), (8, 1), (8, 7), (9, 8)))
     def test_one_flipped_image_fails(self, monkeypatch, N, j):
-        # s(x^j) = -x^(N-j) for one j: s no longer squares to 1
+        # s(x^j) = -x^(N-j) for j = 1 or N - 1: a wrong s(x), or s(s(x)) = -x;
+        # the rank reads s only there, and s is a ring map
         real = ring.involution
         flipped = ring.x_power(truncated(N), j)
         monkeypatch.setattr(ring, "involution", lambda a: -real(a) if a == flipped else real(a))
+        for parity in (1, -1):
+            with pytest.raises(VerificationFailure, match="square"):
+                l_group_reduced_rank(N, parity)
+
+    @pytest.mark.parametrize("N, k", ((8, 3), (8, 5), (24, 5), (24, 7)))
+    def test_other_involutive_automorphism_fails(self, monkeypatch, N, k):
+        # x -> x^k with k^2 = 1 mod N is a ring map of order 2, but not the
+        # conjugation: its trace is not the closed diagonal's
+        m = truncated(N)
+
+        def power_map(a):
+            return ring.reduce_poly({j * k: c for j, c in enumerate(a.coeffs)}, m)
+
+        monkeypatch.setattr(ring, "involution", power_map)
         for parity in (1, -1):
             with pytest.raises(VerificationFailure, match="square"):
                 l_group_reduced_rank(N, parity)
@@ -209,22 +224,28 @@ class TestFormula:
 
     def test_ladder_takes_one_product_per_rung(self, monkeypatch):
         # d = 3..12 need the rungs P_0..P_10 of one (N, k), and P_0 is
-        # 8 * f'_k: ten products in all, where a power of f per term took 120
+        # 8 * f'_k: ten multiplications by f, each one times_f, and no
+        # Element.__mul__, where a power of f per term took 120 products
         Catalog.get(64, 1)
         surgery._formula_numerators.cache_clear()
         surgery._f_ladder.cache_clear()
-        products = []
-        real = ring.Element.__mul__
+        steps, products = [], []
+        real_times_f, real_mul = surgery.times_f, ring.Element.__mul__
 
-        def spy(a, b):
-            if isinstance(b, ring.Element):
-                products.append(b)
-            return real(a, b)
+        def times_f_spy(y):
+            steps.append(y)
+            return real_times_f(y)
 
-        monkeypatch.setattr(ring.Element, "__mul__", spy)
+        def mul_spy(a, b):
+            products.append(b)
+            return real_mul(a, b)
+
+        monkeypatch.setattr(surgery, "times_f", times_f_spy)
+        monkeypatch.setattr(ring.Element, "__mul__", mul_spy)
         for d in range(3, 13):
             _formula_numerators(64, d, 1)
-        assert len(products) == 10
+        assert len(steps) == 10 and products == []
+
 
 class TestClassZero:
     # a rho class is zero when rho lies in the 4-integral (-1)^d-eigenlattice

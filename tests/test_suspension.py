@@ -9,7 +9,7 @@ import pytest
 
 from rho_lattice import ring, suspension
 from rho_lattice.abelian import Span
-from rho_lattice.exceptions import PreconditionFailed, VerificationFailure
+from rho_lattice.exceptions import ModulusMismatch, PreconditionFailed, VerificationFailure
 from rho_lattice.elements import f_element
 from rho_lattice.ring import eval_minus_one, in_lattice_4r, truncated
 from rho_lattice.surgery import (
@@ -136,6 +136,13 @@ class TestSuspend:
 
         assert res.determined is not None
         assert res.determined.rho == f_element(8) * x.rho
+
+    @pytest.mark.parametrize("m", (ring.truncated(4), ring.group_ring(8)), ids=lambda m: m.kind)
+    def test_rho_over_another_ring_refused(self, m):
+        p = LensParams(8, 5)
+        x = StructureElement(p, ring.zero(m), NormalCoords.zero(p))
+        with pytest.raises(ModulusMismatch):
+            suspend(x)
 
     def test_coords_carried(self):
         p = LensParams(8, 5)
