@@ -17,7 +17,6 @@ through one fraction-free Gauss-Jordan eliminator on integer matrices.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm, prod
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -27,26 +26,24 @@ from .frozen import Frozen
 IntMatrix = list[list[int]]
 
 
-def fraction_free_rref(A: Sequence[Sequence[int]]) -> tuple[IntMatrix, list[int], int]:
+def fraction_free_rref(A: Sequence[Sequence[int]]) -> tuple[IntMatrix, list[int]]:
     """Fraction-free (Bareiss) Gauss-Jordan elimination of an integer matrix.
 
-    Returns (R, pivots, sign).  R is row equivalent to A; every pivot entry
-    of R equals the last pivot p and the pivot columns are zero elsewhere,
-    so R / p is the reduced row echelon form of A over Q.  ``pivots`` lists
+    Returns (R, pivots).  R is row equivalent to A; every pivot entry of R
+    equals the last pivot p and the pivot columns are zero elsewhere, so
+    R / p is the reduced row echelon form of A over Q.  ``pivots`` lists
     the pivot columns in order.  A pivot row whose pivot is negative is
     negated first, so every pivot is positive and a row with nothing to
     clear is left alone when the pivot repeats (the +-1 pivots of a sparse
-    sign matrix); ``sign`` is (-1)^(row swaps + negations), and sign * p is
-    the determinant of a square A of full rank.  Each division by the
-    previous pivot is exact (Bareiss, "Sylvester's identity and multistep
-    integer-preserving Gaussian elimination", Math. Comp. 22, 1968), so the
-    entries stay integers bounded by minors of A.
+    sign matrix); p is then |det A| for a square A of full rank.  Each
+    division by the previous pivot is exact (Bareiss, "Sylvester's
+    identity and multistep integer-preserving Gaussian elimination", Math.
+    Comp. 22, 1968), so the entries stay integers bounded by minors of A.
     """
     a = [list(row) for row in A]
     n = len(a)
     m = len(a[0]) if n else 0
     pivots: list[int] = []
-    sign = 1
     prev = 1
     for col in range(m):
         r = len(pivots)
@@ -57,13 +54,11 @@ def fraction_free_rref(A: Sequence[Sequence[int]]) -> tuple[IntMatrix, list[int]
             continue
         if p != r:
             a[r], a[p] = a[p], a[r]
-            sign = -sign
         top = a[r]
         piv = top[col]
         if piv < 0:
             top = a[r] = [-x for x in top]
             piv = -piv
-            sign = -sign
         for i in range(n):
             f = a[i][col]
             if i == r or (f == 0 and piv == prev):
@@ -71,34 +66,36 @@ def fraction_free_rref(A: Sequence[Sequence[int]]) -> tuple[IntMatrix, list[int]
             a[i] = [(piv * x - f * y) // prev for x, y in zip(a[i], top)]
         prev = piv
         pivots.append(col)
-    return a, pivots, sign
+    return a, pivots
 
 
 def solve_rational(
     A: Sequence[Sequence[int]], b: Sequence[int]
-) -> tuple[list[Fraction] | None, list[Fraction] | None]:
+) -> tuple[list[int] | None, list[int] | None, int]:
     """Solve A x = b over Q for a square integer matrix A and integer
-    vector b.
+    vector b, in integers over one denominator.
 
-    Returns (None, v) when A has a nonzero kernel, with v the kernel
-    vector that is 1 at the first free column and 0 at the other free
-    columns.  Otherwise A has full rank and the system has the unique
-    solution x, returned as (x, None).  Raises ``ValueError`` when A is
-    not square.
+    Returns (x, None, p) when A has full rank, with x * p the unique
+    solution's numerators, and (None, v, p) when A has a nonzero kernel,
+    with v / p the kernel vector that is 1 at the first free column and 0
+    at the other free columns.  p > 0 is the last pivot of the elimination
+    of (A | b), which every pivot entry equals, or 1 when A is zero.
+    Raises ``ValueError`` when A is not square.
     """
     m = len(A[0])
     if len(A) != m:
         raise ValueError(f"solve_rational needs a square matrix, got {len(A)} by {m}")
-    r, pivots, _ = fraction_free_rref([list(row) + [c] for row, c in zip(A, b)])
+    r, pivots = fraction_free_rref([list(row) + [c] for row, c in zip(A, b)])
+    den = r[len(pivots) - 1][pivots[-1]] if pivots else 1
     rows = [(i, col) for i, col in enumerate(pivots) if col < m]
     free = next((c for c in range(m) if c not in pivots), None)
     if free is not None:
-        null = [Fraction(0)] * m
-        null[free] = Fraction(1)
+        null = [0] * m
+        null[free] = den
         for i, col in rows:
-            null[col] = Fraction(-r[i][free], r[i][col])
-        return None, null
-    return [Fraction(r[i][m], r[i][col]) for i, col in rows], None
+            null[col] = -r[i][free]
+        return None, null, den
+    return [r[i][m] for i, _ in rows], None, den
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -15,8 +15,9 @@ harness:
 
 Each subcommand imports only the layers it uses, so a ``ring`` query
 loads neither ``surgery``, ``suspension`` nor ``verify``, and a cold
-``special --N 1024`` answers in about 127 ms (median of 7 processes on a
-2-core Intel Xeon VM under CPython 3.11).  The value classes are
+``special --N 1024`` answers in about 65 ms with cached bytecode (median
+of 7 processes on a 2-core Intel Xeon VM under CPython 3.11, where a bare
+``python -c pass`` takes about 35 ms).  The value classes are
 slotted classes on :class:`rho_lattice.frozen.Frozen`, not dataclass
 decorations, so no query loads ``inspect``, ``ast``, ``dis`` or
 ``tokenize``.

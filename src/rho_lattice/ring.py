@@ -512,10 +512,14 @@ class Element(Frozen):
         return result
 
     def __repr__(self) -> str:
+        # each coefficient in lowest terms, as str(Fraction(c, den)) writes it
         terms = []
-        for e, c in enumerate(self.coeffs):
+        den = self.den
+        for e, c in enumerate(self.num):
             if c:
-                terms.append(f"{c}*x^{e}" if e else str(c))
+                g = gcd(c, den)
+                text = f"{c // g}/{den // g}" if g != den else str(c // g)
+                terms.append(f"{text}*x^{e}" if e else text)
         body = " + ".join(terms) if terms else "0"
         return f"<{body} in {self.modulus.describe()}>"
 
@@ -746,17 +750,23 @@ def _divmod_monic(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[i
     return q, r[:k]
 
 
+def _divide_exactly(p: Sequence[int], orders: Iterable[int], what: str) -> list[int]:
+    """The integer polynomial ``p`` divided by Phi_d for each d in
+    ``orders``; a remainder raises :class:`VerificationFailure`."""
+    q = list(p)
+    for d in orders:
+        q, r = _divmod_monic(q, _cyclotomic(d))
+        if any(r):
+            raise VerificationFailure(f"Phi_{d} does not divide {what}")
+    return q
+
+
 @lru_cache(maxsize=None)
 def _cyclotomic(n: int) -> tuple[int, ...]:
     """The integer coefficients of Phi_n, lowest first: x^n - 1 divided
     exactly by Phi_d for every proper divisor d of n."""
-    q = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            q, r = _divmod_monic(q, _cyclotomic(d))
-            if any(r):
-                raise VerificationFailure(f"Phi_{d} does not divide x^{n} - 1")
-    return tuple(q)
+    divisors = [d for d in range(1, n) if n % d == 0]
+    return tuple(_divide_exactly([-1] + [0] * (n - 1) + [1], divisors, f"x^{n} - 1"))
 
 
 @lru_cache(maxsize=None)
@@ -780,19 +790,25 @@ def _cyclotomic_divides(d: int, num: Sequence[int]) -> bool:
     return not any(_divmod_monic(folded, _cyclotomic(d))[1])
 
 
+@lru_cache(maxsize=None)
+def _ideal_generator(m: Modulus) -> tuple[int, ...]:
+    """The integer coefficients of P, lowest first: x^N - 1 divided
+    exactly by the Phi_d that P leaves out."""
+    kept = _cyclotomic_orders(m)
+    left_out = [d for d in range(1, m.N + 1) if m.N % d == 0 and d not in kept]
+    return tuple(_divide_exactly([-1] + [0] * (m.N - 1) + [1], left_out, f"x^{m.N} - 1"))
+
+
 def _zero_divisor_witness(a: Element) -> Element | None:
-    """P / gcd(a, P), the product of the Phi_d in P that do not divide
-    ``a``, when some Phi_d in P does; None when ``a`` is a unit."""
+    """P / gcd(a, P) when some Phi_d in P divides ``a``: P divided exactly
+    by those Phi_d, which leaves the product of the others, of degree
+    below deg P = dim.  None when ``a`` is a unit."""
     m = a.modulus
-    orders = _cyclotomic_orders(m)
-    others = [d for d in orders if not _cyclotomic_divides(d, a.num)]
-    if len(others) == len(orders):
+    divides = [d for d in _cyclotomic_orders(m) if _cyclotomic_divides(d, a.num)]
+    if not divides:
         return None
-    witness = one(m)
-    for d in others:  # deg witness < deg P, so no product reduces
-        phi = _cyclotomic(d)
-        witness *= _make(m, [*phi, *[0] * (m.dim - len(phi))])
-    return witness
+    q = _divide_exactly(_ideal_generator(m), divides, "P")
+    return _make(m, q + [0] * (m.dim - len(q)))
 
 
 def _closed_form_inverse(a: Element) -> Element | None:
@@ -838,7 +854,8 @@ def inverse(a: Element) -> Element:
     cyclotomic polynomials Phi_d (:func:`_cyclotomic_orders`), each
     irreducible over Q, so ``a`` is a zero divisor exactly when some Phi_d
     in P divides it.  Then :class:`NotInvertible` is raised with the
-    witness P / gcd(a, P), the product of the other Phi_d, checked by
+    witness P / gcd(a, P): P divided exactly by the Phi_d that divide
+    ``a``, which is the product of the other Phi_d, checked by
     a * witness = 0.  A unit, including every group-ring unit, is solved as
     a dim-by-dim linear system over Q by fraction-free elimination; a
     system that turns out singular raises :class:`VerificationFailure`,
@@ -859,10 +876,10 @@ def inverse(a: Element) -> Element:
         raise NotInvertible(
             f"{a!r} is a zero divisor: witness {witness!r}", witness=witness
         )
-    sol, _ = solve_rational(_mul_matrix(a), [a.den] + [0] * (m.dim - 1))
+    sol, _, den = solve_rational(_mul_matrix(a), [a.den] + [0] * (m.dim - 1))
     if sol is None:
         raise VerificationFailure(f"{a!r} has no factor Phi_d but a singular system")
-    return from_coeffs(m, sol)
+    return _make(m, sol, den)
 
 
 # ---------------------------------------------------------------------------

@@ -187,18 +187,22 @@ def _check_reduce_hom(N: int, m: ring.Modulus, rng: random.Random) -> str | None
 
 def _check_inverse_roundtrip(m: ring.Modulus, rng: random.Random) -> str | None:
     one = ring.one(m)
+    orders = ring._cyclotomic_orders(m)
     done = 0
     for trial in range(60):
         if done >= 20:
             break
         a = _random_element(rng, m)
+        if trial % 4 == 3:  # a zero divisor a * Phi_d, d cycling over P's factors
+            phi = ring._cyclotomic(orders[trial // 4 % len(orders)])
+            a = a * reduce_poly(dict(enumerate(phi)), m)
         try:
             inv = ring.inverse(a)
         except NotInvertible as exc:
             # the witness comes from the cyclotomic factors; the dense
             # solve's null vector derives it a second time
-            _, null = solve_rational(ring._mul_matrix(a), [a.den] + [0] * (m.dim - 1))
-            if null is None or exc.witness != ring.from_coeffs(m, null):
+            _, null, den = solve_rational(ring._mul_matrix(a), [a.den] + [0] * (m.dim - 1))
+            if null is None or exc.witness != ring.from_numerators(m, null, den):
                 return f"zero-divisor witness is not the null vector at trial {trial}"
             continue
         if a * inv != one:

@@ -29,12 +29,12 @@ def matmul(A, B):
 
 
 def det(A):
-    """Determinant of a square integer matrix: the last Bareiss pivot times
-    fraction_free_rref's sign, (-1)^(swaps + negations)."""
+    """|det A| of a square integer matrix: the last Bareiss pivot, positive
+    at full rank, and 0 below it."""
     if not A:
         return 1
-    r, pivots, sign = fraction_free_rref(A)
-    return sign * r[-1][-1] if len(pivots) == len(A) else 0
+    r, pivots = fraction_free_rref(A)
+    return r[-1][-1] if len(pivots) == len(A) else 0
 
 small_matrix = st.integers(1, 6).flatmap(
     lambda n: st.integers(1, 6).flatmap(
@@ -127,10 +127,11 @@ class TestFractionFreeElimination:
                 ),
             )
         )
-        sol, null = solve_rational(a, b)
+        sol, null, den = solve_rational(a, b)
+        assert den > 0
         if null is None:
             assert rank(a) == m
-            assert all(sum(r * x for r, x in zip(row, sol)) == c for row, c in zip(a, b))
+            assert all(sum(r * x for r, x in zip(row, sol)) == c * den for row, c in zip(a, b))
         else:
             assert sol is None and any(null) and rank(a) < m
             assert all(sum(r * v for r, v in zip(row, null)) == 0 for row in a)
@@ -151,7 +152,7 @@ class TestFractionFreeElimination:
     def test_rref_matches_fraction_reference(self, a):
         # {-1, 0, 1} entries give repeated pivots, where rows with nothing
         # to clear are skipped
-        r, pivots, _ = fraction_free_rref(a)
+        r, pivots = fraction_free_rref(a)
         p = r[len(pivots) - 1][pivots[-1]] if pivots else 1
         assert p > 0
         assert ([[Fraction(x, p) for x in row] for row in r], pivots) == rref(a)
@@ -159,20 +160,19 @@ class TestFractionFreeElimination:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.one_of(square_matrix, st.integers(1, 6).flatmap(lambda n: int_matrix(n, n, 1))))
     def test_det_matches_laplace_expansion(self, a):
-        assert det(a) == laplace_det(a)
+        assert det(a) == abs(laplace_det(a))
 
     def test_examples(self):
         assert det([[2, 1], [7, 4]]) == 1
-        assert det([[0, 1], [1, 0]]) == -1
+        assert det([[0, 1], [1, 0]]) == 1  # a row swap; the pivots stay positive
         assert det([[1, 2], [2, 4]]) == 0
-        assert solve_rational([[2, 0], [0, 3]], [1, 1]) == (
-            [Fraction(1, 2), Fraction(1, 3)],
-            None,
-        )
-        assert solve_rational([[1, 2], [2, 4]], [1, 0]) == (
-            None,
-            [Fraction(-2), Fraction(1)],
-        )
+        sol, null, den = solve_rational([[2, 0], [0, 3]], [1, 1])
+        assert (sol, null, den) == ([3, 2], None, 6)
+        assert [Fraction(x, den) for x in sol] == [Fraction(1, 2), Fraction(1, 3)]
+        sol, null, den = solve_rational([[1, 2], [2, 4]], [1, 0])
+        assert (sol, null, den) == (None, [-4, 2], 2)
+        assert [Fraction(x, den) for x in null] == [Fraction(-2), Fraction(1)]
+        assert solve_rational([[0, 0], [0, 0]], [0, 0]) == (None, [1, 0], 1)  # rank 0
         with pytest.raises(ValueError, match="square"):
             solve_rational([[1], [1]], [0, 1])
 

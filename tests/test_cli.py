@@ -1,10 +1,14 @@
 """Command-line surface: parser, subcommands, schemas, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rho_lattice import cli, ring, suspension, verify
 from rho_lattice.cli import ParseError, main, parse_expression
@@ -464,3 +468,138 @@ class TestVerify:
         captured = capsys.readouterr()
         lines = [json.loads(l) for l in captured.out.splitlines()]
         assert lines[-1]["summary"]["failed"] == 0
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract, over random argument vectors
+
+
+README_EXIT_CODES = {0, 1, 2, 3, 4, 5, 141}
+
+# valid values three times as often as edge ones
+N_TEXT = st.sampled_from(["2", "3", "4", "6", "8", "16"] * 3 + ["-1", "0", "1", "two"])
+D_TEXT = st.sampled_from(["3", "4", "5", "6", "7"] * 3 + ["-1", "0", "1", "2", "1.5"])
+K_TEXT = st.sampled_from(["1", "3", "5", "7"] * 3 + ["-3", "0", "2"])
+
+# atoms include zero-divisor quotients (exit 3), closed-form quotients,
+# constants that exist only in the truncated ring, and a power past the cap
+ATOMS = st.sampled_from(
+    [
+        "x", "chi", "0", "1", "2", "f", "g", "f_k(3)", "fp_k(1)", "fk(-1)",
+        "1/(1+x)", "1/(1+x^2)", "(x+2)/(1+x+x^2)", "1/(1-x)", "1/(1-x^5)",
+        "1/(1+x+x^2+x^3+x^4)", "1/0", "x/(x-x)", "1/(3+x)", "2^1000000000000",
+        "x^1000000000000",
+    ]
+)
+
+
+def _compound(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from("+-*/"), children).map(" ".join),
+        children.map(lambda e: f"({e})"),
+        children.map(lambda e: f"-{e}"),
+        st.tuples(children, st.sampled_from(["2", "3", "0", "-1", "(-2)"])).map(
+            lambda t: f"({t[0]})^{t[1]}"
+        ),
+    )
+
+
+WELL_FORMED = st.recursive(ATOMS, _compound, max_leaves=6)
+EXPRESSIONS = st.one_of(
+    WELL_FORMED,
+    WELL_FORMED,
+    st.text(alphabet="x()+-*/^0123456789fgk_, \u00b2", max_size=12),  # mostly malformed
+    st.sampled_from([3, 300, 3000]).map(lambda n: "(" * n + "x" + ")" * n),
+)
+
+ELEMENT_JSON = st.sampled_from(
+    [
+        "", "[", "null", "1", "[]", "{}", "[" * 100_000,
+        json.dumps(ZERO_N8_D5),
+        json.dumps(_with("params", d=7.0)),
+        json.dumps(_with("params", N=16)),
+        json.dumps(_with("rho", N=True)),
+        json.dumps(_with("rho", coeffs=[["1", "0"]] * 7)),
+        json.dumps(_with("rho", coeffs=[["x", "1"]] * 7)),
+        json.dumps(_with("rho", **one(truncated(8)).to_json())),
+        json.dumps(_with("coords", t4=["1", 0])),
+        json.dumps(_with("coords", t4=[0])),
+        json.dumps({"params": {"N": 8, "d": 5, "k": 1}}),
+    ]
+)
+
+
+@st.composite
+def argvs(draw):
+    """(argv, stdin text) for one random subcommand."""
+    command = draw(
+        st.sampled_from(
+            ["ring"] * 8
+            + ["special", "structure-set", "kernel", "suspend", "torsion-basis"]
+            + ["invariants", "transfer", "verify", "bogus"]
+        )
+    )
+    if command == "ring":
+        N = draw(st.sampled_from(["2", "4", "5", "6", "8", "12", "24", "48"] * 2 + ["1", "0", "x"]))
+        ideal = draw(st.sampled_from(["truncated", "truncated", "group"]))
+        return ["ring", draw(EXPRESSIONS), "--N", N, "--ideal", ideal], ""
+    if command == "special":
+        return ["special", "--N", draw(N_TEXT), "--k", draw(K_TEXT)], ""
+    if command == "verify":
+        suite = draw(st.sampled_from(["ring", "lemmas", "kernel", "suspension", "torsion"]))
+        bounds = ["--max-N", draw(st.sampled_from(["1", "2", "3"]))]
+        bounds += draw(st.sampled_from([[], ["--max-d", "3"], ["--max-d", "0"]]))
+        workers = draw(st.sampled_from(["1", "1", "0", "-2"]))
+        return ["verify", "--suite", suite, *bounds, "--workers", workers], ""
+    if command == "bogus":
+        return [command, "--N", "4"], ""
+    argv = [command, "--N", draw(N_TEXT), "--d", draw(D_TEXT), "--k", draw(K_TEXT)]
+    if command == "structure-set" and draw(st.booleans()):
+        argv.append("--members")
+    stdin = ""
+    if command in ("suspend", "invariants", "transfer"):
+        if draw(st.booleans()):
+            argv = [command, "--N", "8", "--d", "5", "--element-json", "-"]
+            stdin = draw(ELEMENT_JSON)
+        else:
+            argv += ["--element", draw(st.sampled_from(cli.ELEMENTS + ("bogus",)))]
+        if command == "transfer":
+            argv += ["--to-n", draw(st.sampled_from(["1", "2", "3", "4"]))]
+    return argv, stdin
+
+
+def _run_inprocess(argv, stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with mock.patch.object(sys, "stdin", io.StringIO(stdin)):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(argvs())
+def test_every_exit_is_a_documented_code(case):
+    # the README's exit-code table is the whole contract: no traceback,
+    # parseable JSON on success, and a refused inverse names its witness
+    argv, stdin = case
+    code, out, err = _run_inprocess(argv, stdin)
+    assert code in README_EXIT_CODES, (argv, code, err)
+    assert "Traceback" not in err, argv
+    if code == 0:
+        lines = out.splitlines() if argv[0] == "verify" else [out]
+        assert all(isinstance(json.loads(line), dict) for line in lines), argv
+    elif argv[0] != "verify":
+        assert out == "", argv
+    if code == 3:
+        # zero's witness is 1; every other refusal prints P / gcd(a, P)
+        assert err == "not invertible: zero is not invertible\n" or (
+            err.startswith("not invertible: <") and " is a zero divisor: witness <" in err
+        ), (argv, err)

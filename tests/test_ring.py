@@ -255,10 +255,10 @@ def _bareiss(a):
     """(inverse, None) for a unit and (None, witness) for a zero divisor,
     both read off the dense solve of the multiplication matrix."""
     m = a.modulus
-    sol, null = solve_rational(ring._mul_matrix(a), [a.den] + [0] * (m.dim - 1))
+    sol, null, den = solve_rational(ring._mul_matrix(a), [a.den] + [0] * (m.dim - 1))
     if sol is None:
-        return None, from_coeffs(m, null)
-    return from_coeffs(m, sol), None
+        return None, from_numerators(m, null, den)
+    return from_numerators(m, sol, den), None
 
 
 def _poly_mul(p, q):
@@ -296,17 +296,26 @@ class TestCyclotomicRefusal:
             real.__wrapped__(6)
 
     def test_matches_the_dense_solve(self):
-        # a random element of every ring with N <= 48, and its product with
-        # a random Phi_d of P, against the dense solve's verdict and null vector
-        rng = random.Random(23)
-        units = refusals = 0
+        # a random element of every ring with N <= 48, its product with a
+        # random Phi_d of P, and, where P has two or more factors, its
+        # product with two of them, so that gcd(a, P) has two or more
+        # factors, against the dense solve's verdict and null vector
+        rng, pairs = random.Random(23), random.Random(29)
+        units = refusals = multiple = 0
+        kinds = set()
         for N in range(2, 49):
             moduli = [group_ring(N), truncated(N)] + list(crt_factors(N) if N % 2 == 0 else ())
             for m in moduli:
                 num = [rng.randint(-3, 3) for _ in range(m.dim)]
                 a = from_numerators(m, num, rng.randint(1, 3))
-                phi = ring._cyclotomic(rng.choice(ring._cyclotomic_orders(m)))
-                for b in (a, a * reduce_poly(dict(enumerate(phi)), m)):
+                orders = ring._cyclotomic_orders(m)
+                phi = ring._cyclotomic(rng.choice(orders))
+                inputs = [a, a * reduce_poly(dict(enumerate(phi)), m)]
+                if len(orders) > 1:
+                    for d in pairs.sample(orders, 2):
+                        a = a * reduce_poly(dict(enumerate(ring._cyclotomic(d))), m)
+                    inputs.append(a)
+                for b in inputs:
                     inv, witness = _bareiss(b)
                     if inv is not None:
                         assert inverse(b) == inv
@@ -316,7 +325,53 @@ class TestCyclotomicRefusal:
                         inverse(b)
                     assert err.value.witness == witness, (m, b)
                     refusals += 1
-        assert units > 100 and refusals > 100
+                    if sum(ring._cyclotomic_divides(d, b.num) for d in orders) > 1:
+                        multiple += 1
+                        kinds.add(m.kind)
+        assert units > 100 and refusals > 200 and multiple > 100
+        # a binomial_plus generator is one Phi_d, so its only zero divisor is 0
+        assert kinds == {ring.GROUP, ring.TRUNCATED, ring.ODD_TRUNCATED}
+
+    def test_a_refusal_takes_one_product_and_no_fractions(self, monkeypatch):
+        # the witness is P divided exactly by the Phi_d that divide a, and
+        # the message formats integers: the a * witness check is the one
+        # ring product, no coefficient is read as a Fraction, and ring
+        # builds no Fraction at all
+        products, reads, fractions = [], [], []
+        mul, coeffs = ring.Element.__mul__, ring.Element.coeffs
+
+        def counted_mul(self, other):
+            products.append(other)
+            return mul(self, other)
+
+        class CountedFraction(Fraction):
+            def __new__(cls, *args, **kwargs):
+                fractions.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(ring.Element, "__mul__", counted_mul)
+        monkeypatch.setattr(
+            ring.Element, "coeffs", property(lambda self: reads.append(self) or coeffs.fget(self))
+        )
+        cases = [
+            (truncated(48), {0: 1, 1: 1, 2: 1}, (3,)),
+            (truncated(48), {0: 2, 1: -1, 5: 3}, (2, 12)),
+            (truncated(24), {0: 2, 1: -1, 5: 3}, (4,)),
+            (group_ring(24), {0: 1, 1: 1}, (1,)),
+            (group_ring(48), {0: 3, 7: 1}, (6, 16)),
+            (ring.odd_truncated(12), {0: 1, 2: 1}, (3,)),
+            (truncated(24), {0: Fraction(-5, 6), 3: Fraction(1, 4)}, (2, 3)),
+        ]
+        for m, raw, orders in cases:
+            a = reduce_poly(raw, m)
+            for d in orders:
+                a = mul(a, reduce_poly(dict(enumerate(ring._cyclotomic(d))), m))
+            with monkeypatch.context() as patch, pytest.raises(NotInvertible) as err:
+                patch.setattr(ring, "Fraction", CountedFraction)
+                inverse(a)
+            assert products == [err.value.witness], m
+            assert reads == [] and fractions == [], m
+            del products[:]
 
     def test_wrong_witness_raises(self, monkeypatch):
         m = truncated(24)
@@ -739,6 +794,27 @@ class TestSerialization:
         assert obj["N"] == 5 and obj["kind"] == "truncated"
         assert obj["coeffs"][1] == ["-3", "7"]
 
+    def test_repr_matches_the_fraction_formatting(self):
+        # repr formats num / den with one gcd per coefficient; the oracle
+        # is the formatting it replaced, one Fraction per coefficient
+        def fraction_repr(a):
+            terms = [f"{c}*x^{e}" if e else str(c) for e, c in enumerate(a.coeffs) if c]
+            return f"<{' + '.join(terms) if terms else '0'} in {a.modulus.describe()}>"
+
+        rng = random.Random(28)
+        moduli = [group_ring(12), truncated(12), ring.binomial_plus(12, 1), ring.odd_truncated(12)]
+        for m in moduli + [truncated(2), group_ring(2)]:
+            for trial in range(50):
+                den = rng.choice([1, 1, 2, 6, 12, 35, 2**70 + 1])
+                num = [
+                    rng.choice([0, rng.randint(-9, 9), den * rng.randint(-3, 3)])
+                    for _ in range(m.dim)
+                ]
+                a = from_numerators(m, num, den)
+                assert repr(a) == fraction_repr(a), (m, num, den)
+            for a in (zero(m), one(m), -one(m), const(m, Fraction(-5, 3))):
+                assert repr(a) == fraction_repr(a)
+
 
 def _canonical(a) -> bool:
     return (
@@ -834,9 +910,9 @@ class TestRepresentation:
             assert back == a
             den = lcm(*(p.den for p in parts))
             stacked = [c * (den // p.den) for p in parts for c in p.num]
-            sol, null = solve_rational(basis, stacked)
+            sol, null, p = solve_rational(basis, stacked)
             assert null is None
-            assert back == from_coeffs(m, [x / den for x in sol])
+            assert back == from_numerators(m, sol, p * den)
 
 
 def _schoolbook(a, b):

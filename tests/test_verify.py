@@ -192,3 +192,24 @@ def test_inverse_roundtrip_compares_each_witness_with_the_null_vector(monkeypatc
 
     monkeypatch.setattr(ring, "inverse", no_witness)
     assert "is not the null vector at trial 0" in check()
+
+
+def test_inverse_roundtrip_meets_real_zero_divisors(monkeypatch):
+    # one draw in four is a * Phi_d, d cycling over the factors of P: every
+    # row with a composite N refuses nonzero zero divisors, whose witnesses
+    # the check compares with the dense solve's null vector
+    refused = {}
+    witness = ring._zero_divisor_witness
+
+    def counted(a):
+        w = witness(a)
+        if w is not None:
+            refused[a.modulus.N] = refused.get(a.modulus.N, 0) + 1
+        return w
+
+    monkeypatch.setattr(ring, "_zero_divisor_witness", counted)
+    rows = [c for c in verify.build_checks(("ring",), seed=0) if c.statement == "inverse-roundtrip"]
+    for check in rows:
+        assert check.run() is None, check.params
+    composite = [N for N in (c.params["N"] for c in rows) if any(N % p == 0 for p in range(2, N))]
+    assert len(composite) >= 5 and all(refused.get(N, 0) >= 2 for N in composite), refused
