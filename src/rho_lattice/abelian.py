@@ -75,11 +75,11 @@ def solve_rational(
     """Solve A x = b over Q for a square integer matrix A and integer
     vector b, in integers over one denominator.
 
-    Returns (x, None, p) when A has full rank, with x * p the unique
-    solution's numerators, and (None, v, p) when A has a nonzero kernel,
-    with v / p the kernel vector that is 1 at the first free column and 0
-    at the other free columns.  p > 0 is the last pivot of the elimination
-    of (A | b), which every pivot entry equals, or 1 when A is zero.
+    Returns (x, None, p) when A has full rank, with x / p the unique
+    solution, and (None, v, p) when A has a nonzero kernel, with v / p the
+    kernel vector that is 1 at the first free column and 0 at the other
+    free columns.  p > 0 is the last pivot of the elimination of (A | b),
+    which every pivot entry equals, or 1 when (A | b) is zero.
     Raises ``ValueError`` when A is not square.
     """
     m = len(A[0])
