@@ -24,7 +24,10 @@ decorations, so no query loads ``inspect``, ``ast``, ``dis`` or
 
 JSON outputs carry a top-level "schema": "rho-lattice/1".  ``verify``
 prints one line per check, in canonical order, as each check finishes,
-then a summary line.
+then a summary line.  ``verify --timings PATH`` also writes each check's
+wall seconds to PATH, one JSON line per check in report order, and names
+the 10 statements with the largest total time on stderr; stdout is the
+same with or without it.
 
 Exit codes:
 
@@ -51,6 +54,7 @@ Codes 4 and 5 print ``error: <TypeName>: <message>`` on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -367,15 +371,26 @@ def cmd_verify(args) -> int:
     started = time.perf_counter()
     failed = 0
     by_statement: dict[str, int] = {}
-    for check in run_suites(suites, args.max_n, args.max_d, args.seed, args.workers):
-        failed += check["status"] == "fail"
-        by_statement[check["statement"]] = by_statement.get(check["statement"], 0) + 1
-        if args.format == "tsv":
-            params = json.dumps(check["params"], sort_keys=True)
-            line = f"{check['statement']}\t{params}\t{check['status']}"
-        else:
-            line = json.dumps({"schema": SCHEMA, **check}, sort_keys=True)
-        print(line, flush=True)
+    # with --timings, each check's wall seconds go to that file, one JSON
+    # line per check in report order; stdout is the same either way
+    seconds: dict[str, float] = {}
+    timed = args.timings is not None
+    with open(args.timings, "w") if timed else contextlib.nullcontext() as timings:
+        lines = run_suites(suites, args.max_n, args.max_d, args.seed, args.workers, timed)
+        for check in lines:
+            if timed:
+                check, wall = check
+                seconds[check["statement"]] = seconds.get(check["statement"], 0.0) + wall
+                record = dict(statement=check["statement"], params=check["params"], seconds=wall)
+                timings.write(json.dumps(record, sort_keys=True) + "\n")
+            failed += check["status"] == "fail"
+            by_statement[check["statement"]] = by_statement.get(check["statement"], 0) + 1
+            if args.format == "tsv":
+                params = json.dumps(check["params"], sort_keys=True)
+                line = f"{check['statement']}\t{params}\t{check['status']}"
+            else:
+                line = json.dumps({"schema": SCHEMA, **check}, sort_keys=True)
+            print(line, flush=True)
     total = sum(by_statement.values())
     summary = {
         "total": total,
@@ -390,6 +405,11 @@ def cmd_verify(args) -> int:
         print(json.dumps(line, sort_keys=True))
     elapsed = time.perf_counter() - started
     print(f"{total - failed}/{total} checks passed in {elapsed:.1f}s", file=sys.stderr)
+    if timed:
+        print("slowest statements (total wall seconds):", file=sys.stderr)
+        for name in sorted(seconds, key=seconds.get, reverse=True)[:10]:
+            line = f"  {seconds[name]:8.3f}s  {name} ({by_statement[name]} checks)"
+            print(line, file=sys.stderr)
     return 0 if failed == 0 else 1
 
 
@@ -476,6 +496,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes, at least 1 (default: all cores)",
     )
     p.add_argument("--format", choices=("json", "tsv"), default="json")
+    p.add_argument(
+        "--timings",
+        metavar="PATH",
+        default=None,
+        help="write each check's wall seconds to PATH (JSONL, report order) and "
+        "name the 10 slowest statements on stderr",
+    )
     p.set_defaults(func=cmd_verify)
     return parser
 

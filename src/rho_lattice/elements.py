@@ -21,15 +21,22 @@ g is the same sum at z = -x.
 (-1)-eigenlattice whenever u is 4-integral, (+1)-eigen and vanishes at
 x = -1, which is exactly the obstruction for such a quotient to exist.
 The quotient is g * u, the unique (-1)-eigen solution, and it is checked.
+
+Every unit here is built and checked in O(N), with no ring product and no
+``ring.inverse``: each satisfies a two-term identity, (1 - x^k) * f_k =
+1 + x^k, (1 - x^k) * f'_k = (1 - x) * A and (1 + x) * g = 1 - x - 2e, which
+a rotation of the lift modulo x^N - 1, a prefix sum along the orbit of x^k
+or :func:`times_f` builds or verifies (von zur Gathen and Gerhard, Modern
+Computer Algebra, section 8).  ``Element.__mul__`` by :func:`f_element`
+and g * u stay the oracles that ``verify`` and the tests compare with.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd
-from operator import add
+from operator import add, sub
 
 from . import ring
 from .exceptions import PreconditionFailed, UnsupportedModulus, VerificationFailure
@@ -70,53 +77,94 @@ def times_f(y: Element) -> Element:
     return ring.from_numerators(m, z, N * y.den)
 
 
+def _lift(a: Element) -> list[int]:
+    """a's numerators as a vector modulo x^N - 1: the canonical
+    representative, whose x^(N-1) coefficient is 0."""
+    return [*a.num, 0]
+
+
+def _shift_add(c: list[int], k: int, sign: int) -> list[int]:
+    """(1 + sign * x^k) * c modulo x^N - 1 for a vector c of N = len(c)
+    coefficients and 0 < k < N: c plus or less its rotation by k."""
+    return list(map(add if sign == 1 else sub, c, c[-k:] + c[:-k]))
+
+
+def _alternating(N: int, start: int, stop: int) -> list[int]:
+    """x^start - x^(start+1) + ... + (-1)^(stop-start-1) x^(stop-1) as a
+    vector modulo x^N - 1, for stop <= N."""
+    c = [0] * N
+    c[start:stop] = [(-1) ** j for j in range(stop - start)]
+    return c
+
+
+def _truncate(c: list[int], den: int) -> Element:
+    """The truncated-ring element c / den for a vector c modulo x^N - 1,
+    N = len(c): the top coefficient folds into the rest (consumes c)."""
+    m = ring.truncated(len(c))
+    return ring.from_numerators(m, ring._from_cyclic(c, m), den)
+
+
 def _cotangent_sum(N: int, k: int, sign: int) -> Element:
     """The cotangent sum (1 + z)/(1 - z) at z = sign * x^k, on integer
-    numerators over N: sum_{j=1}^{N-1} sign^j * (N - 2j)/N * x^(jk)."""
-    raw = {j * k: sign**j * (N - 2 * j) for j in range(1, N)}
-    return ring.reduce_poly(raw, ring.truncated(N)).scale(Fraction(1, N))
+    numerators over N: sum_{j=1}^{N-1} sign^j * (N - 2j)/N * x^(jk), for
+    0 < k < N coprime to N, so that each j has its own exponent jk mod N."""
+    c = [0] * N
+    for j in range(1, N):
+        c[j * k % N] = sign**j * (N - 2 * j)
+    return _truncate(c, N)
 
 
 @lru_cache(maxsize=None)
 def f_k_element(N: int, k: int) -> Element:
     """f_k = (1+x^k)/(1-x^k) = sum_{j=1}^{N-1} (N - 2j)/N * x^(jk) for k
     coprime to N: x^k generates the group, so (1 - x^k) times the sum is
-    1 + x^k less (2/N)(1 + x + ... + x^(N-1)) = 0.  A sum that fails that
-    identity raises :class:`VerificationFailure`.  Lies in the
-    (-1)-eigenspace of the involution.
+    1 + x^k less (2/N)(1 + x + ... + x^(N-1)) = 0.  That identity is
+    checked on the sum's lift modulo x^N - 1, less its rotation by k mod
+    N; a sum that fails it raises :class:`VerificationFailure`.  Lies in
+    the (-1)-eigenspace of the involution.
     """
     if gcd(k, N) != 1:
         raise ValueError(f"k = {k} must be coprime to N = {N}")
-    m = ring.truncated(N)
+    k %= N
     fk = _cotangent_sum(N, k, 1)
-    if ring.reduce_poly({0: 1, k: -1}, m) * fk != ring.reduce_poly({0: 1, k: 1}, m):
+    m = fk.modulus
+    target = [0] * N
+    target[0] = target[k] = fk.den
+    if ring._from_cyclic(_shift_add(_lift(fk), k, -1), m) != ring._from_cyclic(target, m):
         raise VerificationFailure(f"closed-form f_k fails (1 - x^k) * f_k = 1 + x^k at N = {N}")
     return fk
 
 
 @lru_cache(maxsize=None)
 def f_prime_k_element(N: int, k: int) -> Element:
-    """The integral cofactor f'_k with f_k = f * f'_k.
+    """The integral cofactor f'_k with f_k = f * f'_k, for k coprime to N
+    (taken mod N).
 
-    Built from the closed quotient form, which depends on the parity of k:
-    for odd k the numerator is the alternating sum 1 - x + ... + x^(k-1),
-    for even k (possible only when N is odd) it is the alternating tail
-    x^k - x^(k+1) + ... + x^(N-1); in both cases the denominator is
-    1 + x + ... + x^(k-1).
+    f'_k = A / (1 + x + ... + x^(k-1)) for an alternating numerator A that
+    depends on the parity of k: for odd k it is 1 - x + ... + x^(k-1), for
+    even k (possible only when N is odd) the tail x^k - x^(k+1) + ... +
+    x^(N-1).  As 1 - x^k = (1 - x)(1 + ... + x^(k-1)), f'_k solves
+    (1 - x^k) * y = w for w = (1 - x) * A, a shift and a subtraction.
+    Modulo x^N - 1, w(1) = 0, so the prefix sums of w along the orbit 0, k,
+    2k, ... of x^k, which visits every exponent, solve it; the solution is
+    unique up to the all-ones vector, which is 0 in the truncated ring.
+    A cofactor that fails f * f'_k = f_k (by :func:`times_f`) raises
+    :class:`VerificationFailure`.
     """
     if gcd(k, N) != 1:
         raise ValueError(f"k = {k} must be coprime to N = {N}")
-    if k % 2 == 0 and N % 2 == 0:
-        raise ValueError("even k requires odd N")
-    m = ring.truncated(N)
+    k %= N
     if k == 1:
-        return ring.one(m)
-    if k % 2 == 1:
-        num = ring.alternating_sum(m, k)
-    else:
-        num = ring.reduce_poly({j: (-1) ** (j - k) for j in range(k, N)}, m)
-    den = ring.geometric_sum(m, k)
-    return num * ring.inverse(den)
+        return ring.one(ring.truncated(N))
+    w = _shift_add(_alternating(N, 0, k) if k % 2 else _alternating(N, k, N), 1, -1)
+    orbit = [j * k % N for j in range(N)]
+    y = [0] * N
+    for e, s in zip(orbit, accumulate([w[e] for e in orbit])):
+        y[e] = s
+    fpk = _truncate(y, 1)
+    if times_f(fpk) != f_k_element(N, k):
+        raise VerificationFailure(f"closed-form f'_k fails f * f'_k = f_k at N = {N}, k = {k}")
+    return fpk
 
 
 @lru_cache(maxsize=None)
@@ -125,26 +173,28 @@ def g_element(N: int) -> Element:
 
     For odd N, f is invertible and g is its inverse
     (1 - x) * (1 - x + ... + x^(N-1)) / 2, as (1 + x) times the alternating
-    sum is 1 + x^N = 2.  For even N, g = sum_{j=1}^{N-1} (-1)^j (N - 2j)/N
+    sum is 1 + x^N = 2; it is built by a shift and checked by
+    ``times_f(g) == 1``.  For even N, g = sum_{j=1}^{N-1} (-1)^j (N - 2j)/N
     * x^j, the sum of f at z = -x, and (1 + x) * g = 1 - x - 2e for the
-    idempotent e = (1/N) * sum_{j<N} (-x)^j of the factor x = -1.  There f
-    and every (-1)-eigen v vanish, as the involution fixes x = -1, and g is
-    0 too (g(-1) = sum_j (N - 2j)/N = 0); elsewhere g = (1 - x)/(1 + x) =
-    1/f.  A g that fails g * f = 1, resp. that identity, raises
-    :class:`VerificationFailure`.  g lies in the (-1)-eigenspace, but is not
-    unique with that property when N is even.
+    idempotent e = (1/N) * sum_{j<N} (-x)^j of the factor x = -1, checked
+    by a shift and an add.  There f and every (-1)-eigen v vanish, as the
+    involution fixes x = -1, and g is 0 too (g(-1) = sum_j (N - 2j)/N = 0);
+    elsewhere g = (1 - x)/(1 + x) = 1/f.  A g that fails its identity
+    raises :class:`VerificationFailure`.  g lies in the (-1)-eigenspace,
+    but is not unique with that property when N is even.
     """
-    m = ring.truncated(N)
     if N % 2:
-        g = (ring.reduce_poly({0: 1, 1: -1}, m) * ring.alternating_sum(m, N)).scale(
-            Fraction(1, 2)
-        )
-        if g * f_element(N) != ring.one(m):
+        g = _truncate(_shift_add(_alternating(N, 0, N), 1, -1), 2)
+        if times_f(g) != ring.one(g.modulus):
             raise VerificationFailure(f"closed-form g fails g * f = 1 at N = {N}")
         return g
     g = _cotangent_sum(N, 1, -1)
-    e2 = ring.alternating_sum(m, N).scale(Fraction(2, N))
-    if ring.reduce_poly({0: 1, 1: 1}, m) * g != ring.reduce_poly({0: 1, 1: -1}, m) - e2:
+    # N * g.den times both sides, on integers
+    lhs = [N * c for c in _shift_add(_lift(g), 1, 1)]
+    rhs = [-2 * g.den * c for c in _alternating(N, 0, N)]
+    rhs[0] += N * g.den
+    rhs[1] -= N * g.den
+    if ring._from_cyclic(lhs, g.modulus) != ring._from_cyclic(rhs, g.modulus):
         raise VerificationFailure(f"closed-form g fails (1 + x) * g = 1 - x - 2e at N = {N}")
     return g
 
@@ -186,11 +236,16 @@ def divide_by_f(u: Element) -> Element:
     """Solve u = f * a with a in the 4-integral (-1)-eigenlattice.
 
     Preconditions: the ring order N is even, u is 4-integral and
-    (+1)-eigen, and u vanishes at x = -1.  The quotient is a = g * u for
-    the quasi-inverse g, and it is the only one: g * f fixes the
+    (+1)-eigen, and u vanishes at x = -1.  The quotient is g * u for the
+    quasi-inverse g, and it is the only one: g * f fixes the
     (-1)-eigenspace, so any (-1)-eigen a with f * a = u equals g * f * a
-    = g * u.  It is checked to satisfy f * a = u and to lie in the
-    lattice.
+    = g * u.  It comes from prefix sums, with no product: modulo x^N - 1,
+    (1 + x) * a = (1 - x) * u = w, and as w(-1) = 0 the alternating prefix
+    sums y_i = w_i - y_(i-1) solve (1 + x) * y = w.  The solutions differ
+    by multiples of sum_{j<N} (-x)^j, and a is the one pinned at
+    a(-1) = 0, which every (-1)-eigen element satisfies: y less
+    (y(-1)/N) * sum_{j<N} (-x)^j.  It is checked to satisfy f * a = u (by
+    :func:`times_f`) and to lie in the lattice.
     """
     m = u.modulus
     N = m.N
@@ -200,9 +255,10 @@ def divide_by_f(u: Element) -> Element:
         raise PreconditionFailed("u must be 4-integral and (+1)-eigen")
     if ring.eval_minus_one(u) != 0:
         raise PreconditionFailed("u must vanish at x = -1")
-    catalog = Catalog.get(N, 1)
-    a = catalog.g * u
-    if catalog.f * a != u:
+    y = list(accumulate(_shift_add(_lift(u), 1, -1), lambda s, c: c - s))
+    pin = sum(y[::2]) - sum(y[1::2])
+    a = _truncate([N * c - pin if j % 2 == 0 else N * c + pin for j, c in enumerate(y)], N * u.den)
+    if times_f(a) != u:
         raise VerificationFailure("constructive division by f failed to verify")
     if not ring.in_lattice_4r(a, -1):
         raise VerificationFailure("quotient left the 4-integral (-1)-lattice")

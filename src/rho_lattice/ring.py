@@ -621,11 +621,6 @@ def geometric_sum(m: Modulus, length: int, step: int = 1) -> Element:
     return reduce_poly(acc, m)
 
 
-def alternating_sum(m: Modulus, length: int) -> Element:
-    """1 - x + x^2 - ... with ``length`` terms."""
-    return reduce_poly({j: (-1) ** j for j in range(length)}, m)
-
-
 # ---------------------------------------------------------------------------
 # involution and eigenspaces
 
@@ -637,34 +632,41 @@ def _require_conjugable(m: Modulus, what: str) -> None:
         raise UnsupportedModulus(f"{what} not defined on {m.describe()}")
 
 
-def involution(a: Element) -> Element:
-    """The conjugation automorphism x -> x^(N-1).
-
-    Only defined for the group and truncated rings (the CRT factors are not
-    stable under it).  It is a ring automorphism of order at most 2.
-    """
+def _conjugate(a: Element) -> list[int]:
+    """The numerators of involution(a), over a.den."""
     m = a.modulus
     _require_conjugable(m, "involution")
     # x^e -> x^(N-e): reverse all but the constant term; in the truncated
     # ring x^1 lands on x^(N-1), which reduces
     num = a.num
     if m.kind == GROUP:
-        return _make(m, [num[0], *num[:0:-1]], a.den)
-    return _make(m, _from_cyclic([num[0], 0, *num[:0:-1]], m), a.den)
+        return [num[0], *num[:0:-1]]
+    return _from_cyclic([num[0], 0, *num[:0:-1]], m)
+
+
+def involution(a: Element) -> Element:
+    """The conjugation automorphism x -> x^(N-1).
+
+    Only defined for the group and truncated rings (the CRT factors are not
+    stable under it).  It is a ring automorphism of order at most 2.
+    """
+    return _make(a.modulus, _conjugate(a), a.den)
 
 
 def eigen_project(a: Element, sign: int) -> Element:
-    """Projection of ``a`` onto the (+1)- or (-1)-eigenspace of the involution.
+    """Projection of ``a`` onto the (+1)- or (-1)-eigenspace of the involution:
+    (a + sign * involution(a)) / 2, built as one element.
 
     eigen_project(a, +1) + eigen_project(a, -1) == a.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    conj = involution(a)
-    half = Fraction(1, 2)
+    conj = _conjugate(a)
     if sign == 1:
-        return (a + conj).scale(half)
-    return (a - conj).scale(half)
+        num = [c + d for c, d in zip(a.num, conj)]
+    else:
+        num = [c - d for c, d in zip(a.num, conj)]
+    return _make(a.modulus, num, 2 * a.den)
 
 
 def eigen_test(a: Element, sign: int) -> bool:
@@ -676,8 +678,7 @@ def eigen_test(a: Element, sign: int) -> bool:
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    conj = involution(a).num
-    return conj == (a.num if sign == 1 else tuple([-c for c in a.num]))
+    return _conjugate(a) == (list(a.num) if sign == 1 else [-c for c in a.num])
 
 
 def eval_minus_one(a: Element) -> Fraction:
@@ -831,9 +832,15 @@ def _closed_form_inverse(a: Element) -> Element | None:
         return None
     if gcd(k, n) != 1:
         return None
+    # the exponents j * k mod n are distinct for j < n, as gcd(k, n) = 1
+    c = [0] * n
     if geometric:
-        return reduce_poly({j * k: 1 for j in range(pow(k, -1, n))}, m)
-    return reduce_poly({j * k: -(j + 1) for j in range(n)}, m).scale(Fraction(1, n))
+        for j in range(pow(k, -1, n)):
+            c[j * k % n] = 1
+        return _make(m, _from_cyclic(c, m))
+    for j in range(n):
+        c[j * k % n] = -(j + 1)
+    return _make(m, _from_cyclic(c, m), n)
 
 
 def inverse(a: Element) -> Element:
@@ -856,14 +863,13 @@ def inverse(a: Element) -> Element:
     in P divides it.  Then :class:`NotInvertible` is raised with the
     witness P / gcd(a, P): P divided exactly by the Phi_d that divide
     ``a``, which is the product of the other Phi_d, checked by
-    a * witness = 0.  A unit, including every group-ring unit, is solved as
-    a dim-by-dim linear system over Q by fraction-free elimination; a
-    system that turns out singular raises :class:`VerificationFailure`,
-    since the two derivations disagree.
+    a * witness = 0.  Zero is refused the same way: every Phi_d divides
+    it, and its witness is 1.  A unit, including every group-ring unit, is
+    solved as a dim-by-dim linear system over Q by fraction-free
+    elimination; a system that turns out singular raises
+    :class:`VerificationFailure`, since the two derivations disagree.
     """
     m = a.modulus
-    if a.is_zero():
-        raise NotInvertible("zero is not invertible", witness=one(m))
     inv = _closed_form_inverse(a)
     if inv is not None:
         if a * inv != one(m):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 from functools import cache
 from fractions import Fraction
 from itertools import product
@@ -408,8 +409,11 @@ def _check_m_factor_lem(N: int, k: int, rng: random.Random) -> str | None:
     raw_fpk = f_prime_k_element(N, k)
     f = reduce_poly({e: c for e, c in enumerate(raw_f.coeffs)}, m_odd)
     fpk = reduce_poly({e: c for e, c in enumerate(raw_fpk.coeffs)}, m_odd)
-    one = ring.one(m_odd)
     f2 = f * f
+    # the trials draw q of degree at most 3; these factors do not depend on q
+    f2_powers = [f2**j for j in range(4)]
+    even_factor = fpk * (f2 - ring.one(m_odd))
+    odd_factor = fpk * f
 
     for trial in range(100):
         deg = rng.randint(0, 3)
@@ -420,9 +424,9 @@ def _check_m_factor_lem(N: int, k: int, rng: random.Random) -> str | None:
         qf2 = ring.zero(m_odd)
         for j, coef in enumerate(q):
             if coef:
-                qf2 = qf2 + f2**j * coef
-        first = fpk * (f2 - one) * qf2 * (8 * M ** (2 + 2 * deg))
-        second = fpk * f * qf2 * (8 * M ** (1 + 2 * deg))
+                qf2 = qf2 + f2_powers[j] * coef
+        first = even_factor * qf2 * (8 * M ** (2 + 2 * deg))
+        second = odd_factor * qf2 * (8 * M ** (1 + 2 * deg))
         if not ring.is_4_integral(first):
             return f"even display not 4-integral for q={q}"
         if not ring.is_4_integral(second):
@@ -906,6 +910,13 @@ def build_checks(
     ]
 
 
+def _run_timed(check: Check) -> tuple[dict, float]:
+    """The report line of ``check`` and the wall seconds it took."""
+    started = time.perf_counter()
+    entry = _run_one(check)
+    return entry, time.perf_counter() - started
+
+
 def _run_one(check: Check) -> dict:
     try:
         witness = check.run()
@@ -932,9 +943,11 @@ def run_suites(
     max_d: int | None = None,
     seed: int = 0,
     workers: int = 1,
-) -> Iterator[dict]:
+    timed: bool = False,
+) -> Iterator:
     """The report line of every check of ``suites``, in canonical order, each
-    as its check finishes.
+    as its check finishes.  With ``timed``, each line comes paired with the
+    wall seconds its check took, (line, seconds); the lines are the same.
 
     An empty selection raises ValueError before any check runs.
     """
@@ -946,12 +959,13 @@ def run_suites(
         )
         raise ValueError(f"no check matches --suite {'+'.join(suites)}{bounds}")
     checks.sort(key=lambda c: (c.statement, json.dumps(c.params, sort_keys=True)))
+    run = _run_timed if timed else _run_one
     if workers > 1 and len(checks) > 1:
-        return _run_parallel(checks, workers)
-    return map(_run_one, checks)
+        return _run_parallel(checks, workers, run)
+    return map(run, checks)
 
 
-def _run_parallel(checks: list[Check], workers: int) -> Iterator[dict]:
+def _run_parallel(checks: list[Check], workers: int, run) -> Iterator:
     """Run the checks in a process pool, one task per check, yielding each
     result in the order of ``checks`` as soon as it and every check before
     it are done.  Closing the iterator early cancels the checks no worker
@@ -964,7 +978,7 @@ def _run_parallel(checks: list[Check], workers: int) -> Iterator[dict]:
     try:
         with cf.ProcessPoolExecutor(max_workers=workers) as pool:
             try:
-                yield from pool.map(_run_one, checks)
+                yield from pool.map(run, checks)
             except GeneratorExit:
                 pool.shutdown(cancel_futures=True)
                 raise

@@ -32,6 +32,11 @@ from rho_lattice.ring import (
 )
 
 
+def alternating_sum(m, length: int) -> Element:
+    """1 - x + x^2 - ... with ``length`` terms."""
+    return reduce_poly({j: (-1) ** j for j in range(length)}, m)
+
+
 # The quasi-inverse g of even order assembled by Chinese remaindering from
 # the inverses of 1 + x in its factors: an oracle for the cotangent sum.
 
@@ -42,7 +47,7 @@ def h_l_element(N: int, l: int) -> Element:
     if l < 1:
         raise ValueError("h_l is defined for l >= 1 (1+x vanishes in the l = 0 factor)")
     m = ring.binomial_plus(N, l)
-    return ring.alternating_sum(m, 2**l).scale(Fraction(1, 2))
+    return alternating_sum(m, 2**l).scale(Fraction(1, 2))
 
 
 def h_element(N: int) -> Element:
@@ -54,7 +59,7 @@ def h_element(N: int) -> Element:
     """
     K, M = ring.split_two_power(N)
     m = ring.odd_truncated(N)
-    a_k = ring.alternating_sum(m, 2**K)
+    a_k = alternating_sum(m, 2**K)
     step = 2**K
     series = ring.reduce_poly({j * step: j + 1 for j in range(M)}, m)
     return (a_k * series).scale(Fraction(-1, M))
@@ -121,6 +126,27 @@ class TestFk:
                 den = reduce_poly({0: 1, k: -1}, m)
                 assert f_k_element(N, k) == reduce_poly({0: 1, k: 1}, m) * ring.inverse(den)
 
+    @pytest.mark.parametrize("N", [*range(2, 65), 96, 128])
+    def test_f_prime_matches_the_quotient_it_replaced(self, N):
+        # the prefix-sum solve against the closed quotient A / (1 + ... +
+        # x^(k-1)), its alternating numerator over the inverse of its
+        # geometric denominator
+        m = truncated(N)
+        for k in range(1, N):
+            if gcd(k, N) != 1:
+                continue
+            if k % 2:
+                num = alternating_sum(m, k)
+            else:
+                num = reduce_poly({j: (-1) ** (j - k) for j in range(k, N)}, m)
+            assert f_prime_k_element(N, k) == num * ring.inverse(ring.geometric_sum(m, k))
+
+    def test_k_is_taken_mod_n(self):
+        for N, k in ((8, 3), (9, 2), (9, 4), (7, 6)):
+            for shifted in (k + N, k - N, k + 3 * N):
+                assert f_k_element(N, shifted) == f_k_element(N, k)
+                assert f_prime_k_element(N, shifted) == f_prime_k_element(N, k)
+
     def test_closed_form_that_fails_raises(self, monkeypatch):
         real = elements._cotangent_sum
         monkeypatch.setattr(elements, "_cotangent_sum", lambda *a: real(*a).scale(2))
@@ -153,9 +179,11 @@ class TestG:
         assert g_element(N) == ring.inverse(f_element(N))
 
     def test_odd_closed_form_that_fails_raises(self, monkeypatch):
-        real = elements.f_element
-        monkeypatch.setattr(elements, "f_element", lambda N: real(N).scale(2))
-        with pytest.raises(VerificationFailure):
+        # the defect sits in the closed form (1 - x) * A_N / 2, in its
+        # alternating sum A_N
+        real = elements._alternating
+        monkeypatch.setattr(elements, "_alternating", lambda *a: [2 * c for c in real(*a)])
+        with pytest.raises(VerificationFailure, match=r"g \* f = 1"):
             g_element.__wrapped__(9)  # a fresh build, past the cache
 
     def test_even_closed_form_that_fails_raises(self, monkeypatch):
@@ -183,7 +211,7 @@ class TestG:
     def test_alternating_unit_identity(self):
         for N, l in ((8, 1), (8, 2), (16, 3)):
             m = truncated(N)
-            lhs = reduce_poly({0: 1, 1: 1}, m) * ring.alternating_sum(m, 2**l)
+            lhs = reduce_poly({0: 1, 1: 1}, m) * alternating_sum(m, 2**l)
             assert lhs == reduce_poly({0: 1, 2**l: -1}, m)
 
     def test_shared_units_equal_fresh_builds(self):
@@ -297,6 +325,15 @@ class TestDivideByF:
             assert f * a == u
             assert in_lattice_4r(a, -1)
 
+    @pytest.mark.parametrize("N", list(range(2, 65, 2)))
+    def test_matches_g_times_u(self, N):
+        # the prefix-sum quotient against the product it replaced
+        rng = random.Random(3000 + N)
+        g = g_element(N)
+        for _ in range(30):
+            u = random_valid_u(rng, N)
+            assert divide_by_f(u) == g * u
+
     @pytest.mark.parametrize("N", list(range(2, 49, 2)))
     def test_matches_element_sum_assembly(self, N):
         # the oracle: write u as an integer combination sum c_k * B_k of
@@ -315,3 +352,84 @@ class TestDivideByF:
             for c, q in zip(solve_with_snf(snf, u.num), quotients):
                 expected = expected + q.scale(c)
             assert divide_by_f(u) == expected
+
+
+def _bump(real):
+    """``real`` with one more x in what it returns, an element or a vector
+    modulo x^N - 1: a defect planted in a construction.  (In divide_by_f
+    one more x^0 would be no defect: the pin at x = -1 absorbs it.)"""
+
+    def planted(*args):
+        out = real(*args)
+        if isinstance(out, Element):
+            return out + ring.x_power(out.modulus, 1)
+        return [out[0], out[1] + 1, *out[2:]]
+
+    return planted
+
+
+class TestPlantedDefects:
+    # each O(N) construction is checked by its own identity; a one-term
+    # defect planted in it must raise, not pass through
+    CASES = {
+        "f_k rotation": ("_cotangent_sum", lambda: f_k_element.__wrapped__(8, 3), "f_k"),
+        "f'_k odd k": ("_alternating", lambda: f_prime_k_element.__wrapped__(8, 3), "f'_k"),
+        "f'_k even k": ("_alternating", lambda: f_prime_k_element.__wrapped__(9, 4), "f'_k"),
+        "odd g": ("_alternating", lambda: g_element.__wrapped__(9), r"g \* f = 1"),
+        "even g": ("_cotangent_sum", lambda: g_element.__wrapped__(12), "1 - x - 2e"),
+        "divide_by_f": (
+            "_shift_add",
+            lambda: divide_by_f(pair_vector(truncated(8), 3)),
+            "division by f failed",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_raises(self, case, monkeypatch):
+        name, build, match = self.CASES[case]
+        build()  # the real construction passes its check
+        monkeypatch.setattr(elements, name, _bump(getattr(elements, name)))
+        with pytest.raises(VerificationFailure, match=match):
+            build()
+
+    def test_an_unpinned_quotient_leaves_the_lattice(self, monkeypatch):
+        # f * a = u holds for a + c * sum (-x)^j too; only the pin at
+        # x = -1 makes a (-1)-eigen, and the lattice test sees it missing
+        real = elements._truncate
+        def unpinned(c, den):
+            return real([v + den * (-1) ** j for j, v in enumerate(c)], den)
+
+        monkeypatch.setattr(elements, "_truncate", unpinned)
+        with pytest.raises(VerificationFailure, match="left the 4-integral"):
+            elements.divide_by_f(pair_vector(truncated(8), 3))
+
+
+def test_the_f_family_takes_no_product_and_no_inverse(monkeypatch):
+    # fresh builds of f_k, f'_k and g and a division by f run in O(N):
+    # no Element.__mul__ and no ring.inverse
+    calls = {"mul": 0, "inverse": 0}
+    real_mul, real_inverse = Element.__mul__, ring.inverse
+
+    def counted_mul(a, b):
+        calls["mul"] += 1
+        return real_mul(a, b)
+
+    def counted_inverse(a):
+        calls["inverse"] += 1
+        return real_inverse(a)
+
+    monkeypatch.setattr(Element, "__mul__", counted_mul)
+    monkeypatch.setattr(Element, "__rmul__", counted_mul)
+    monkeypatch.setattr(ring, "inverse", counted_inverse)
+    for N in (8, 9, 24, 25):
+        g_element.__wrapped__(N)
+        for k in range(1, N):
+            if gcd(k, N) == 1:
+                f_k_element.__wrapped__(N, k)
+                f_prime_k_element.__wrapped__(N, k)
+    divide_by_f(random_valid_u(random.Random(0), 24))
+    assert calls == {"mul": 0, "inverse": 0}
+    # the counters see the calls they guard
+    f_element(8) * f_element(8)
+    ring.inverse(one(truncated(8)))
+    assert calls["mul"] >= 1 and calls["inverse"] == 1

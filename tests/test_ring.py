@@ -219,6 +219,15 @@ class TestInverse:
         )
         assert err.value.witness.num == (1,) * 8 and err.value.witness.den == 1
 
+    @pytest.mark.parametrize("m", [truncated(6), group_ring(12), ring.binomial_plus(8, 1),
+                                   ring.odd_truncated(12)], ids=lambda m: m.kind)
+    def test_zero_is_refused_with_witness_one(self, m):
+        # the same shape as every other refusal: every Phi_d divides 0
+        with pytest.raises(NotInvertible) as err:
+            inverse(zero(m))
+        assert err.value.witness == one(m)
+        assert str(err.value) == f"{zero(m)!r} is a zero divisor: witness {one(m)!r}"
+
     def test_failed_closed_form_raises(self, monkeypatch):
         m = truncated(8)
         a = reduce_poly({0: 1, 1: -1}, m)

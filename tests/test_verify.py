@@ -122,6 +122,34 @@ def test_pool_failure_exits_5_without_serial_fallback(monkeypatch, capsys, execu
     assert captured.err.endswith("); rerun with --workers 1\n")
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_timings_leave_the_report_alone(workers, tmp_path, capsys):
+    argv = ["verify", "--suite", "lemmas", "--max-N", "8", "--workers", workers]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    path = tmp_path / "timings.jsonl"
+    assert main(argv + ["--timings", str(path)]) == 0
+    timed = capsys.readouterr()
+    assert timed.out == plain.out
+    # one line per check, in report order, with its wall seconds
+    report = [json.loads(line) for line in plain.out.splitlines()[:-1]]
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [(r["statement"], r["params"]) for r in records] == [
+        (r["statement"], r["params"]) for r in report
+    ]
+    assert all(set(r) == {"statement", "params", "seconds"} for r in records)
+    assert all(r["seconds"] >= 0 for r in records)
+    # stderr adds the slowest statements, largest total first
+    totals = {}
+    for r in records:
+        totals[r["statement"]] = totals.get(r["statement"], 0.0) + r["seconds"]
+    head, *rows = timed.err.splitlines()[1:]
+    assert head == "slowest statements (total wall seconds):"
+    assert len(rows) == min(10, len(totals))
+    names = [row.split()[1] for row in rows]
+    assert names == sorted(totals, key=totals.get, reverse=True)[:10]
+
+
 def test_each_line_is_written_before_the_next_check_starts(monkeypatch, capsys):
     out = []
     lines_at_start = []
