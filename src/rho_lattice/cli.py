@@ -376,10 +376,8 @@ def cmd_verify(args) -> int:
     seconds: dict[str, float] = {}
     timed = args.timings is not None
     with open(args.timings, "w") if timed else contextlib.nullcontext() as timings:
-        lines = run_suites(suites, args.max_n, args.max_d, args.seed, args.workers, timed)
-        for check in lines:
+        for check, wall in run_suites(suites, args.max_n, args.max_d, args.seed, args.workers):
             if timed:
-                check, wall = check
                 seconds[check["statement"]] = seconds.get(check["statement"], 0.0) + wall
                 record = dict(statement=check["statement"], params=check["params"], seconds=wall)
                 timings.write(json.dumps(record, sort_keys=True) + "\n")

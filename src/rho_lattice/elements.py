@@ -148,8 +148,10 @@ def f_prime_k_element(N: int, k: int) -> Element:
     Modulo x^N - 1, w(1) = 0, so the prefix sums of w along the orbit 0, k,
     2k, ... of x^k, which visits every exponent, solve it; the solution is
     unique up to the all-ones vector, which is 0 in the truncated ring.
-    A cofactor that fails f * f'_k = f_k (by :func:`times_f`) raises
-    :class:`VerificationFailure`.
+    It is checked by f * f'_k = f_k (by :func:`times_f`) and, for even N,
+    where f vanishes at x = -1 and so says nothing there, by f'_k(-1) = k:
+    A(-1) = k and the denominator is 1 at x = -1 for odd k.  A cofactor
+    that fails either raises :class:`VerificationFailure`.
     """
     if gcd(k, N) != 1:
         raise ValueError(f"k = {k} must be coprime to N = {N}")
@@ -164,6 +166,8 @@ def f_prime_k_element(N: int, k: int) -> Element:
     fpk = _truncate(y, 1)
     if times_f(fpk) != f_k_element(N, k):
         raise VerificationFailure(f"closed-form f'_k fails f * f'_k = f_k at N = {N}, k = {k}")
+    if N % 2 == 0 and ring.eval_minus_one(fpk) != k:
+        raise VerificationFailure(f"closed-form f'_k fails f'_k(-1) = k at N = {N}, k = {k}")
     return fpk
 
 

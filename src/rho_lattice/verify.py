@@ -910,18 +910,14 @@ def build_checks(
     ]
 
 
-def _run_timed(check: Check) -> tuple[dict, float]:
-    """The report line of ``check`` and the wall seconds it took."""
+def _run_one(check: Check) -> tuple[dict, float]:
+    """The report line of ``check`` and the wall seconds its check took."""
     started = time.perf_counter()
-    entry = _run_one(check)
-    return entry, time.perf_counter() - started
-
-
-def _run_one(check: Check) -> dict:
     try:
         witness = check.run()
     except Exception as exc:  # failures are report content, not crashes
         witness = f"exception: {type(exc).__name__}: {exc}"
+    seconds = time.perf_counter() - started
     entry = {
         "statement": check.statement,
         "params": check.params,
@@ -934,7 +930,7 @@ def _run_one(check: Check) -> dict:
             if key in check.params:
                 cmd += f" --max-{key} {check.params[key]}"
         entry["reproduce"] = cmd
-    return entry
+    return entry, seconds
 
 
 def run_suites(
@@ -943,11 +939,9 @@ def run_suites(
     max_d: int | None = None,
     seed: int = 0,
     workers: int = 1,
-    timed: bool = False,
-) -> Iterator:
+) -> Iterator[tuple[dict, float]]:
     """The report line of every check of ``suites``, in canonical order, each
-    as its check finishes.  With ``timed``, each line comes paired with the
-    wall seconds its check took, (line, seconds); the lines are the same.
+    as its check finishes, paired with the wall seconds the check took.
 
     An empty selection raises ValueError before any check runs.
     """
@@ -959,13 +953,12 @@ def run_suites(
         )
         raise ValueError(f"no check matches --suite {'+'.join(suites)}{bounds}")
     checks.sort(key=lambda c: (c.statement, json.dumps(c.params, sort_keys=True)))
-    run = _run_timed if timed else _run_one
     if workers > 1 and len(checks) > 1:
-        return _run_parallel(checks, workers, run)
-    return map(run, checks)
+        return _run_parallel(checks, workers)
+    return map(_run_one, checks)
 
 
-def _run_parallel(checks: list[Check], workers: int, run) -> Iterator:
+def _run_parallel(checks: list[Check], workers: int) -> Iterator[tuple[dict, float]]:
     """Run the checks in a process pool, one task per check, yielding each
     result in the order of ``checks`` as soon as it and every check before
     it are done.  Closing the iterator early cancels the checks no worker
@@ -978,7 +971,7 @@ def _run_parallel(checks: list[Check], workers: int, run) -> Iterator:
     try:
         with cf.ProcessPoolExecutor(max_workers=workers) as pool:
             try:
-                yield from pool.map(run, checks)
+                yield from pool.map(_run_one, checks)
             except GeneratorExit:
                 pool.shutdown(cancel_futures=True)
                 raise

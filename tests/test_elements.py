@@ -392,6 +392,20 @@ class TestPlantedDefects:
         with pytest.raises(VerificationFailure, match=match):
             build()
 
+    @pytest.mark.parametrize("k", (3, 5, 7))
+    def test_f_prime_k_off_at_minus_one_raises(self, k, monkeypatch):
+        # f vanishes at x = -1 for even N, so f * f'_k = f_k misses a
+        # multiple of sum (-x)^j added to f'_k; its value at -1 does not
+        build = lambda: f_prime_k_element.__wrapped__(8, k)
+        build()
+        real = elements._truncate
+        def off(c, den):
+            return real([v + den * (-1) ** j for j, v in enumerate(c)], den)
+
+        monkeypatch.setattr(elements, "_truncate", off)
+        with pytest.raises(VerificationFailure, match=r"f'_k\(-1\) = k"):
+            build()
+
     def test_an_unpinned_quotient_leaves_the_lattice(self, monkeypatch):
         # f * a = u holds for a + c * sum (-x)^j too; only the pin at
         # x = -1 makes a (-1)-eigen, and the lattice test sees it missing

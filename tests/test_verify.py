@@ -26,7 +26,7 @@ def test_reproduce_command_rebuilds_its_check():
         failing = verify.Check(
             check.statement, check.params, _fails, (), check.suite, check.seed, False
         )
-        entry = verify._run_one(failing)
+        entry, _ = verify._run_one(failing)
         command = entry["reproduce"]
         if command not in rebuilt:
             args = build_parser().parse_args(command.split()[1:])
