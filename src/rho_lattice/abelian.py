@@ -108,31 +108,62 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
+def _merge_vector(h: IntMatrix, vec: Sequence[int], mods: Sequence[int]) -> None:
+    """Merge one vector into the upper-triangular basis h, in place: one
+    unimodular 2x2 step (extended gcd) per column where it is not yet a
+    multiple of the row."""
+    v = [x % d for x, d in zip(vec, mods)]
+    for i, row in enumerate(h):
+        a, b = row[i], v[i]
+        if b % a:
+            g, x, y = _xgcd(a, b)
+            # [[x, y], [-b/g, a/g]] has determinant 1; g < a <= mods[i]
+            h[i] = [(x * r + y * s) % d for r, s, d in zip(row, v, mods)]
+            v = [(a // g * s - b // g * r) % d for r, s, d in zip(row, v, mods)]
+        elif b:
+            q = b // a
+            v = [(x - q * y) % d for x, y, d in zip(v, row, mods)]
+
+
 def hermite_basis(mods: Sequence[int], vecs: Iterable[Sequence[int]]) -> IntMatrix:
     """An upper-triangular basis of the lattice of Z^n spanned by ``vecs``
     and the mods[i] * e_i: row i is zero before column i and h_ii > 0.
 
-    Each vector is merged into the rows from the left, one unimodular 2x2
-    step (extended gcd) per column where it is not yet a multiple of the
-    row.  The lattice contains every mods[j] * e_j, and a lattice vector
-    that is zero before column j is a combination of rows j, j+1, ...; so
-    entries past the current column may be reduced modulo mods (Domich,
-    Kannan and Trotter, Math. Oper. Res. 12, 1987), and they stay below
-    them.  The rows need not be reduced above the diagonal.
+    The first 32 vectors are merged into the rows from the left, one by
+    one (:func:`_merge_vector`).  The lattice contains every mods[j] * e_j,
+    and a lattice vector that is zero before column j is a combination of
+    rows j, j+1, ...; so entries past the current column may be reduced
+    modulo mods (Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987),
+    and they stay below them.  The rows need not be reduced above the
+    diagonal.
+
+    The rest are tested for membership together, row by row, one pass per
+    growth step: only the first vector outside the lattice is merged, and
+    the test resumes after it.  Merging a member leaves h as it is, so the
+    basis is the one that merging every vector in turn gives, entry for
+    entry, and a lattice that stops growing early costs one pass.
     """
     h = [[d if i == j else 0 for j in range(len(mods))] for i, d in enumerate(mods)]
-    for vec in vecs:
-        v = [x % d for x, d in zip(vec, mods)]
+    vecs = list(vecs)
+    for vec in vecs[:32]:
+        _merge_vector(h, vec, mods)
+    rest = vecs[32:]
+    while rest:
+        # cols[j]: entry j of each vector still a candidate member, reduced
+        cols = [[x % d for x in col] for col, d in zip(zip(*rest), mods)]
+        first = len(rest)
         for i, row in enumerate(h):
-            a, b = row[i], v[i]
-            if b % a:
-                g, x, y = _xgcd(a, b)
-                # [[x, y], [-b/g, a/g]] has determinant 1; g < a <= mods[i]
-                h[i] = [(x * r + y * s) % d for r, s, d in zip(row, v, mods)]
-                v = [(a // g * s - b // g * r) % d for r, s, d in zip(row, v, mods)]
-            elif b:
-                q = b // a
-                v = [(x - q * y) % d for x, y, d in zip(v, row, mods)]
+            a = row[i]
+            col = cols[i][:first]
+            first = next((t for t, x in enumerate(col) if x % a), first)
+            q = [x // a for x in col[:first]]
+            for j in range(i + 1, len(row)):
+                if row[j]:
+                    cols[j] = [(x - s * row[j]) % mods[j] for x, s in zip(cols[j], q)]
+        if first == len(rest):
+            break
+        _merge_vector(h, rest[first], mods)
+        rest = rest[first + 1 :]
     return h
 
 
@@ -197,7 +228,11 @@ def _canonical_factors(orders: Sequence[int]) -> tuple[int, ...]:
 
 
 class FinAb(Frozen):
-    """A finite abelian group in canonical invariant-factor form."""
+    """A finite abelian group in canonical invariant-factor form.
+
+    ``FinAb(factors)`` checks that the factors are canonical;
+    :meth:`from_orders` canonicalizes any cyclic orders, once.
+    """
 
     _fields = ("factors",)
     __slots__ = _fields
@@ -209,7 +244,9 @@ class FinAb(Frozen):
 
     @staticmethod
     def from_orders(orders: Sequence[int]) -> FinAb:
-        return FinAb(_canonical_factors(orders))
+        group = object.__new__(FinAb)
+        group._assign(factors=_canonical_factors(orders))
+        return group
 
     def order(self) -> int:
         n = 1
@@ -229,7 +266,8 @@ class Span(Frozen):
 
     ``mods`` are positive cyclic orders fixing the coordinate system and
     each generator is a coordinate vector, stored reduced modulo them.  The
-    span is held as one Hermite basis ``h`` (:func:`hermite_basis`) of the
+    span is held as one Hermite basis ``h`` (:func:`hermite_basis`, kept
+    as a tuple of row tuples, so a cached span cannot be changed) of the
     lattice of pairs (v, z) with v = sum_j z_j * gens[j] modulo mods: the
     rows (gens[j], e_j), the relations mods[i] * e_i and E * e_j in the
     coefficient columns, E = lcm(mods), which the pairs already contain.
@@ -250,10 +288,10 @@ class Span(Frozen):
         if any(len(vec) != n for vec in gens):
             raise ValueError(f"coordinate vector of length {n} expected")
         gens = tuple(tuple(x % d for x, d in zip(vec, mods)) for vec in gens)
-        h = hermite_basis(
+        h = tuple(map(tuple, hermite_basis(
             list(mods) + [lcm(*mods)] * k,
             [g + tuple(int(i == j) for i in range(k)) for j, g in enumerate(gens)],
-        )
+        )))
         order = prod(mods) // prod(h[i][i] for i in range(n))
         self._assign(mods=tuple(mods), gens=gens, h=h, order=order)
 

@@ -288,8 +288,10 @@ def kernel_closed_form(params: LensParams) -> FinAb:
     return FinAb.from_orders(orders)
 
 
+@lru_cache(maxsize=None)
 def kernel_rho_bar(params: LensParams) -> KernelResult:
-    """Kernel of the coordinate-class map, as a lattice.
+    """Kernel of the coordinate-class map, as a lattice, once per params:
+    the result is immutable and shared by every caller.
 
     Its t4-part is the lattice h of :func:`realizations` at rho = 0, where
     s = 1, t = 0 realizes rho, so the t-parts of h[1:] span it.  There

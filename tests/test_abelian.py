@@ -10,14 +10,19 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hermite_oracle
+from rho_lattice import abelian, surgery
 from rho_lattice.abelian import (
     FinAb,
     TRIVIAL,
     Span,
     annihilator,
     fraction_free_rref,
+    hermite_basis,
     solve_rational,
 )
+from rho_lattice.surgery import LensParams, kernel_rho_bar
+from rho_lattice.suspension import torsion_basis
 from smith_oracle import smith_normal_form, solve_with_snf
 
 
@@ -248,6 +253,17 @@ class TestFinAb:
         with pytest.raises(ValueError):
             FinAb((4, 2))
 
+    def test_from_orders_canonicalizes_once(self, monkeypatch):
+        # FinAb(factors) validates what outside callers hand it; the form
+        # from_orders has just derived is not derived again
+        calls = []
+        real = abelian._canonical_factors
+        monkeypatch.setattr(
+            abelian, "_canonical_factors", lambda orders: calls.append(orders) or real(orders)
+        )
+        assert FinAb.from_orders([4, 6]).factors == (2, 12) and len(calls) == 1
+        assert FinAb((2, 12)) == FinAb.from_orders([12, 2]) and len(calls) == 3
+
 
 def brute_closure(mods, gens):
     seen = {tuple([0] * len(mods))}
@@ -359,3 +375,56 @@ class TestSubgroup:
             Span([0, 2], [[1, 1]])
         with pytest.raises(ValueError):
             Span([4, 2], [[1]])
+
+
+def _random_vectors(rng, mods, count):
+    """``count`` vectors over ``mods``: integer combinations of the seeds
+    seen so far, plus multiples of the mods, with a new seed at a few
+    random places, so the lattice grows now and then and most vectors are
+    members of it."""
+    seeds = []
+    fresh = set(rng.sample(range(count), min(count, 4)))
+    vecs = []
+    for t in range(count):
+        if t in fresh or not seeds:
+            scale = rng.choice((1, 2, 3, 4))
+            seeds.append([scale * rng.randrange(-50, 50) for _ in mods])
+        c = [rng.randrange(-9, 10) for _ in seeds]
+        vecs.append([
+            sum(ci * g[i] for ci, g in zip(c, seeds)) + rng.randrange(-3, 4) * m
+            for i, m in enumerate(mods)
+        ])
+    return vecs
+
+
+class TestHermiteBasis:
+    @pytest.mark.parametrize("count", (0, 1, 31, 32, 33, 200))
+    def test_matches_the_per_vector_merge(self, count):
+        rng = random.Random(count)
+        for _ in range(40):
+            mods = [
+                rng.choice((1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 25, 30, 36, 49, 64, 360, 1024))
+                for _ in range(rng.randint(1, 6))
+            ]
+            vecs = _random_vectors(rng, mods, count)
+            assert hermite_basis(mods, vecs) == hermite_oracle.hermite_basis(mods, vecs)
+            # the same vectors from a one-shot iterator
+            assert hermite_basis(mods, iter(vecs)) == hermite_oracle.hermite_basis(mods, vecs)
+
+    def test_every_basis_of_a_large_torsion_basis(self, monkeypatch):
+        # the kernel's annihilator at N = 1024 reads 1,024 vectors, most of
+        # them members; every basis must be the per-vector merge's
+        seen = []
+        real = abelian.hermite_basis
+
+        def spy(mods, vecs):
+            vecs = list(vecs)
+            h = real(mods, vecs)
+            seen.append(h == hermite_oracle.hermite_basis(mods, vecs))
+            return h
+
+        monkeypatch.setattr(abelian, "hermite_basis", spy)
+        monkeypatch.setattr(surgery, "hermite_basis", spy)
+        kernel_rho_bar.cache_clear()
+        torsion_basis(LensParams(1024, 12))
+        assert len(seen) > 10 and all(seen)

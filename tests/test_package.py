@@ -1,9 +1,11 @@
 """Package-wide source properties."""
 
 import ast
+from math import prod
 from pathlib import Path
 
 import rho_lattice
+from rho_lattice import abelian, surgery
 
 PACKAGE = Path(rho_lattice.__file__).parent
 
@@ -235,3 +237,36 @@ def test_every_definition_is_used_in_the_package():
         if not any(id(node) not in enclosing for enclosing in uses.get(name, ()))
     ]
     assert unused == []
+
+
+def test_only_hermite_basis_merges_vectors():
+    # hermite_basis merges its first 32 vectors one by one and afterwards
+    # only the first non-member of each membership pass; a second caller
+    # of the merge step would merge members that cannot change the basis
+    assert _call_sites("_merge_vector") == ["abelian.hermite_basis"] * 2
+
+
+def test_the_kernel_merges_only_growth_steps_past_32_vectors(monkeypatch):
+    # the rho = 0 annihilator at (1024, 8) reads one vector per formula
+    # column, and its lattice stops growing within a few dozen of them; a
+    # merge of every column would merge about 1,000 members
+    merges, lengths = [], []
+    real_merge, real_basis = abelian._merge_vector, abelian.hermite_basis
+
+    def merge(h, vec, mods):
+        before = prod(row[i] for i, row in enumerate(h))
+        real_merge(h, vec, mods)
+        merges.append(prod(row[i] for i, row in enumerate(h)) < before)
+
+    def basis(mods, vecs):
+        vecs = list(vecs)
+        lengths.append(len(vecs))
+        return real_basis(mods, vecs)
+
+    monkeypatch.setattr(abelian, "_merge_vector", merge)
+    monkeypatch.setattr(abelian, "hermite_basis", basis)
+    monkeypatch.setattr(surgery, "hermite_basis", basis)
+    surgery.kernel_rho_bar.cache_clear()
+    surgery.kernel_rho_bar(surgery.LensParams(1024, 8))
+    assert max(lengths) > 1000
+    assert len(merges) <= sum(min(n, 32) for n in lengths) + merges.count(True)

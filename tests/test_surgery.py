@@ -308,11 +308,16 @@ class TestKernel:
 
         monkeypatch.setattr(abelian, "hermite_basis", spy)
         monkeypatch.setattr(surgery, "hermite_basis", spy)
+        kernel_rho_bar.cache_clear()
         kr = kernel_rho_bar(LensParams(8, 7))
         assert len(calls) == 6
         assert kr.torsion == kernel_closed_form(LensParams(8, 7))
         assert len(kr.members) == 256 and len(calls) == 6
+        # the kernel is cached per params: a repeat call takes no basis and
+        # hands out the same object
+        assert kernel_rho_bar(LensParams(8, 7)) is kr and len(calls) == 6
         calls.clear()
+        kernel_rho_bar.cache_clear()
         # the kernel's six, two per realizability query (its annihilator
         # and the basis of the realizations: nu at d = 4 and 6, the
         # suspensions 4 -> 5 and 6 -> 7 of the first and 6 -> 7 of the
@@ -320,6 +325,16 @@ class TestKernel:
         # basis
         torsion_basis(LensParams(8, 7))
         assert len(calls) == 18
+
+    def test_cached_kernel_cannot_be_changed(self):
+        # every caller in a process shares the cached kernel, so its span's
+        # basis is a tuple of row tuples
+        kr = kernel_rho_bar(LensParams(16, 8))
+        with pytest.raises(TypeError):
+            kr.span.h[0][0] = 5
+        with pytest.raises(TypeError):
+            kr.span.h[0] = (1,) * len(kr.span.h[0])
+        assert kernel_rho_bar(LensParams(16, 8)) is kr
 
     @pytest.mark.parametrize("N", (2, 3, 4, 5, 6, 8, 9, 12))
     @pytest.mark.parametrize("d", (3, 4, 5, 6))

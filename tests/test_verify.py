@@ -4,6 +4,7 @@ import concurrent.futures
 import json
 import pickle
 import random
+from fractions import Fraction
 from math import lcm
 
 import pytest
@@ -241,3 +242,17 @@ def test_inverse_roundtrip_meets_real_zero_divisors(monkeypatch):
         assert check.run() is None, check.params
     composite = [N for N in (c.params["N"] for c in rows) if any(N % p == 0 for p in range(2, N))]
     assert len(composite) >= 5 and all(refused.get(N, 0) >= 2 for N in composite), refused
+
+
+def test_m_factor_lemma_fails_on_a_display_that_is_not_4_integral(monkeypatch):
+    # with a quarter of f'_k some q takes a display out of the 4-integral
+    # lattice, and the lemma's own check must report it
+    real = verify.f_prime_k_element
+    monkeypatch.setattr(verify, "f_prime_k_element", lambda N, k: real(N, k).scale(Fraction(1, 4)))
+    witnesses = [
+        check.run()
+        for check in verify.build_checks(("lemmas",))
+        if check.statement == "lemma-m-factor"
+    ]
+    assert len(witnesses) == 6
+    assert any(w is not None and "display not 4-integral" in w for w in witnesses)
