@@ -17,6 +17,7 @@ through one fraction-free Gauss-Jordan eliminator on integer matrices.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import lcm, prod
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -26,7 +27,7 @@ from .frozen import Frozen
 IntMatrix = list[list[int]]
 
 
-def fraction_free_rref(A: Sequence[Sequence[int]]) -> tuple[IntMatrix, list[int]]:
+def fraction_free_rref(A: Iterable[Iterable[int]]) -> tuple[IntMatrix, list[int]]:
     """Fraction-free (Bareiss) Gauss-Jordan elimination of an integer matrix.
 
     Returns (R, pivots).  R is row equivalent to A; every pivot entry of R
@@ -49,7 +50,7 @@ def fraction_free_rref(A: Sequence[Sequence[int]]) -> tuple[IntMatrix, list[int]
         r = len(pivots)
         if r == n:
             break
-        p = next((i for i in range(r, n) if a[i][col]), None)
+        p = r if a[r][col] else next((i for i in range(r + 1, n) if a[i][col]), None)
         if p is None:
             continue
         if p != r:
@@ -85,7 +86,8 @@ def solve_rational(
     m = len(A[0])
     if len(A) != m:
         raise ValueError(f"solve_rational needs a square matrix, got {len(A)} by {m}")
-    r, pivots = fraction_free_rref([list(row) + [c] for row, c in zip(A, b)])
+    # each row of (A | b) is built once, as fraction_free_rref copies it
+    r, pivots = fraction_free_rref(chain(row, (c,)) for row, c in zip(A, b))
     den = r[len(pivots) - 1][pivots[-1]] if pivots else 1
     rows = [(i, col) for i, col in enumerate(pivots) if col < m]
     free = next((c for c in range(m) if c not in pivots), None)

@@ -15,19 +15,20 @@ harness:
 
 Each subcommand imports only the layers it uses, so a ``ring`` query
 loads neither ``surgery``, ``suspension`` nor ``verify``, and a cold
-``special --N 1024`` answers in about 65 ms with cached bytecode (median
+``special --N 1024`` answers in about 60 ms with cached bytecode (median
 of 7 processes on a 2-core Intel Xeon VM under CPython 3.11, where a bare
-``python -c pass`` takes about 35 ms).  The value classes are
+``python -c pass`` takes about 36 ms).  The value classes are
 slotted classes on :class:`rho_lattice.frozen.Frozen`, not dataclass
 decorations, so no query loads ``inspect``, ``ast``, ``dis`` or
 ``tokenize``.
 
 JSON outputs carry a top-level "schema": "rho-lattice/1".  ``verify``
 prints one line per check, in canonical order, as each check finishes,
-then a summary line.  ``verify --timings PATH`` also writes each check's
-wall seconds to PATH, one JSON line per check in report order, and names
-the 10 statements with the largest total time on stderr; stdout is the
-same with or without it.
+then a summary line, which adds "failed_by_statement" when a check
+failed.  ``verify --timings PATH`` also writes each check's wall seconds
+to PATH, one JSON line per check in report order, and names the 10
+statements with the largest total time on stderr; stdout is the same
+with or without it.
 
 Exit codes:
 
@@ -369,33 +370,37 @@ def cmd_verify(args) -> int:
 
     suites = SUITES if args.suite == "all" else (args.suite,)
     started = time.perf_counter()
-    failed = 0
     by_statement: dict[str, int] = {}
+    failures: dict[str, int] = {}
     # with --timings, each check's wall seconds go to that file, one JSON
     # line per check in report order; stdout is the same either way
     seconds: dict[str, float] = {}
     timed = args.timings is not None
     with open(args.timings, "w") if timed else contextlib.nullcontext() as timings:
         for check, wall in run_suites(suites, args.max_n, args.max_d, args.seed, args.workers):
+            name = check["statement"]
             if timed:
-                seconds[check["statement"]] = seconds.get(check["statement"], 0.0) + wall
-                record = dict(statement=check["statement"], params=check["params"], seconds=wall)
+                seconds[name] = seconds.get(name, 0.0) + wall
+                record = dict(statement=name, params=check["params"], seconds=wall)
                 timings.write(json.dumps(record, sort_keys=True) + "\n")
-            failed += check["status"] == "fail"
-            by_statement[check["statement"]] = by_statement.get(check["statement"], 0) + 1
+            by_statement[name] = by_statement.get(name, 0) + 1
+            if check["status"] == "fail":
+                failures[name] = failures.get(name, 0) + 1
             if args.format == "tsv":
                 params = json.dumps(check["params"], sort_keys=True)
-                line = f"{check['statement']}\t{params}\t{check['status']}"
+                line = f"{name}\t{params}\t{check['status']}"
             else:
                 line = json.dumps({"schema": SCHEMA, **check}, sort_keys=True)
             print(line, flush=True)
-    total = sum(by_statement.values())
+    total, failed = sum(by_statement.values()), sum(failures.values())
     summary = {
         "total": total,
         "passed": total - failed,
         "failed": failed,
         "by_statement": by_statement,
     }
+    if failures:  # an all-pass summary stays as it always read
+        summary["failed_by_statement"] = failures
     if args.format == "tsv":
         print(f"summary\t{json.dumps(summary, sort_keys=True)}")
     else:

@@ -36,12 +36,12 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd
-from operator import add, sub
+from operator import add
 
 from . import ring
 from .exceptions import PreconditionFailed, UnsupportedModulus, VerificationFailure
 from .frozen import Frozen
-from .ring import Element
+from .ring import Element, _lift, _shift_add
 
 
 # f, f_k, f'_k and g are each derived once per (N, k) or per N, by their own
@@ -75,18 +75,6 @@ def times_f(y: Element) -> Element:
     z = list(accumulate([N * c - total for c in w]))
     z.pop()
     return ring.from_numerators(m, z, N * y.den)
-
-
-def _lift(a: Element) -> list[int]:
-    """a's numerators as a vector modulo x^N - 1: the canonical
-    representative, whose x^(N-1) coefficient is 0."""
-    return [*a.num, 0]
-
-
-def _shift_add(c: list[int], k: int, sign: int) -> list[int]:
-    """(1 + sign * x^k) * c modulo x^N - 1 for a vector c of N = len(c)
-    coefficients and 0 < k < N: c plus or less its rotation by k."""
-    return list(map(add if sign == 1 else sub, c, c[-k:] + c[:-k]))
 
 
 def _alternating(N: int, start: int, stop: int) -> list[int]:

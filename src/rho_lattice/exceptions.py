@@ -17,12 +17,20 @@ class NotInvertible(ArithmeticError):
     """Element is not a unit.
 
     When the element is a zero divisor, ``witness`` holds a nonzero element
-    annihilating it.
+    annihilating it.  Raised with the ``element`` instead of a message, the
+    message "<element> is a zero divisor: witness <witness>" is formatted
+    only when read, as most refusals are caught and never printed.
     """
 
-    def __init__(self, message: str, witness=None):
+    def __init__(self, message: str = "", witness=None, element=None):
         super().__init__(message)
         self.witness = witness
+        self.element = element
+
+    def __str__(self) -> str:
+        if self.element is None:
+            return super().__str__()
+        return f"{self.element!r} is a zero divisor: witness {self.witness!r}"
 
 
 class OddOrderEvaluation(ValueError):

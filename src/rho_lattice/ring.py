@@ -42,9 +42,10 @@ from array import array
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import add, sub
 from typing import Iterable, Mapping, Sequence, Union
 
-from .abelian import solve_rational
+from .abelian import _primary_parts, solve_rational
 from .exceptions import (
     CAP_ENV_VAR,
     ModulusMismatch,
@@ -229,6 +230,17 @@ def _from_cyclic(out: list[int], m: Modulus) -> list[int]:
     # result[i] = out[i] - out[d + i mod 2^K]: one block subtraction.
     d = m.dim
     return [c - t for c, t in zip(out, out[d:] * (d // (m.N - d)))]
+
+
+def _lift(a: Element) -> list[int]:
+    """a's numerators padded with 0s to N: a vector modulo x^N - 1."""
+    return [*a.num, *[0] * (a.modulus.N - a.modulus.dim)]
+
+
+def _shift_add(c: list[int], k: int, sign: int) -> list[int]:
+    """(1 + sign * x^k) * c modulo x^n - 1 for a vector c of n = len(c)
+    coefficients and 0 <= k < n: c plus or less its rotation by k."""
+    return list(map(add if sign == 1 else sub, c, c[-k:] + c[:-k]))
 
 
 # Signed machine-word typecodes, narrowest first, as (limit, code, bytes): a
@@ -729,12 +741,18 @@ def in_lattice_4r(a: Element, sign: int) -> bool:
     return is_4_integral(a) and eigen_test(a, sign)
 
 
-def _mul_matrix(a: Element) -> list[list[int]]:
-    """The integer matrix A with A / a.den the matrix of multiplication by
-    ``a`` in the canonical basis (columns a*x^j)."""
+def _mul_matrix(a: Element) -> list[tuple[int, ...]]:
+    """The rows of the integer matrix A with A / a.den the matrix of
+    multiplication by ``a`` in the canonical basis.  Column j is a * x^j:
+    the window of a's lift written twice that rotates it by j, reduced, or
+    in binomial_plus, where x^w = -1, the window of a's numerators written
+    negated and then as they are."""
     m = a.modulus
-    cols = [_fold_int(enumerate(a.num, j), m) for j in range(m.dim)]
-    return [[cols[j][i] for j in range(m.dim)] for i in range(m.dim)]
+    if m.kind == BINOMIAL_PLUS:
+        w, c = m.dim, [*(-x for x in a.num), *a.num]
+        return list(zip(*(c[w - j : 2 * w - j] for j in range(w))))
+    n, c = m.N, _lift(a) * 2
+    return list(zip(*(_from_cyclic(c[n - j : 2 * n - j], m) for j in range(m.dim))))
 
 
 def _divmod_monic(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -785,10 +803,24 @@ def _cyclotomic_orders(m: Modulus) -> tuple[int, ...]:
     return tuple(d for d in divisors if top % d)
 
 
+@lru_cache(maxsize=None)
+def _prime_cofactors(d: int) -> tuple[int, ...]:
+    return tuple(d // p for p in _primary_parts(d))  # d / p for each prime p | d
+
+
 def _cyclotomic_divides(d: int, num: Sequence[int]) -> bool:
-    """Phi_d | num: num folded modulo x^d - 1, then reduced by Phi_d."""
-    folded = [sum(num[i::d]) for i in range(d)]
-    return not any(_divmod_monic(folded, _cyclotomic(d))[1])
+    """Phi_d | num: num folded modulo x^d - 1 times x^(d/p) - 1 for each
+    prime p | d is 0, by rotations.  That product vanishes at every root of
+    unity of order e | d/p for some p, which is every e | d but d, and at
+    none of order d; the last factor is a test of period d/p."""
+    n = len(num)
+    v = [*num, *[0] * (d - n)] if n <= d else [sum(num[i::d]) for i in range(d)]
+    if d == 1:
+        return not v[0]
+    s, *rest = _prime_cofactors(d)
+    for t in rest:
+        v = _shift_add(v, t, -1)
+    return v[s:] == v[:-s]
 
 
 @lru_cache(maxsize=None)
@@ -812,11 +844,11 @@ def _zero_divisor_witness(a: Element) -> Element | None:
     return _make(m, q + [0] * (m.dim - len(q)))
 
 
-def _closed_form_inverse(a: Element) -> Element | None:
-    """:func:`inverse`'s closed form when ``a`` has one of its two shapes
-    with gcd(k, N) = 1, read off the canonical numerators in O(N), else
-    None.  1 - x^k is 1 at x^0 and -1 at x^k for k <= N - 2, and
-    2 + x + ... + x^(N-2) for k = N - 1; 1 + ... + x^(k-1) is k ones."""
+def _closed_form_shape(a: Element) -> tuple[int, bool] | None:
+    """(k, True) when ``a`` is 1 + ... + x^(k-1), k ones, and (k, False)
+    when it is 1 - x^k, in a truncated ring with gcd(k, N) = 1, read off the
+    numerators in O(N), else None.  1 - x^k is 1 at x^0 and -1 at x^k for
+    k <= N - 2, and 2 + x + ... + x^(N-2) for k = N - 1."""
     m = a.modulus
     if m.kind != TRUNCATED or a.den != 1:
         return None
@@ -830,8 +862,14 @@ def _closed_form_inverse(a: Element) -> Element | None:
         geometric = True
     else:
         return None
-    if gcd(k, n) != 1:
+    return (k, geometric) if gcd(k, n) == 1 else None
+
+
+def _closed_form_inverse(a: Element) -> Element | None:
+    """:func:`inverse`'s closed form for either shape of ``a``, else None."""
+    if (shape := _closed_form_shape(a)) is None:
         return None
+    (k, geometric), m, n = shape, a.modulus, a.modulus.N
     # the exponents j * k mod n are distinct for j < n, as gcd(k, n) = 1
     c = [0] * n
     if geometric:
@@ -853,8 +891,9 @@ def inverse(a: Element) -> Element:
       (1 + x + ... + x^(k-1))^(-1) = 1 + x^k + x^(2k) + ... + x^((r-1)k),
                                      r the least positive integer with r*k = 1 mod N
 
-    (both requiring gcd(k, N) = 1); a closed form that fails its check
-    raises :class:`VerificationFailure`.
+    (both requiring gcd(k, N) = 1), each checked on its lift modulo x^N - 1
+    by a rotation and a subtraction: (1 - x^k) * inv = 1, or 1 - x (a unit)
+    for the geometric shape.  One that fails raises :class:`VerificationFailure`.
 
     Otherwise units and zero divisors are told apart before any
     elimination.  The ideal generator P is a squarefree product of
@@ -863,25 +902,25 @@ def inverse(a: Element) -> Element:
     in P divides it.  Then :class:`NotInvertible` is raised with the
     witness P / gcd(a, P): P divided exactly by the Phi_d that divide
     ``a``, which is the product of the other Phi_d, checked by
-    a * witness = 0.  Zero is refused the same way: every Phi_d divides
-    it, and its witness is 1.  A unit, including every group-ring unit, is
-    solved as a dim-by-dim linear system over Q by fraction-free
-    elimination; a system that turns out singular raises
-    :class:`VerificationFailure`, since the two derivations disagree.
+    a * witness = 0 (the message is formatted when read).  Zero is refused
+    the same way: every Phi_d divides it, and its witness is 1.  A unit,
+    including every group-ring unit, is solved as a dim-by-dim linear system
+    over Q by fraction-free elimination; a system that turns out singular
+    raises :class:`VerificationFailure`, since the two derivations disagree.
     """
     m = a.modulus
     inv = _closed_form_inverse(a)
     if inv is not None:
-        if a * inv != one(m):
+        k, geometric = _closed_form_shape(a)
+        target = [inv.den, -inv.den if geometric else 0] + [0] * (m.N - 2)
+        if _from_cyclic(_shift_add(_lift(inv), k, -1), m) != _from_cyclic(target, m):
             raise VerificationFailure(f"closed-form inverse of {a!r} fails its check")
         return inv
     witness = _zero_divisor_witness(a)
     if witness is not None:
         if not (a * witness).is_zero():
             raise VerificationFailure(f"witness {witness!r} of {a!r} fails its check")
-        raise NotInvertible(
-            f"{a!r} is a zero divisor: witness {witness!r}", witness=witness
-        )
+        raise NotInvertible(witness=witness, element=a)
     sol, _, den = solve_rational(_mul_matrix(a), [a.den] + [0] * (m.dim - 1))
     if sol is None:
         raise VerificationFailure(f"{a!r} has no factor Phi_d but a singular system")

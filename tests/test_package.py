@@ -5,7 +5,7 @@ from math import prod
 from pathlib import Path
 
 import rho_lattice
-from rho_lattice import abelian, surgery
+from rho_lattice import abelian, ring, surgery
 
 PACKAGE = Path(rho_lattice.__file__).parent
 
@@ -270,3 +270,39 @@ def test_the_kernel_merges_only_growth_steps_past_32_vectors(monkeypatch):
     surgery.kernel_rho_bar(surgery.LensParams(1024, 8))
     assert max(lengths) > 1000
     assert len(merges) <= sum(min(n, 32) for n in lengths) + merges.count(True)
+
+
+def test_inverse_multiplies_only_to_check_a_refusal(monkeypatch):
+    # closed forms are checked by a rotation, refusals by the one product
+    # a * witness, and only units reach the dense solve
+    products, solves = [], []
+    real_mul, real_solve = ring.Element.__mul__, abelian.solve_rational
+
+    def mul(self, other):
+        products.append(other)
+        return real_mul(self, other)
+
+    def solve(A, b):
+        solves.append(b)
+        return real_solve(A, b)
+
+    monkeypatch.setattr(ring.Element, "__mul__", mul)
+    monkeypatch.setattr(abelian, "solve_rational", solve)
+    monkeypatch.setattr(ring, "solve_rational", solve)
+    m = ring.truncated(24)
+    closed = [ring.reduce_poly({0: 1, k: -1}, m) for k in (1, 5, 23)]
+    closed += [ring.geometric_sum(m, k) for k in (1, 5, 23)]
+    factor = ring.reduce_poly({0: 1, 1: 1, 2: 1}, m)
+    refusals = [real_mul(factor, ring.reduce_poly({0: 3, 7: -2}, m)), ring.zero(m)]
+    units = [ring.reduce_poly({0: 50, 3: 1, 9: -2}, m)]
+    units.append(ring.reduce_poly({0: 2, 1: 1}, ring.group_ring(8)))
+    for inputs, counts in ((closed, (0, 0)), (refusals, (1, 0)), (units, (0, 1))):
+        for a in inputs:
+            del products[:], solves[:]
+            try:
+                ring.inverse(a)
+                refused = False
+            except ring.NotInvertible:
+                refused = True
+            assert refused == (inputs is refusals), a
+            assert (len(products), len(solves)) == counts, a

@@ -12,6 +12,8 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mul_matrix_oracle
+
 from rho_lattice import ring
 from rho_lattice.abelian import solve_rational
 from rho_lattice.exceptions import (
@@ -52,6 +54,12 @@ MODULI = st.sampled_from(
     + [ring.binomial_plus(8, l) for l in (0, 1, 2)]
     + [ring.odd_truncated(6), ring.odd_truncated(12)]
 )
+
+
+def _every_ring(N):
+    """The group and truncated rings of order N and, for even N, every CRT
+    factor: each binomial_plus(l) and the odd_truncated ring."""
+    return [group_ring(N), truncated(N)] + list(crt_factors(N) if N % 2 == 0 else ())
 
 
 def elements(modulus):
@@ -127,8 +135,7 @@ class TestReduce:
 
     def test_shared_one_and_zero_equal_fresh_builds(self):
         for N in range(2, 49):
-            moduli = [group_ring(N), truncated(N)] + list(crt_factors(N) if N % 2 == 0 else ())
-            for m in moduli:
+            for m in _every_ring(N):
                 for build in (one, zero):
                     assert build(m) is build(m)
                     assert build(m) == build.__wrapped__(m)
@@ -291,7 +298,7 @@ class TestCyclotomicRefusal:
 
     def test_orders_multiply_to_the_ideal_generator(self):
         for N in range(2, 49):
-            for m in [group_ring(N), truncated(N)] + list(crt_factors(N) if N % 2 == 0 else ()):
+            for m in _every_ring(N):
                 prod = [1]
                 for d in ring._cyclotomic_orders(m):
                     prod = _poly_mul(prod, ring._cyclotomic(d))
@@ -313,8 +320,7 @@ class TestCyclotomicRefusal:
         units = refusals = multiple = 0
         kinds = set()
         for N in range(2, 49):
-            moduli = [group_ring(N), truncated(N)] + list(crt_factors(N) if N % 2 == 0 else ())
-            for m in moduli:
+            for m in _every_ring(N):
                 num = [rng.randint(-3, 3) for _ in range(m.dim)]
                 a = from_numerators(m, num, rng.randint(1, 3))
                 orders = ring._cyclotomic_orders(m)
@@ -395,6 +401,78 @@ class TestCyclotomicRefusal:
         monkeypatch.setattr(ring, "_zero_divisor_witness", lambda a: None)
         with pytest.raises(VerificationFailure, match="singular"):
             inverse(a)
+
+
+class TestMulMatrix:
+    def test_rotations_match_the_per_column_fold(self):
+        # the rows built from rotations of the lift equal, entry for entry,
+        # the matrix whose every column a * x^j is folded on its own
+        rng = random.Random(37)
+        kinds, rational = set(), 0
+        for N in range(2, 49):
+            for m in _every_ring(N):
+                for den in (1, 6):
+                    a = from_coeffs(m, [Fraction(rng.randint(-9, 9), den) for _ in range(m.dim)])
+                    rational += a.den > 1
+                    rows = ring._mul_matrix(a)
+                    assert [list(row) for row in rows] == mul_matrix_oracle.mul_matrix(a), m
+                kinds.add(m.kind)
+        assert kinds == {ring.GROUP, ring.TRUNCATED, ring.BINOMIAL_PLUS, ring.ODD_TRUNCATED}
+        assert rational > 100
+
+
+class TestCyclotomicTest:
+    @pytest.mark.parametrize("d", range(1, 65))
+    def test_rotations_match_the_remainder(self, d):
+        # Phi_d | num by rotations against the remainder of long division,
+        # on vectors shorter and longer than d, multiples of Phi_d among them
+        rng = random.Random(d)
+        phi = ring._cyclotomic(d)
+        for length in (max(d - 1, 1), d, 2 * d + 3):
+            for multiple in (False, True):
+                num = [rng.randint(-3, 3) for _ in range(length)]
+                if multiple:
+                    num = _poly_mul(num[: length - len(phi) + 1] or [1], phi)
+                folded = [sum(num[i::d]) for i in range(d)]
+                expected = not any(ring._divmod_monic(folded, phi)[1])
+                assert ring._cyclotomic_divides(d, num) == expected, (d, num)
+                assert expected or not multiple
+
+
+class TestRefusalMessage:
+    """A refusal's message names a and its witness, formatted when read."""
+
+    CASES = {
+        "group": (group_ring(12), {0: 1, 4: -1}),
+        "truncated": (truncated(24), {0: 2, 1: 3, 2: 1}),
+        "odd_truncated": (ring.odd_truncated(12), {0: 1, 1: 1, 2: 1}),
+        "group zero": (group_ring(6), {}),
+        "truncated zero": (truncated(9), {}),
+        "binomial_plus zero": (ring.binomial_plus(8, 2), {}),
+        "odd_truncated zero": (ring.odd_truncated(24), {}),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_message_witness_and_pickle(self, case, monkeypatch):
+        m, raw = self.CASES[case]
+        a = reduce_poly(raw, m)
+        witness = _bareiss(a)[1]
+        reprs = []
+        real_repr = ring.Element.__repr__
+        monkeypatch.setattr(ring.Element, "__repr__", lambda e: reprs.append(e) or real_repr(e))
+        with pytest.raises(NotInvertible) as err:
+            inverse(a)
+        assert reprs == []  # nothing is formatted until the message is read
+        exc = err.value
+        assert exc.witness == witness
+        assert str(exc) == f"{a!r} is a zero divisor: witness {witness!r}"
+        copied = pickle.loads(pickle.dumps(exc))
+        assert copied.witness == witness and str(copied) == str(exc)
+
+    def test_a_message_given_is_kept(self):
+        exc = NotInvertible("not invertible")
+        assert str(exc) == "not invertible" and exc.witness is None
+        assert str(pickle.loads(pickle.dumps(exc))) == "not invertible"
 
 
 def _dense_inverse(a, monkeypatch):

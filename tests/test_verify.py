@@ -256,3 +256,23 @@ def test_m_factor_lemma_fails_on_a_display_that_is_not_4_integral(monkeypatch):
     ]
     assert len(witnesses) == 6
     assert any(w is not None and "display not 4-integral" in w for w in witnesses)
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_summary_counts_the_failures_of_each_statement(fmt, monkeypatch, capsys):
+    # x = -1 evaluating to 7 fails every eval-minus-one check: the summary
+    # names that statement with its count, and an all-pass summary does not
+    def summary():
+        argv = ["verify", "--suite", "ring", "--max-N", "6", "--workers", "1", "--format", fmt]
+        rc = main(argv)
+        last = capsys.readouterr().out.splitlines()[-1]
+        return rc, json.loads(last.split("\t")[1]) if fmt == "tsv" else json.loads(last)["summary"]
+
+    rc, passed = summary()
+    assert rc == 0 and "failed_by_statement" not in passed
+    monkeypatch.setattr(verify, "eval_minus_one", lambda a: Fraction(7))
+    rc, failed = summary()
+    count = failed["by_statement"]["eval-minus-one"]
+    assert rc == 1 and count >= 2
+    assert failed["failed_by_statement"] == {"eval-minus-one": count}
+    assert failed["failed"] == count and failed["passed"] == failed["total"] - count
